@@ -77,6 +77,14 @@ class SBox:
         return f"SBox(n={self.n}, table=[{head}, ...])"
 
 
+def _poly_mod(a: int, b: int) -> int:
+    """Remainder of a divided by b, both GF(2) polynomial masks."""
+    top = b.bit_length()
+    while a.bit_length() >= top:
+        a ^= b << (a.bit_length() - top)
+    return a
+
+
 @dataclass(frozen=True)
 class GFContext:
     """A binary field GF(2^n) fixed by its irreducible modulus mask."""
@@ -91,6 +99,10 @@ class GFContext:
             raise ValueError(
                 f"modulus 0x{self.irreducible:x} must have degree exactly n={self.n}"
             )
+        # a reducible modulus has a factor of degree <= n/2; masks 2.. are x, x+1, ...
+        for d in range(2, 1 << (self.n // 2 + 1)):
+            if _poly_mod(self.irreducible, d) == 0:
+                raise ValueError(f"modulus 0x{self.irreducible:x} is reducible: 0x{d:x} divides it")
 
     @property
     def size(self) -> int:

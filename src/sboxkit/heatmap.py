@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SBox
-from .metrics import _ddt_counts, _lat_sums
+from .metrics import compute_ddt, compute_lat
 
 MARKER_COLOR = (0, 255, 0)
 
@@ -32,9 +32,9 @@ class HeatmapSpec:
 def heatmap_values(s: SBox, kind: str) -> np.ndarray:
     """The integer matrix a heatmap renders: biases for LAT, counts for DDT."""
     if kind == "lat":
-        return _lat_sums(s.table, s.n) // 2
+        return compute_lat(s).sums // 2
     if kind == "ddt":
-        return _ddt_counts(s.table, s.n)
+        return compute_ddt(s).counts
     raise ValueError(f"kind must be 'lat' or 'ddt', got {kind!r}")
 
 

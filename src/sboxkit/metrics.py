@@ -1,7 +1,9 @@
 """Difference and linear table metrics.
 
-The LAT is produced by a fast Walsh-Hadamard transform over sign vectors,
-one batched butterfly across all output masks at once; the DDT by a single
+The LAT, max bias and NL share one Walsh kernel: two small float32 matrix
+products per sign matrix, by the Kronecker factorisation H_n = H_hi (x)
+H_lo.  Every partial sum is an integer of magnitude at most 2^n <= 4096 <
+2^24, so float32 holds it exactly in any summation order.  The DDT is one
 bincount over packed (difference, output) codes.  Normalized quantities are
 exact Fractions with power-of-two denominators, never floats.
 """
@@ -19,42 +21,37 @@ from .util import exact_decimal
 
 CSV_HEADER = "name,DU,MAX BIAS,DSAC,DBIC,NL"
 
-_PARITY_CACHE: dict[int, np.ndarray] = {}
+_HADAMARD_CACHE: dict[int, np.ndarray] = {}
 
 
-def _parity(n: int) -> np.ndarray:
-    lut = _PARITY_CACHE.get(n)
-    if lut is None:
-        v = np.arange(1 << n, dtype=np.uint32)
-        lut = (np.bitwise_count(v) & 1).astype(np.int8)
-        _PARITY_CACHE[n] = lut
-    return lut
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix h[i, j] = (-1)^(i.j), float32."""
+    h = _HADAMARD_CACHE.get(k)
+    if h is None:
+        v = np.arange(1 << k)
+        h = 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(v, v)) & 1).astype(np.float32)
+        _HADAMARD_CACHE[k] = h
+    return h
 
 
-def _fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterflies along the last axis of a 2d array."""
-    rows, size = mat.shape
-    h = 1
-    while h < size:
-        mat = mat.reshape(rows, size // (2 * h), 2, h)
-        top = mat[:, :, 0, :] + mat[:, :, 1, :]
-        bot = mat[:, :, 0, :] - mat[:, :, 1, :]
-        mat[:, :, 0, :] = top
-        mat[:, :, 1, :] = bot
-        mat = mat.reshape(rows, size)
-        h *= 2
-    return mat
+def _walsh(table: np.ndarray, n: int) -> np.ndarray:
+    """walsh[b, a] = sum over x of (-1)^(b.S(x) xor a.x), exact in float32.
 
-
-def _lat_sums(table: np.ndarray, n: int) -> np.ndarray:
-    """Walsh sums indexed [a][b]; row b of the transform input is the sign
-    vector of x -> parity(b & S(x))."""
+    Sign row b + 2^k is row b times (-1)^(bit k of S(x)).  With x = x_hi 2^lo
+    + x_lo, each row's (2^hi, 2^lo) block gets H_lo on the right and H_hi on
+    the left, as stacks of products too small for BLAS to spread over threads.
+    """
     size = 1 << n
-    par = _parity(n)
-    masks = np.arange(size, dtype=np.uint32)
-    signs = 1 - 2 * par[np.bitwise_and.outer(masks, table.astype(np.uint32))].astype(np.int32)
-    walsh = _fwht_rows(signs)  # walsh[b, a]
-    return walsh.T.astype(np.int64)
+    lo = n // 2
+    hi = n - lo
+    m = np.empty((size, size), dtype=np.float32)
+    m[0] = 1
+    for k in range(n):
+        h = 1 << k
+        np.multiply(m[:h], 1 - 2 * ((table >> k) & 1).astype(np.float32), out=m[h : 2 * h])
+    blocks = m.reshape(size, 1 << hi, 1 << lo)
+    np.matmul(_hadamard(hi), blocks @ _hadamard(lo), out=blocks)
+    return m
 
 
 def _ddt_counts(table: np.ndarray, n: int) -> np.ndarray:
@@ -224,7 +221,7 @@ def du_max_count(d: DDT) -> int:
 
 def compute_lat(s: SBox) -> LAT:
     """sums[a][b] = sum over x of (-1)^(b.S(x) xor a.x)."""
-    return LAT(s.n, _lat_sums(s.table, s.n))
+    return LAT(s.n, _walsh(s.table, s.n).T.astype(np.int64))
 
 
 def max_bias(l: LAT) -> int:
@@ -235,11 +232,10 @@ def max_bias(l: LAT) -> int:
     return int(np.abs(l.sums[1:, 1:]).max()) // 2
 
 
-def _nl_stats(lat_sums: np.ndarray, n: int) -> NonlinearityStats:
+def _nl_stats(walsh_abs: np.ndarray, n: int) -> NonlinearityStats:
     # per component b != 0 the max |sum| runs over every a, including a = 0
-    col_max = np.abs(lat_sums[:, 1:]).max(axis=0)
-    half = 1 << (n - 1)
-    comps = half - col_max // 2
+    row_max = walsh_abs[1:].max(axis=1).astype(np.int64)
+    comps = (1 << (n - 1)) - row_max // 2
     return NonlinearityStats(
         nl=int(comps.min()),
         component_min=int(comps.min()),
@@ -251,7 +247,7 @@ def _nl_stats(lat_sums: np.ndarray, n: int) -> NonlinearityStats:
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(_lat_sums(s.table, s.n), s.n)
+    return _nl_stats(np.abs(_walsh(s.table, s.n)), s.n)
 
 
 def dsac(s: SBox) -> SacReport:
@@ -279,9 +275,13 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     table metrics and are never wanted in bulk search loops.
     """
     ddt_counts = _ddt_counts(s.table, s.n)
-    lat_sums = _lat_sums(s.table, s.n)
     du = int(ddt_counts[1:].max())
-    nl_stats = _nl_stats(lat_sums, s.n)
+    du_count = int(np.count_nonzero(ddt_counts[1:] == du))
+    del ddt_counts  # at n=12 the DDT and the Walsh table need not coexist
+    walsh = np.abs(_walsh(s.table, s.n))
+    walsh_max = int(walsh[1:, 1:].max())
+    nl_stats = _nl_stats(walsh, s.n)
+    del walsh
     bijective = is_bijective(s)
     degree = ai = ai_scope = None
     if with_degree or with_ai:
@@ -296,9 +296,9 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         n=s.n,
         bijective=bijective,
         du=du,
-        du_count=int(np.count_nonzero(ddt_counts[1:] == du)),
-        max_bias=int(np.abs(lat_sums[1:, 1:]).max()) // 2,
-        walsh_max=int(np.abs(lat_sums[1:, 1:]).max()),
+        du_count=du_count,
+        max_bias=walsh_max // 2,
+        walsh_max=walsh_max,
         nl=nl_stats.nl,
         nl_component_min=nl_stats.component_min,
         nl_component_max=nl_stats.component_max,
@@ -321,10 +321,9 @@ def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
     if metric == "du":
         return int(_ddt_counts(table, n)[1:].max())
     if metric == "max_bias":
-        return int(np.abs(_lat_sums(table, n)[1:, 1:]).max()) // 2
+        return int(np.abs(_walsh(table, n)[1:, 1:]).max()) // 2
     if metric == "nl":
-        sums = _lat_sums(table, n)
-        return (1 << (n - 1)) - int(np.abs(sums[:, 1:]).max()) // 2
+        return (1 << (n - 1)) - int(np.abs(_walsh(table, n)[1:, :]).max()) // 2
     if metric == "dsac":
         return int(_sac_deviations(table, n).max())
     if metric == "dbic":

@@ -3,12 +3,14 @@
 Candidate streams come from numpy's PCG64 (period 2^128); the master seed
 is split into one child stream per worker via SeedSequence.spawn, so a run
 is reproducible for a fixed (seed, workers) pair without any coordination
-between workers.  Means are accumulated as exact integer sums.
+between workers.  Streams share a process pool no larger than the CPU
+count.  Means are accumulated as exact integer sums.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -181,6 +183,11 @@ def _run_worker(child, count, config, inject_tables, want_log):
     return best_raw, None if best_table is None else best_table.tolist(), total, log
 
 
+def pool_size(workers: int, cpus: int | None) -> int:
+    """Processes that run `workers` streams: one each, but no more than `cpus`."""
+    return min(workers, cpus or 1)
+
+
 def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -> SearchResult:
     """Algorithm: generate `tries` candidates, track the strict best, sum values.
 
@@ -201,10 +208,11 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
     jobs = []
     for w in range(workers):
         jobs.append((children[w], counts[w], config, inject_tables if w == 0 else [], want_log))
-    if workers == 1:
-        outcomes = [_run_worker(*jobs[0])]
+    processes = pool_size(workers, os.cpu_count())
+    if processes == 1:
+        outcomes = [_run_worker(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_run_worker, *job) for job in jobs]
             outcomes = [f.result() for f in futures]  # reduce in worker-index order
 

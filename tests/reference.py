@@ -1,10 +1,14 @@
 """Slow reference implementations used as oracles.
 
 Everything here is written with plain loops and dicts, deliberately sharing
-no code path with the library, so agreement actually means something.
+no code path with the library, so agreement actually means something.  The
+one exception is `walsh_butterfly`, whole-table numpy so that it reaches
+n=12: int64 butterflies, where the library multiplies float32 matrices.
 """
 
 from collections import Counter
+
+import numpy as np
 
 
 def parity(v: int) -> int:
@@ -22,6 +26,24 @@ def lat_entry(table, n, a, b) -> int:
 def lat_full(table, n):
     size = 1 << n
     return [[lat_entry(table, n, a, b) for b in range(size)] for a in range(size)]
+
+
+def walsh_butterfly(table, n):
+    """Every LAT sum at once, sums[a][b], by int64 Walsh-Hadamard butterflies
+    over the sign vectors x -> (-1)^(b.S(x)), one row per output mask b."""
+    size = 1 << n
+    tab = np.asarray(table, dtype=np.uint64)
+    mat = np.empty((size, size), dtype=np.int64)
+    for b in range(size):
+        mat[b] = 1 - 2 * (np.bitwise_count(tab & np.uint64(b)) & 1).astype(np.int64)
+    h = 1
+    while h < size:
+        pairs = mat.reshape(size, size // (2 * h), 2, h)
+        top = pairs[:, :, 0, :] + pairs[:, :, 1, :]
+        np.subtract(pairs[:, :, 0, :], pairs[:, :, 1, :], out=pairs[:, :, 1, :])
+        pairs[:, :, 0, :] = top
+        h *= 2
+    return mat.T
 
 
 def ddt_brute(table, n):

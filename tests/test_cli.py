@@ -113,6 +113,11 @@ def test_gen_irreducible_override(tmp_path, capsys):
     assert sk.parse_sbox(text) == sk.SBox(4, [sk.gf_pow(ctx, x, 2) for x in range(16)])
 
 
+def test_gen_reducible_modulus_exits_3(capsys):
+    assert main(["gen", "gold", "--n", "8", "--irreducible", "0x100"]) == 3
+    assert "reducible" in capsys.readouterr().err
+
+
 def test_gen_unknown_family_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "foo", "--n", "8"])

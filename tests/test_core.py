@@ -5,6 +5,7 @@ import pytest
 
 import sboxkit as sk
 from sboxkit.core import MAX_N, MIN_N
+from sboxkit.data import IRREDUCIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,20 @@ def test_default_context_moduli():
 def test_context_rejects_wrong_degree_modulus():
     with pytest.raises(ValueError, match="degree"):
         sk.GFContext(8, 0x1B)
+
+
+# 0x1bb = 0x13 * 0x19 and 0x129b = 0x43 * 0x49: their only factors have degree n/2
+@pytest.mark.parametrize(
+    "n,modulus", [(8, 0x100), (8, 0x101), (4, 0x15), (8, 0x1BB), (12, 0x1001), (12, 0x129B)]
+)
+def test_context_rejects_reducible_modulus(n, modulus):
+    with pytest.raises(ValueError, match="reducible"):
+        sk.GFContext(n, modulus)
+
+
+def test_bundled_moduli_are_irreducible():
+    for n, modulus in IRREDUCIBLE.items():
+        assert sk.GFContext(n, modulus).irreducible == modulus
 
 
 def test_gf_mul_known_product(gf8):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit.data import KEY_SBOX
@@ -87,6 +89,38 @@ def test_lat_spot_probes_aes(aes):
     for _ in range(60):
         a, b = (int(v) for v in rng.integers(0, 256, size=2))
         assert l.sums[a, b] == reference.lat_entry(aes.table, 8, a, b)
+
+
+def _oracle_maps(n):
+    """A random permutation, a random non-bijective map and a constant map."""
+    size = 1 << n
+    rng = np.random.default_rng(100 + n)
+    return {
+        "permutation": rng.permutation(size),
+        "random": rng.integers(0, size, size=size),
+        "constant": np.full(size, size - 1),
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_lat_matches_butterfly_oracle_every_width(n):
+    for kind, table in _oracle_maps(n).items():
+        sums = sk.compute_lat(sk.SBox(n, table)).sums
+        assert np.array_equal(sums, reference.walsh_butterfly(table, n)), kind
+        if kind == "constant":
+            # |W| = 2^n down the a = 0 column: the float32 kernel's exactness bound
+            assert int(np.abs(sums).max()) == 1 << n
+            assert int(np.abs(sums[1:, 1:]).max()) == 0
+
+
+def test_lat_spot_probes_width_12():
+    rng = np.random.default_rng(12)
+    probes = [(0, 0), (0, 4095), (4095, 4095)]
+    probes += [(int(a), int(b)) for a, b in rng.integers(0, 4096, size=(6, 2))]
+    for kind, table in _oracle_maps(12).items():
+        sums = sk.compute_lat(sk.SBox(12, table)).sums
+        for a, b in probes:
+            assert sums[a, b] == reference.lat_entry(table, 12, a, b), (kind, a, b)
 
 
 def test_lat_balanced_rows_and_columns(aes):
@@ -261,6 +295,14 @@ def test_raw_metric_values_agree_with_reports():
         assert raw_metric_value(tab, 8, "nl") == rep.nl
         assert raw_metric_value(tab, 8, "dsac") == rep.dsac.max_raw
         assert raw_metric_value(tab, 8, "dbic") == rep.dbic.max_raw
+
+
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_raw_nl_and_max_bias_share_one_kernel_on_permutations(n, seed):
+    # for a bijection the a = 0 Walsh column is zero at every b != 0
+    tab = np.random.default_rng(seed).permutation(1 << n)
+    assert raw_metric_value(tab, n, "nl") == (1 << (n - 1)) - raw_metric_value(tab, n, "max_bias")
 
 
 def test_raw_metric_rejects_unknown():

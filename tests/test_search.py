@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import sboxkit as sk
-from sboxkit.search import GENERATOR_NAME, SearchConfig, load_search_result, run_search
+from sboxkit import search
+from sboxkit.search import GENERATOR_NAME, SearchConfig, load_search_result, pool_size, run_search
 
 
 def small_config(**overrides):
@@ -195,6 +196,22 @@ def test_search_worker_split_changes_streams():
     two = run_search(small_config(tries=24, workers=2))
     # spawned child streams differ from the single-stream run by design
     assert one.mean_value != two.mean_value or one.best_sbox != two.best_sbox
+
+
+def test_pool_size_never_exceeds_cpus():
+    assert pool_size(5000, 2) == 2
+    assert pool_size(3, 8) == 3
+    assert pool_size(1, 64) == 1
+    assert pool_size(4, None) == 1  # os.cpu_count() may not know
+
+
+def test_search_streams_beyond_processes_keep_the_result(monkeypatch):
+    cfg = small_config(tries=30, workers=3)
+    pooled = run_search(cfg).to_dict()
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)  # all three streams inline
+    inline = run_search(cfg).to_dict()
+    del pooled["elapsed"], inline["elapsed"]
+    assert inline == pooled
 
 
 # ---------------------------------------------------------------------------
