@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    FAMILIES,
     MonomialConditionError,
     NotBijectiveError,
     SBox,
@@ -24,13 +25,14 @@ from .core import (
     parse_sbox,
 )
 from .heatmap import (
+    KINDS,
     HeatmapSpec,
     heatmap_values,
     render_heatmap,
     write_matrix_csv,
     write_ppm,
 )
-from .metrics import CSV_HEADER, full_report
+from .metrics import CSV_HEADER, METRICS, full_report
 from .search import CycleSpec, SearchConfig, builtin_cycle_specs, run_search, save_search_result
 from .spn import (
     AVALANCHE_CSV_HEADER,
@@ -90,7 +92,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_cycles(text: str, n: int) -> CycleSpec | None:
+def _parse_cycles(text: str) -> CycleSpec | None:
     if text == "none":
         return None
     named = builtin_cycle_specs()
@@ -105,7 +107,7 @@ def cmd_search(args) -> int:
         metric=args.metric,
         tries=args.tries,
         seed=args.seed,
-        cycle_spec=_parse_cycles(args.cycles, args.n),
+        cycle_spec=_parse_cycles(args.cycles),
         workers=args.workers,
     )
     value_log = [] if args.log_values else None
@@ -126,13 +128,13 @@ def cmd_avalanche(args) -> int:
     cfg = SpnConfig(sbox=sbox, rounds=args.rounds)
     if args.pairs:
         pairs = load_pairs(args.pairs)
-        report = avalanche_experiment(cfg, pairs=pairs)
     else:
         if args.seed is None:
             raise ValueError("--seed is required unless --pairs is given")
-        report = avalanche_experiment(cfg, trials=args.trials, seed=args.seed)
+        pairs = generate_pairs(args.trials, args.seed)
         if args.save_pairs:
-            save_pairs(args.save_pairs, generate_pairs(args.trials, args.seed))
+            save_pairs(args.save_pairs, pairs)
+    report = avalanche_experiment(cfg, pairs=pairs)
     name = args.name or Path(args.sbox).stem
     if args.format == "csv":
         _write_text(args.out, AVALANCHE_CSV_HEADER + "\n" + report.csv_row(name) + "\n")
@@ -172,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen", help="emit a power-map S-box")
-    p.add_argument("family", choices=("gold", "kasami", "welch", "niho", "dobbertin", "inverse", "raw"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--e", type=int)
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("search", help="random permutation search")
-    p.add_argument("--metric", choices=("du", "max_bias", "dsac", "dbic", "nl"), required=True)
+    p.add_argument("--metric", choices=tuple(METRICS), required=True)
     p.add_argument("--tries", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
@@ -198,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--pairs", help="reuse a stored (plaintext, key) pair file")
-    p.add_argument("--save-pairs", help="store the generated pair set here")
+    pairs = p.add_mutually_exclusive_group()
+    pairs.add_argument("--pairs", help="reuse a stored (plaintext, key) pair file")
+    pairs.add_argument("--save-pairs", help="store the generated pair set here")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--name")
     p.add_argument("-o", "--out", default="-")
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatmap", help="render a DDT/LAT pixmap plus CSV dump")
     p.add_argument("sbox")
     p.add_argument("--base", type=int, choices=(10, 16), default=10)
-    p.add_argument("--table", choices=("lat", "ddt"), default="lat")
+    p.add_argument("--table", choices=tuple(KINDS), default="lat")
     p.add_argument("--scale", type=int)
     p.add_argument("-o", "--out")
     p.add_argument("--csv")

@@ -229,7 +229,7 @@ def trace(ctx: GFContext, x: int) -> int:
     return acc
 
 
-_FAMILIES = ("gold", "kasami", "welch", "niho", "dobbertin", "inverse", "raw")
+FAMILIES = ("gold", "kasami", "welch", "niho", "dobbertin", "inverse", "raw")
 
 
 def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
@@ -266,7 +266,7 @@ def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
         if e < 1:
             raise MonomialConditionError(f"raw requires exponent e >= 1, got e={e}")
         return e
-    raise MonomialConditionError(f"unknown family {family!r}; choose from {_FAMILIES}")
+    raise MonomialConditionError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
 def build_monomial_sbox(ctx: GFContext, family: str, i: int | None = None, e: int | None = None) -> SBox:

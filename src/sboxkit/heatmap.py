@@ -16,26 +16,33 @@ from .metrics import compute_ddt, compute_lat
 
 MARKER_COLOR = (0, 255, 0)
 
+# the integer matrix a heatmap of each kind renders
+KINDS = {
+    "lat": lambda s: compute_lat(s).sums // 2,  # biases
+    "ddt": lambda s: compute_ddt(s).counts,
+}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {kind!r}")
+
 
 @dataclass(frozen=True)
 class HeatmapSpec:
-    kind: str  # "lat" or "ddt"
+    kind: str  # a key of KINDS
     scale: int | None = None  # symmetric bound; None = matrix max
     palette: str = "blue-white-red"
     marker_color: tuple = MARKER_COLOR
 
     def __post_init__(self):
-        if self.kind not in ("lat", "ddt"):
-            raise ValueError(f"kind must be 'lat' or 'ddt', got {self.kind!r}")
+        _check_kind(self.kind)
 
 
 def heatmap_values(s: SBox, kind: str) -> np.ndarray:
     """The integer matrix a heatmap renders: biases for LAT, counts for DDT."""
-    if kind == "lat":
-        return compute_lat(s).sums // 2
-    if kind == "ddt":
-        return compute_ddt(s).counts
-    raise ValueError(f"kind must be 'lat' or 'ddt', got {kind!r}")
+    _check_kind(kind)
+    return KINDS[kind](s)
 
 
 def render_heatmap(values: np.ndarray, spec: HeatmapSpec):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -87,6 +88,16 @@ def _bic_deviations(table: np.ndarray, n: int):
         joint = bits.T @ bits
         out[i] = [abs(quarter - int(joint[j, k])) for j, k in pairs]
     return out, tuple(pairs)
+
+
+def _walsh_max(walsh_abs: np.ndarray) -> int:
+    """Extreme |Walsh sum| outside row and column zero: twice the max bias."""
+    return int(walsh_abs[1:, 1:].max())
+
+
+def _component_nl(walsh_abs: np.ndarray, n: int) -> np.ndarray:
+    # per component b != 0 the max |sum| runs over every a, including a = 0
+    return (1 << (n - 1)) - walsh_abs[1:].max(axis=1).astype(np.int64) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,13 +240,11 @@ def max_bias(l: LAT) -> int:
 
     Entries are even, so halving is exact; the raw extreme is 2x this.
     """
-    return int(np.abs(l.sums[1:, 1:]).max()) // 2
+    return _walsh_max(np.abs(l.sums)) // 2
 
 
 def _nl_stats(walsh_abs: np.ndarray, n: int) -> NonlinearityStats:
-    # per component b != 0 the max |sum| runs over every a, including a = 0
-    row_max = walsh_abs[1:].max(axis=1).astype(np.int64)
-    comps = (1 << (n - 1)) - row_max // 2
+    comps = _component_nl(walsh_abs, n)
     return NonlinearityStats(
         nl=int(comps.min()),
         component_min=int(comps.min()),
@@ -274,12 +283,12 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
     """
-    ddt_counts = _ddt_counts(s.table, s.n)
-    du = int(ddt_counts[1:].max())
-    du_count = int(np.count_nonzero(ddt_counts[1:] == du))
-    del ddt_counts  # at n=12 the DDT and the Walsh table need not coexist
+    ddt = DDT(s.n, _ddt_counts(s.table, s.n))
+    du = differential_uniformity(ddt)
+    du_count = int(np.count_nonzero(ddt.counts[1:] == du))
+    del ddt  # at n=12 the DDT and the Walsh table need not coexist
     walsh = np.abs(_walsh(s.table, s.n))
-    walsh_max = int(walsh[1:, 1:].max())
+    walsh_max = _walsh_max(walsh)
     nl_stats = _nl_stats(walsh, s.n)
     del walsh
     bijective = is_bijective(s)
@@ -312,20 +321,32 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     )
 
 
-# raw integer metric values for search loops: client code compares these
-# directly and rescales at the end (dsac/dbic raws are in units of 1/2^n)
-RAW_METRICS = ("du", "max_bias", "dsac", "dbic", "nl")
+@dataclass(frozen=True)
+class Metric:
+    """Search loops compare `raw(table, n)` values directly and rescale once
+    at the end; a `per_size` raw value counts units of 1/2^n."""
+
+    raw: Callable[[np.ndarray, int], int]
+    maximize: bool = False
+    per_size: bool = False
+
+
+# in `CSV_HEADER` column order
+METRICS = {
+    "du": Metric(lambda t, n: differential_uniformity(DDT(n, _ddt_counts(t, n)))),
+    "max_bias": Metric(lambda t, n: _walsh_max(np.abs(_walsh(t, n))) // 2),
+    "dsac": Metric(lambda t, n: int(_sac_deviations(t, n).max()), per_size=True),
+    "dbic": Metric(lambda t, n: int(_bic_deviations(t, n)[0].max()), per_size=True),
+    "nl": Metric(lambda t, n: int(_component_nl(np.abs(_walsh(t, n)), n).min()), maximize=True),
+}
+
+
+def lookup_metric(name: str) -> Metric:
+    try:
+        return METRICS[name]
+    except KeyError:
+        raise ValueError(f"unknown metric {name!r}; choose from {tuple(METRICS)}") from None
 
 
 def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
-    if metric == "du":
-        return int(_ddt_counts(table, n)[1:].max())
-    if metric == "max_bias":
-        return int(np.abs(_walsh(table, n)[1:, 1:]).max()) // 2
-    if metric == "nl":
-        return (1 << (n - 1)) - int(np.abs(_walsh(table, n)[1:, :]).max()) // 2
-    if metric == "dsac":
-        return int(_sac_deviations(table, n).max())
-    if metric == "dbic":
-        return int(_bic_deviations(table, n)[0].max())
-    raise ValueError(f"unknown metric {metric!r}; choose from {RAW_METRICS}")
+    return lookup_metric(metric).raw(table, n)

@@ -19,13 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import SBox, MIN_N, MAX_N
-from .metrics import RAW_METRICS, raw_metric_value
+from .metrics import METRICS, lookup_metric, raw_metric_value
 from .util import exact_decimal
 
 GENERATOR_NAME = "numpy-pcg64"
-MAXIMIZED = frozenset({"nl"})
-# dsac/dbic raws are deviations in units of 1/2^n; the rest are plain counts
-_NORMALIZED = frozenset({"dsac", "dbic"})
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,7 @@ class SearchConfig:
     def __post_init__(self):
         if not MIN_N <= self.n <= MAX_N:
             raise ValueError(f"n={self.n} outside supported range [{MIN_N}, {MAX_N}]")
-        if self.metric not in RAW_METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; choose from {RAW_METRICS}")
+        lookup_metric(self.metric)
         if self.tries < 1:
             raise ValueError("tries must be >= 1")
         if self.workers < 1:
@@ -90,7 +86,7 @@ class SearchConfig:
 
     @property
     def maximize(self) -> bool:
-        return self.metric in MAXIMIZED
+        return METRICS[self.metric].maximize
 
 
 @dataclass(frozen=True)
@@ -126,23 +122,25 @@ def random_permutation(rng: np.random.Generator, size: int) -> SBox:
     return SBox(size.bit_length() - 1, rng.permutation(size))
 
 
-def random_permutation_with_cycles(rng: np.random.Generator, spec: CycleSpec) -> SBox:
-    """Random permutation whose cycle type matches spec exactly.
-
-    One shuffled pool supplies every cycle's elements in drawn order; each
-    chunk is linked into a ring, which forces the requested decomposition.
-    """
-    size = spec.total
-    if size < 4 or size > 4096 or size & (size - 1):
-        raise ValueError(f"cycle lengths must sum to a power of two in [4, 4096], got {size}")
-    pool = rng.permutation(size)
-    table = np.empty(size, dtype=np.int64)
+def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
+    """One shuffled pool supplies every cycle's elements in drawn order; each
+    chunk is linked into a ring, which forces the requested decomposition."""
+    pool = rng.permutation(spec.total)
+    table = np.empty(spec.total, dtype=np.int64)
     pos = 0
     for length in spec.lengths:
         ring = pool[pos : pos + length]
         pos += length
         table[ring] = np.roll(ring, -1)
-    return SBox(size.bit_length() - 1, table)
+    return table
+
+
+def random_permutation_with_cycles(rng: np.random.Generator, spec: CycleSpec) -> SBox:
+    """Random permutation whose cycle type matches spec exactly."""
+    size = spec.total
+    if size < 4 or size > 4096 or size & (size - 1):
+        raise ValueError(f"cycle lengths must sum to a power of two in [4, 4096], got {size}")
+    return SBox(size.bit_length() - 1, _ring_table(rng, spec))
 
 
 def _run_worker(child, count, config, inject_tables, want_log):
@@ -166,13 +164,7 @@ def _run_worker(child, count, config, inject_tables, want_log):
         elif spec is None:
             table = rng.permutation(size)
         else:
-            pool = rng.permutation(size)
-            table = np.empty(size, dtype=np.int64)
-            pos = 0
-            for length in spec.lengths:
-                ring = pool[pos : pos + length]
-                pos += length
-                table[ring] = np.roll(ring, -1)
+            table = _ring_table(rng, spec)
         raw = raw_metric_value(table, n, config.metric)
         total += raw
         if want_log:
@@ -229,8 +221,7 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
             best_raw = raw
             best_table = table
 
-    size = 1 << config.n
-    scale = size if config.metric in _NORMALIZED else 1
+    scale = 1 << config.n if METRICS[config.metric].per_size else 1
     return SearchResult(
         config=config,
         best_sbox=SBox(config.n, np.array(best_table, dtype=np.int64)),

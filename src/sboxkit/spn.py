@@ -8,12 +8,13 @@ i takes input position p[i].
 Two implementations share the test surface: a straight scalar one working
 on 8-byte `bytes` (the reference), and a vectorized one on uint64 arrays
 that folds S-box plus both permutations of one byte lane into a single
-8x256 table of 64-bit masks, so a round is eight gathers and a XOR.
+8x256 table of 64-bit masks, so a round is eight gathers and a XOR.  Every
+bulk step (round, inverse permutation, inverse S-box, key nibble S-box) is
+such a lane table, built by `_lane_tables` and applied by `_lane_lookup`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,57 +181,47 @@ def decrypt_block(ciphertext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
 # vectorized path
 
 
-def _combined_bit_sources(cfg: SpnConfig):
+_BYTE_LANES = np.arange(64).reshape(8, 8)  # bit r of lane i stays at block bit 8i + r
+
+
+def _lane_tables(values, positions) -> np.ndarray:
+    """tabs[i][v] = values[v] as block bits: its bit r (MSB first) at block
+    bit positions[i][r].  values has 256 bytes, positions shape (8, 8)."""
+    bits = (np.asarray(values)[np.newaxis, :] >> np.arange(7, -1, -1)[:, np.newaxis]) & 1
+    masks = np.uint64(1) << (np.uint64(63) - np.asarray(positions, dtype=np.uint64))
+    return masks @ bits.astype(np.uint64)  # distinct bits per lane: the sum is their OR
+
+
+def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
+    """XOR over lanes i of tabs[i][byte i of st], byte 0 the most significant."""
+    acc = np.zeros_like(st)
+    for i in range(8):
+        sh = np.uint64(8 * (7 - i))
+        acc ^= tabs[i][((st >> sh) & np.uint64(0xFF)).astype(np.int64)]
+    return acc
+
+
+def _combined_bit_sources(cfg: SpnConfig) -> np.ndarray:
     # chain both permutations: output bit d <- byte-shuffled bit pbox64[d]
-    return [cfg.pbox8[cfg.pbox64[d] >> 3] * 8 + (cfg.pbox64[d] & 7) for d in range(64)]
+    p64 = np.array(cfg.pbox64)
+    return (np.array(cfg.pbox8)[p64 >> 3] * 8 + (p64 & 7)).reshape(8, 8)
 
 
 def _build_round_tables(cfg: SpnConfig) -> np.ndarray:
     """tabs[i][v] = the full permuted 64-bit contribution of S(v) at byte i."""
-    src = _combined_bit_sources(cfg)
-    dest = [0] * 64
-    for d, s in enumerate(src):
-        dest[s] = d
-    tabs = np.zeros((8, 256), dtype=np.uint64)
-    sbox = cfg.sbox.table
-    for i in range(8):
-        for v in range(256):
-            y = int(sbox[v])
-            acc = 0
-            for r in range(8):
-                if (y >> (7 - r)) & 1:
-                    acc |= 1 << (63 - dest[8 * i + r])
-            tabs[i, v] = acc
-    return tabs
-
-
-def _build_inverse_bit_tables(cfg: SpnConfig) -> np.ndarray:
-    """ptabs[i][v] = inverse combined bit permutation applied to byte i = v."""
-    src = _combined_bit_sources(cfg)
-    ptabs = np.zeros((8, 256), dtype=np.uint64)
-    for i in range(8):
-        for v in range(256):
-            acc = 0
-            for r in range(8):
-                if (v >> (7 - r)) & 1:
-                    # ciphertext bit 8i+r came from source bit src[8i+r]
-                    acc |= 1 << (63 - src[8 * i + r])
-            ptabs[i, v] = acc
-    return ptabs
+    dest = np.argsort(_combined_bit_sources(cfg), axis=None).reshape(8, 8)
+    return _lane_tables(cfg.sbox.table, dest)
 
 
 def _key_schedule_bulk(masters: np.ndarray, rounds: int, cfg: SpnConfig) -> np.ndarray:
     """Round keys for a whole batch of masters; shape (rounds, len(masters))."""
-    ks = cfg.key_sbox
-    lut = np.array([(ks[b >> 4] << 4) | ks[b & 0xF] for b in range(256)], dtype=np.uint64)
+    ks = np.array(cfg.key_sbox)  # byte (hi, lo) -> ks[hi] << 4 | ks[lo]
+    tabs = _lane_tables(((ks[:, np.newaxis] << 4) | ks).ravel(), _BYTE_LANES)
     prev = masters.astype(np.uint64, copy=True)
     out = np.empty((rounds, len(masters)), dtype=np.uint64)
     for r in range(1, rounds + 1):
         t = (prev << np.uint64(8)) | (prev >> np.uint64(56))
-        acc = np.zeros_like(t)
-        for i in range(8):
-            sh = np.uint64(8 * (7 - i))
-            acc |= lut[((t >> sh) & np.uint64(0xFF)).astype(np.int64)] << sh
+        acc = _lane_lookup(t, tabs)
         acc ^= np.uint64(r & 0xFF) << np.uint64(56)
         prev = acc ^ ((prev << np.uint64(24)) | (prev >> np.uint64(40)))
         out[r - 1] = prev
@@ -241,11 +232,7 @@ def _encrypt_states(states: np.ndarray, keys: np.ndarray, tabs: np.ndarray) -> n
     """states: (m, k) uint64 blocks; keys: (rounds, m), broadcast over k."""
     st = states.copy()
     for r in range(keys.shape[0]):
-        acc = np.zeros_like(st)
-        for i in range(8):
-            sh = np.uint64(8 * (7 - i))
-            acc ^= tabs[i][((st >> sh) & np.uint64(0xFF)).astype(np.int64)]
-        st = acc ^ keys[r][:, np.newaxis]
+        st = _lane_lookup(st, tabs) ^ keys[r][:, np.newaxis]
     return st
 
 
@@ -257,24 +244,15 @@ def encrypt_blocks(plaintexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) 
 
 
 def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
-    cts = np.asarray(ciphertexts, dtype=np.uint64).copy()
+    st = np.asarray(ciphertexts, dtype=np.uint64).copy()
     keys = _key_schedule_bulk(np.asarray(masters, dtype=np.uint64), cfg.rounds, cfg)
-    ptabs = _build_inverse_bit_tables(cfg)
-    inv_s = np.empty(256, dtype=np.uint64)
-    inv_s[cfg.sbox.table] = np.arange(256, dtype=np.uint64)
-    st = cts
+    # ciphertext bit 8i+r goes back to its source bit, _combined_bit_sources[i][r]
+    ptabs = _lane_tables(np.arange(256), _combined_bit_sources(cfg))
+    inv_tabs = _lane_tables(np.argsort(cfg.sbox.table), _BYTE_LANES)  # S is a bijection
     for r in range(cfg.rounds - 1, -1, -1):
         st = st ^ keys[r]
-        acc = np.zeros_like(st)
-        for i in range(8):
-            sh = np.uint64(8 * (7 - i))
-            acc ^= ptabs[i][((st >> sh) & np.uint64(0xFF)).astype(np.int64)]
-        st = acc
-        acc = np.zeros_like(st)
-        for i in range(8):
-            sh = np.uint64(8 * (7 - i))
-            acc |= inv_s[((st >> sh) & np.uint64(0xFF)).astype(np.int64)] << sh
-        st = acc
+        st = _lane_lookup(st, ptabs)  # rebinding frees each state before the next lookup
+        st = _lane_lookup(st, inv_tabs)
     return st
 
 
@@ -284,6 +262,8 @@ def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig)
 
 def generate_pairs(trials: int, seed: int) -> np.ndarray:
     """(trials, 2) uint64 array of (plaintext, master) pairs."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 2 ** 64, size=trials, dtype=np.uint64)
     keys = rng.integers(0, 2 ** 64, size=trials, dtype=np.uint64)
@@ -292,9 +272,7 @@ def generate_pairs(trials: int, seed: int) -> np.ndarray:
 
 def save_pairs(path, pairs: np.ndarray) -> None:
     """16 bytes per trial: plaintext then master, each little-endian uint64."""
-    with open(path, "wb") as fh:
-        for p, k in np.asarray(pairs, dtype=np.uint64):
-            fh.write(struct.pack("<QQ", int(p), int(k)))
+    np.asarray(pairs, "<u8").tofile(path)
 
 
 def load_pairs(path) -> np.ndarray:
@@ -302,8 +280,7 @@ def load_pairs(path) -> np.ndarray:
         blob = fh.read()
     if len(blob) % 16:
         raise ValueError("pairs file length must be a multiple of 16 bytes")
-    flat = [v for chunk in struct.iter_unpack("<QQ", blob) for v in chunk]
-    return np.array(flat, dtype=np.uint64).reshape(-1, 2)
+    return np.frombuffer(blob, "<u8").astype(np.uint64).reshape(-1, 2)
 
 
 def avalanche_experiment(

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import sboxkit as sk
-from sboxkit.cli import main
-from sboxkit.heatmap import read_matrix_csv, read_ppm
+from sboxkit import spn
+from sboxkit.cli import build_parser, main
+from sboxkit.core import FAMILIES
+from sboxkit.heatmap import KINDS, read_matrix_csv, read_ppm
+from sboxkit.metrics import METRICS
+from sboxkit.search import SearchConfig
 
 
 @pytest.fixture()
@@ -237,6 +241,27 @@ def test_avalanche_pair_reuse_is_identical(aes_file, tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_avalanche_saves_the_pairs_it_ran(aes, aes_file, tmp_path, capsys):
+    pairs = tmp_path / "pairs.bin"
+    assert main(["avalanche", aes_file, "--rounds", "4", "--trials", "30", "--seed", "21",
+                 "--save-pairs", str(pairs)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (spn.load_pairs(pairs) == spn.generate_pairs(30, 21)).all()
+    cfg = spn.SpnConfig(sbox=aes, rounds=4)
+    assert doc == {"name": "aes", **spn.avalanche_experiment(cfg, trials=30, seed=21).to_dict()}
+
+
+def test_avalanche_save_pairs_with_pairs_exits_3(aes_file, tmp_path, capsys):
+    pairs = tmp_path / "pairs.bin"
+    spn.save_pairs(pairs, spn.generate_pairs(10, 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["avalanche", aes_file, "--rounds", "1", "--pairs", str(pairs),
+              "--save-pairs", str(tmp_path / "other.bin")])
+    assert exc.value.code == 3
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "other.bin").exists()
+
+
 def test_avalanche_bad_pairs_file_exits_3(aes_file, tmp_path, capsys):
     path = tmp_path / "pairs.bin"
     path.write_bytes(b"\x00" * 20)
@@ -281,6 +306,19 @@ def test_heatmap_bad_input_exits_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_choices_come_from_the_defining_modules():
+    assert _choices("search", "metric") == tuple(METRICS)
+    assert _choices("gen", "family") == FAMILIES
+    assert _choices("heatmap", "table") == tuple(KINDS)
+    for name, metric in METRICS.items():
+        assert SearchConfig(n=8, metric=name, tries=1, seed=0).maximize == metric.maximize
 
 
 def test_unknown_flag_exits_3(aes_file):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit.data import KEY_SBOX
-from sboxkit.metrics import CSV_HEADER, raw_metric_value
+from sboxkit.metrics import CSV_HEADER, METRICS, raw_metric_value
 from sboxkit.util import exact_decimal
 
 import reference
@@ -290,11 +290,11 @@ def test_raw_metric_values_agree_with_reports():
         tab = rng.permutation(256)
         s = sk.SBox(8, tab)
         rep = sk.full_report(s)
-        assert raw_metric_value(tab, 8, "du") == rep.du
-        assert raw_metric_value(tab, 8, "max_bias") == rep.max_bias
-        assert raw_metric_value(tab, 8, "nl") == rep.nl
-        assert raw_metric_value(tab, 8, "dsac") == rep.dsac.max_raw
-        assert raw_metric_value(tab, 8, "dbic") == rep.dbic.max_raw
+        reported = {"du": rep.du, "max_bias": rep.max_bias, "nl": rep.nl,
+                    "dsac": rep.dsac.max_raw, "dbic": rep.dbic.max_raw}
+        assert set(reported) == set(METRICS)
+        for name in METRICS:
+            assert raw_metric_value(tab, 8, name) == reported[name], name
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))

@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,28 @@ def test_bulk_with_non_aes_sbox(cfg4):
     assert not (spn.encrypt_blocks(pts, masters, other) == spn.encrypt_blocks(pts, masters, cfg4)).all()
 
 
+def test_bulk_matches_scalar_with_custom_permutations_and_key_sbox():
+    rng = np.random.default_rng(62)
+    cfg = spn.SpnConfig(
+        sbox=sk.SBox(8, rng.permutation(256)),
+        rounds=5,
+        pbox8=tuple(int(v) for v in rng.permutation(8)),
+        pbox64=tuple(int(v) for v in rng.permutation(64)),
+        key_sbox=tuple(int(v) for v in rng.permutation(16)),
+    )
+    pts = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
+    masters = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
+    cts = spn.encrypt_blocks(pts, masters, cfg)
+    keys = spn._key_schedule_bulk(masters, cfg.rounds, cfg)
+    for col, (pt, master, ct) in enumerate(zip(pts, masters, cts)):
+        master_block = spn.int_to_block(int(master))
+        scalar = spn.encrypt_block(spn.int_to_block(int(pt)), master_block, cfg)
+        assert spn.block_to_int(scalar) == int(ct)
+        scalar_keys = spn.key_schedule(master_block, cfg.rounds, cfg)
+        assert [int(k) for k in keys[:, col]] == [spn.block_to_int(k) for k in scalar_keys.keys]
+    assert (spn.decrypt_blocks(cts, masters, cfg) == pts).all()
+
+
 def test_every_input_bit_changes_the_ciphertext(cfg4):
     pt = np.uint64(0x0123456789ABCDEF)
     master = np.array([7], dtype=np.uint64)
@@ -235,6 +258,8 @@ def test_avalanche_requires_seed_or_pairs(cfg4):
         spn.avalanche_experiment(cfg4, trials=10)
     with pytest.raises(ValueError, match="trials"):
         spn.avalanche_experiment(cfg4)
+    with pytest.raises(ValueError, match="trials"):
+        spn.generate_pairs(0, 1)
 
 
 def test_avalanche_pairs_override(cfg4):
@@ -257,7 +282,10 @@ def test_pairs_file_round_trip(tmp_path):
     path = tmp_path / "pairs.bin"
     spn.save_pairs(path, pairs)
     assert path.stat().st_size == 64 * 16
-    assert (spn.load_pairs(path) == pairs).all()
+    assert path.read_bytes()[:16] == struct.pack("<QQ", int(pairs[0, 0]), int(pairs[0, 1]))
+    loaded = spn.load_pairs(path)
+    assert loaded.dtype == np.uint64
+    assert (loaded == pairs).all()
 
 
 def test_load_pairs_rejects_truncated_file(tmp_path):
