@@ -78,14 +78,11 @@ def anf_monomials(a: AnfCoefficients) -> list[int]:
 def algebraic_degree(s: SBox) -> int:
     """Max monomial size over the ANFs of all 2^n - 1 nonzero components.
 
-    The zero function has degree 0.
+    The zero function has degree 0.  The ANF is linear, so deg(b.S) <= max_j
+    deg(S_j), and the coordinates S_j are components: the same maximum.
     """
-    size = s.size
-    masks = np.arange(1, size, dtype=np.uint64)
-    bits = (np.bitwise_count(masks[:, np.newaxis] & s.table.astype(np.uint64)) & 1).astype(np.uint8)
-    coeffs = _mobius(bits)
-    weight = np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
-    return int((coeffs * weight[np.newaxis, :]).max())
+    coeffs = _mobius((s.table >> np.arange(s.n)[:, np.newaxis]) & 1)
+    return int(np.bitwise_count(np.flatnonzero(coeffs.any(axis=0))).max(initial=0))
 
 
 def dump_anf(s: SBox) -> str:

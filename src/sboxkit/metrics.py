@@ -3,9 +3,9 @@
 The LAT, max bias and NL share one Walsh kernel: two small float32 matrix
 products per sign matrix, by the Kronecker factorisation H_n = H_hi (x)
 H_lo.  Every partial sum is an integer of magnitude at most 2^n <= 4096 <
-2^24, so float32 holds it exactly in any summation order.  The DDT is one
-bincount over packed (difference, output) codes.  Normalized quantities are
-exact Fractions with power-of-two denominators, never floats.
+2^24, so float32 holds it exactly in any summation order.  The DDT comes in
+blocks of rows, a bincount each; only `compute_ddt` holds the whole table.
+Normalized quantities are exact Fractions with power-of-two denominators.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .util import exact_decimal
 CSV_HEADER = "name,DU,MAX BIAS,DSAC,DBIC,NL"
 
 _HADAMARD_CACHE: dict[int, np.ndarray] = {}
+_DDT_BLOCK = 256  # input differences per bincount
+_XOR_INDEX_CACHE: dict[int, np.ndarray] = {}
 
 
 def _hadamard(k: int) -> np.ndarray:
@@ -35,7 +37,7 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def _walsh(table: np.ndarray, n: int) -> np.ndarray:
+def _walsh(table: np.ndarray, n: int, absolute: bool = False) -> np.ndarray:
     """walsh[b, a] = sum over x of (-1)^(b.S(x) xor a.x), exact in float32.
 
     Sign row b + 2^k is row b times (-1)^(bit k of S(x)).  With x = x_hi 2^lo
@@ -52,15 +54,35 @@ def _walsh(table: np.ndarray, n: int) -> np.ndarray:
         np.multiply(m[:h], 1 - 2 * ((table >> k) & 1).astype(np.float32), out=m[h : 2 * h])
     blocks = m.reshape(size, 1 << hi, 1 << lo)
     np.matmul(_hadamard(hi), blocks @ _hadamard(lo), out=blocks)
-    return m
+    return np.abs(m, out=m) if absolute else m
 
 
-def _ddt_counts(table: np.ndarray, n: int) -> np.ndarray:
+def _ddt_blocks(table: np.ndarray, n: int):
+    """Yield (start, block), block[i, b] = #{x : S(x) xor S(x xor (start + i)) = b},
+    by one bincount over (i << n) | b codes: uint16 at n <= 8, one block.  As
+    start is a multiple of the block size, (start + i) xor x = i xor (x xor start)."""
     size = 1 << n
-    x = np.arange(size)
-    dy = table[np.bitwise_xor.outer(x, x)] ^ table[np.newaxis, :]
-    codes = (x[:, np.newaxis] << n) | dy
-    return np.bincount(codes.ravel(), minlength=size * size).reshape(size, size)
+    rows = min(_DDT_BLOCK, size)
+    x = np.arange(size, dtype=np.int32)
+    if n not in _XOR_INDEX_CACHE:
+        _XOR_INDEX_CACHE[n] = np.bitwise_xor.outer(x[:rows], x)
+    t = table.astype(np.uint16 if n <= 8 else np.int32)
+    keyed = t | np.arange(rows, dtype=t.dtype)[:, np.newaxis] << n  # (i << n) | S(x)
+    for start in range(0, size, rows):
+        dy = np.take(t[x ^ start], _XOR_INDEX_CACHE[n])
+        dy ^= keyed
+        yield start, np.bincount(dy.ravel(), minlength=rows * size).reshape(rows, size)
+
+
+def _du_stats(table: np.ndarray, n: int) -> tuple[int, int]:
+    """Differential uniformity and how many entries reach it, block by block."""
+    du = count = 0
+    for start, block in _ddt_blocks(table, n):
+        rows = block[1:] if start == 0 else block  # row 0 is excluded
+        top = int(rows.max())
+        if top >= du:
+            du, count = top, (count if top == du else 0) + int(np.count_nonzero(rows == top))
+    return du, count
 
 
 def _sac_deviations(table: np.ndarray, n: int) -> np.ndarray:
@@ -217,7 +239,10 @@ class MetricReport:
 
 def compute_ddt(s: SBox) -> DDT:
     """counts[a][b] = #{x : S(x) xor S(x xor a) = b}."""
-    return DDT(s.n, _ddt_counts(s.table, s.n))
+    counts = np.empty((s.size, s.size), dtype=np.int64)
+    for start, block in _ddt_blocks(s.table, s.n):
+        counts[start : start + len(block)] = block
+    return DDT(s.n, counts)
 
 
 def differential_uniformity(d: DDT) -> int:
@@ -245,18 +270,14 @@ def max_bias(l: LAT) -> int:
 
 def _nl_stats(walsh_abs: np.ndarray, n: int) -> NonlinearityStats:
     comps = _component_nl(walsh_abs, n)
-    return NonlinearityStats(
-        nl=int(comps.min()),
-        component_min=int(comps.min()),
-        component_max=int(comps.max()),
-        component_avg=Fraction(int(comps.sum()), comps.size),
-    )
+    nl = int(comps.min())  # the minimum over components is the S-box's NL
+    return NonlinearityStats(nl, nl, int(comps.max()), Fraction(int(comps.sum()), comps.size))
 
 
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(np.abs(_walsh(s.table, s.n)), s.n)
+    return _nl_stats(_walsh(s.table, s.n, absolute=True), s.n)
 
 
 def dsac(s: SBox) -> SacReport:
@@ -283,11 +304,8 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
     """
-    ddt = DDT(s.n, _ddt_counts(s.table, s.n))
-    du = differential_uniformity(ddt)
-    du_count = int(np.count_nonzero(ddt.counts[1:] == du))
-    del ddt  # at n=12 the DDT and the Walsh table need not coexist
-    walsh = np.abs(_walsh(s.table, s.n))
+    du, du_count = _du_stats(s.table, s.n)
+    walsh = _walsh(s.table, s.n, absolute=True)
     walsh_max = _walsh_max(walsh)
     nl_stats = _nl_stats(walsh, s.n)
     del walsh
@@ -333,11 +351,11 @@ class Metric:
 
 # in `CSV_HEADER` column order
 METRICS = {
-    "du": Metric(lambda t, n: differential_uniformity(DDT(n, _ddt_counts(t, n)))),
-    "max_bias": Metric(lambda t, n: _walsh_max(np.abs(_walsh(t, n))) // 2),
+    "du": Metric(lambda t, n: _du_stats(t, n)[0]),
+    "max_bias": Metric(lambda t, n: _walsh_max(_walsh(t, n, absolute=True)) // 2),
     "dsac": Metric(lambda t, n: int(_sac_deviations(t, n).max()), per_size=True),
     "dbic": Metric(lambda t, n: int(_bic_deviations(t, n)[0].max()), per_size=True),
-    "nl": Metric(lambda t, n: int(_component_nl(np.abs(_walsh(t, n)), n).min()), maximize=True),
+    "nl": Metric(lambda t, n: int(_component_nl(_walsh(t, n, absolute=True), n).min()), maximize=True),
 }
 
 

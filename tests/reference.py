@@ -2,8 +2,10 @@
 
 Everything here is written with plain loops and dicts, deliberately sharing
 no code path with the library, so agreement actually means something.  The
-one exception is `walsh_butterfly`, whole-table numpy so that it reaches
-n=12: int64 butterflies, where the library multiplies float32 matrices.
+exceptions are whole-table numpy so that they reach n=12: `walsh_butterfly`
+runs int64 butterflies, where the library multiplies float32 matrices, and
+`degree_all_components` transforms all 2^n - 1 components, where the library
+transforms the n coordinates.
 """
 
 from collections import Counter
@@ -46,14 +48,15 @@ def walsh_butterfly(table, n):
     return mat.T
 
 
-def ddt_brute(table, n):
-    """Difference counts via a Counter per input difference."""
+def ddt_row(table, n, a):
+    """Difference counts for one input difference a, via a Counter."""
     size = 1 << n
-    rows = []
-    for a in range(size):
-        counts = Counter(int(table[x]) ^ int(table[x ^ a]) for x in range(size))
-        rows.append([counts.get(b, 0) for b in range(size)])
-    return rows
+    counts = Counter(int(table[x]) ^ int(table[x ^ a]) for x in range(size))
+    return [counts.get(b, 0) for b in range(size)]
+
+
+def ddt_brute(table, n):
+    return [ddt_row(table, n, a) for a in range(1 << n)]
 
 
 def anf_brute(bits, n):
@@ -67,6 +70,22 @@ def anf_brute(bits, n):
                 acc ^= int(bits[x])
         coeffs.append(acc)
     return coeffs
+
+
+def degree_all_components(table, n):
+    """Max monomial weight over the ANFs of every nonzero component b.S: one
+    uint8 Mobius butterfly over the whole (2^n - 1, 2^n) truth-table stack."""
+    size = 1 << n
+    masks = np.arange(1, size, dtype=np.uint64)
+    tab = np.asarray(table, dtype=np.uint64)
+    stack = (np.bitwise_count(masks[:, np.newaxis] & tab) & 1).astype(np.uint8)
+    h = 1
+    while h < size:
+        pairs = stack.reshape(size - 1, size // (2 * h), 2, h)
+        pairs[:, :, 1, :] ^= pairs[:, :, 0, :]
+        h *= 2
+    weight = np.bitwise_count(np.arange(size, dtype=np.uint64))
+    return int((stack * weight).max())
 
 
 def gf2_rank_dense(rows):

@@ -100,6 +100,37 @@ def test_degree_matches_componentwise_maximum():
     assert sk.algebraic_degree(s) == best
 
 
+def _degree_maps(n):
+    """Random, non-bijective, constant and power maps of width n."""
+    size = 1 << n
+    rng = np.random.default_rng(200 + n)
+    ctx = sk.default_context(n)
+    return {
+        "permutation": rng.permutation(size),
+        "random": rng.integers(0, size, size=size),
+        "constant": np.full(size, size - 1),
+        "cube": sk.build_monomial_sbox(ctx, "raw", e=3).table,
+        "inverse": sk.build_monomial_sbox(ctx, "raw", e=size - 2).table,
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_degree_matches_all_component_oracle_every_width(n):
+    for kind, table in _degree_maps(n).items():
+        assert sk.algebraic_degree(sk.SBox(n, table)) == reference.degree_all_components(table, n), kind
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_degree_matches_brute_anf_of_every_component(n):
+    for kind, table in _degree_maps(n).items():
+        best = 0
+        for b in range(1, 1 << n):
+            bits = [(b & int(y)).bit_count() & 1 for y in table]
+            coeffs = reference.anf_brute(bits, n)
+            best = max([best] + [m.bit_count() for m, c in enumerate(coeffs) if c])
+        assert sk.algebraic_degree(sk.SBox(n, table)) == best, kind
+
+
 def test_dump_anf_format():
     s = sk.SBox(2, np.arange(4))
     lines = anf.dump_anf(s).splitlines()

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit.data import KEY_SBOX
+from sboxkit import metrics
 from sboxkit.metrics import CSV_HEADER, METRICS, raw_metric_value
 from sboxkit.util import exact_decimal
 
@@ -15,6 +17,17 @@ import reference
 
 # ---------------------------------------------------------------------------
 # DDT
+
+
+def _oracle_maps(n):
+    """A random permutation, a random non-bijective map and a constant map."""
+    size = 1 << n
+    rng = np.random.default_rng(100 + n)
+    return {
+        "permutation": rng.permutation(size),
+        "random": rng.integers(0, size, size=size),
+        "constant": np.full(size, size - 1),
+    }
 
 
 def test_ddt_identity(identity8):
@@ -42,6 +55,35 @@ def test_ddt_matches_brute_force_random_6bit():
     rng = np.random.default_rng(3)
     s = sk.SBox(6, rng.permutation(64))
     assert sk.compute_ddt(s).counts.tolist() == reference.ddt_brute(s.table, 6)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ddt_matches_brute_force_every_width(n):
+    for kind, table in _oracle_maps(n).items():
+        counts = sk.compute_ddt(sk.SBox(n, table)).counts
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        assert counts.tolist() == reference.ddt_brute(table.tolist(), n), kind
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_ddt_row_spot_probes_large_widths(n):
+    size = 1 << n
+    rng = np.random.default_rng(n)
+    rows = [0, 1, 255, 256, size - 1] + [int(a) for a in rng.integers(0, size, size=4)]
+    for kind, table in _oracle_maps(n).items():
+        counts = sk.compute_ddt(sk.SBox(n, table)).counts
+        values = table.tolist()
+        for a in rows:
+            assert counts[a].tolist() == reference.ddt_row(values, n, a), (kind, a)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_blocked_du_matches_full_table(n):
+    for kind, table in _oracle_maps(n).items():
+        d = sk.compute_ddt(sk.SBox(n, table))
+        expected = (sk.differential_uniformity(d), sk.du_max_count(d))
+        assert metrics._du_stats(table, n) == expected, kind
+        assert raw_metric_value(table, n, "du") == expected[0], kind
 
 
 def test_differential_uniformity_values(aes, identity8, dillon):
@@ -89,17 +131,6 @@ def test_lat_spot_probes_aes(aes):
     for _ in range(60):
         a, b = (int(v) for v in rng.integers(0, 256, size=2))
         assert l.sums[a, b] == reference.lat_entry(aes.table, 8, a, b)
-
-
-def _oracle_maps(n):
-    """A random permutation, a random non-bijective map and a constant map."""
-    size = 1 << n
-    rng = np.random.default_rng(100 + n)
-    return {
-        "permutation": rng.permutation(size),
-        "random": rng.integers(0, size, size=size),
-        "constant": np.full(size, size - 1),
-    }
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -263,6 +294,25 @@ def test_full_report_non_bijective_has_no_cycles():
     assert not rep.bijective
     assert rep.cycles is None
     assert "cycle_lengths" not in rep.to_dict()
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the memory traced while fn runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_width_12_memory_bounds():
+    # the 128 MB int64 DDT is built only by compute_ddt; reductions take it in row blocks
+    table = np.random.default_rng(12).permutation(4096)
+    s = sk.SBox(12, table)
+    assert _traced_peak_mb(lambda: sk.full_report(s, with_degree=True)) < 150
+    assert _traced_peak_mb(lambda: raw_metric_value(table, 12, "du")) < 40
+    assert _traced_peak_mb(lambda: sk.compute_ddt(s)) < 170
 
 
 def test_to_json_includes_name(aes):
