@@ -10,11 +10,18 @@ on 8-byte `bytes` (the reference), and a vectorized one on uint64 arrays
 that folds S-box plus both permutations of one byte lane into a single
 8x256 table of 64-bit masks, so a round is eight gathers and a XOR.  Every
 bulk step (round, inverse permutation, inverse S-box, key nibble S-box) is
-such a lane table, built by `_lane_tables` and applied by `_lane_lookup`.
+such a lane table, built by `_lane_tables` and applied by `_lane_lookup`,
+which gathers each lane's index straight from a uint8 view of the states.
+
+The avalanche experiment runs its trials in blocks of `_TRIAL_BLOCK` (512):
+each block is key-scheduled, encrypted with its 64 one-bit variants and
+reduced into an exact 65-bin histogram of flip counts and per-input-bit
+sums, so its memory is the 16 B per trial of the pairs plus a constant.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +33,7 @@ from .util import exact_decimal
 
 BLOCK_BYTES = 8
 BLOCK_BITS = 64
+_TRIAL_BLOCK = 512  # avalanche trials per block: a (512, 65) uint64 state is 266 KB, inside L2
 AVALANCHE_CSV_HEADER = "name,rounds,distance"
 
 
@@ -192,12 +200,19 @@ def _lane_tables(values, positions) -> np.ndarray:
     return masks @ bits.astype(np.uint64)  # distinct bits per lane: the sum is their OR
 
 
+# memory column of block byte i (byte 0 the most significant) in a uint64's bytes
+_BYTE_COLUMNS = tuple(range(7, -1, -1)) if np.little_endian else tuple(range(8))
+
+
 def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
     """XOR over lanes i of tabs[i][byte i of st], byte 0 the most significant."""
-    acc = np.zeros_like(st)
-    for i in range(8):
-        sh = np.uint64(8 * (7 - i))
-        acc ^= tabs[i][((st >> sh) & np.uint64(0xFF)).astype(np.int64)]
+    st = np.ascontiguousarray(st)  # a uint8 view needs whole contiguous words
+    b = st.view(np.uint8).reshape(st.shape + (8,))
+    # a byte never leaves a 256-entry table, so no index wraps; mode="raise" would buffer out
+    acc = np.take(tabs[0], b[..., _BYTE_COLUMNS[0]], mode="wrap")
+    tmp = np.empty_like(acc)
+    for i in range(1, 8):
+        acc ^= np.take(tabs[i], b[..., _BYTE_COLUMNS[i]], out=tmp, mode="wrap")
     return acc
 
 
@@ -232,7 +247,8 @@ def _encrypt_states(states: np.ndarray, keys: np.ndarray, tabs: np.ndarray) -> n
     """states: (m, k) uint64 blocks; keys: (rounds, m), broadcast over k."""
     st = states.copy()
     for r in range(keys.shape[0]):
-        st = _lane_lookup(st, tabs) ^ keys[r][:, np.newaxis]
+        st = _lane_lookup(st, tabs)
+        st ^= keys[r][:, np.newaxis]
     return st
 
 
@@ -276,11 +292,10 @@ def save_pairs(path, pairs: np.ndarray) -> None:
 
 
 def load_pairs(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) % 16:
+    """The pairs `save_pairs` wrote, as a native, writable (trials, 2) uint64 array."""
+    if os.stat(path).st_size % 16:
         raise ValueError("pairs file length must be a multiple of 16 bytes")
-    return np.frombuffer(blob, "<u8").astype(np.uint64).reshape(-1, 2)
+    return np.fromfile(path, "<u8").astype(np.uint64, copy=False).reshape(-1, 2)
 
 
 def avalanche_experiment(
@@ -311,22 +326,28 @@ def avalanche_experiment(
             raise ValueError("seed is required when no pairs are supplied")
         pairs = generate_pairs(trials, seed)
 
-    pts = pairs[:, 0]
-    masters = pairs[:, 1]
+    tabs = _build_round_tables(cfg)
     flippers = np.uint64(1) << (np.uint64(63) - np.arange(64, dtype=np.uint64))
-    states = np.concatenate([pts[:, np.newaxis], pts[:, np.newaxis] ^ flippers[np.newaxis, :]], axis=1)
-    keys = _key_schedule_bulk(masters, cfg.rounds, cfg)
-    ct = _encrypt_states(states, keys, _build_round_tables(cfg))
-    dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1]).astype(np.int64)
+    hist = np.zeros(65, dtype=np.int64)  # trials x 64 flip events by ciphertext distance
+    bit_sums = np.zeros(64, dtype=np.int64)
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        block = pairs[lo:lo + _TRIAL_BLOCK]
+        keys = _key_schedule_bulk(block[:, 1], cfg.rounds, cfg)
+        states = np.empty((len(block), 65), dtype=np.uint64)
+        states[:, 0] = block[:, 0]
+        np.bitwise_xor(block[:, 0, np.newaxis], flippers, out=states[:, 1:])
+        ct = _encrypt_states(states, keys, tabs)
+        dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1])
+        hist += np.bincount(dist.ravel(), minlength=65)
+        bit_sums += dist.sum(axis=0, dtype=np.int64)
 
     events = trials * 64
-    mean = Fraction(int(dist.sum()), events)
-    per_bit = tuple(Fraction(int(c), trials) for c in dist.sum(axis=0))
+    mean = Fraction(sum(d * int(c) for d, c in enumerate(hist)), events)
     return AvalancheReport(
         trials=trials,
         rounds=cfg.rounds,
         mean_flips=mean,
         distance_from_32=abs(mean - 32),
-        mean_abs_deviation=Fraction(int(np.abs(dist - 32).sum()), events),
-        per_input_bit_means=per_bit,
+        mean_abs_deviation=Fraction(sum(abs(d - 32) * int(c) for d, c in enumerate(hist)), events),
+        per_input_bit_means=tuple(Fraction(int(c), trials) for c in bit_sums),
     )

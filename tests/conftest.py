@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_log:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def traced_peak_mb():
+    def peak(fn) -> float:
+        """Peak of the memory traced while fn runs; tracemalloc sees numpy's buffers."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture(scope="session")

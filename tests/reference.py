@@ -5,12 +5,19 @@ no code path with the library, so agreement actually means something.  The
 exceptions are whole-table numpy so that they reach n=12: `walsh_butterfly`
 runs int64 butterflies, where the library multiplies float32 matrices, and
 `degree_all_components` transforms all 2^n - 1 components, where the library
-transforms the n coordinates.
+transforms the n coordinates.  `lane_lookup_shifts` extracts bytes by shift
+and mask, where the library gathers through a byte view, and
+`avalanche_unblocked` encrypts every trial at once with the library's bulk
+cipher, where the library runs fixed blocks of trials into a histogram;
+`avalanche_scalar` shares nothing with either but the scalar cipher.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
+
+from sboxkit import spn
 
 
 def parity(v: int) -> int:
@@ -119,3 +126,50 @@ def immunity_brute(bits, n, max_degree):
             if gf2_rank_dense(rows) < len(chosen):
                 return d
     return None
+
+
+def lane_lookup_shifts(st, tabs):
+    """XOR over lanes i of tabs[i][byte i of st], bytes taken by shift and mask."""
+    acc = np.zeros_like(st)
+    for i in range(8):
+        sh = np.uint64(8 * (7 - i))
+        acc ^= tabs[i][((st >> sh) & np.uint64(0xFF)).astype(np.int64)]
+    return acc
+
+
+def _avalanche_report(cfg, trials, dist):
+    """AvalancheReport from a (trials, 64) array of flip counts."""
+    events = trials * 64
+    mean = Fraction(int(dist.sum()), events)
+    return spn.AvalancheReport(
+        trials=trials,
+        rounds=cfg.rounds,
+        mean_flips=mean,
+        distance_from_32=abs(mean - 32),
+        mean_abs_deviation=Fraction(int(np.abs(dist - 32).sum()), events),
+        per_input_bit_means=tuple(Fraction(int(c), trials) for c in dist.sum(axis=0)),
+    )
+
+
+def avalanche_unblocked(cfg, pairs):
+    """The avalanche over all trials at once: one (trials, 65) state, whole-array sums."""
+    pairs = np.asarray(pairs, dtype=np.uint64)
+    pts = pairs[:, 0]
+    masters = pairs[:, 1]
+    flippers = np.uint64(1) << (np.uint64(63) - np.arange(64, dtype=np.uint64))
+    states = np.concatenate([pts[:, np.newaxis], pts[:, np.newaxis] ^ flippers[np.newaxis, :]], axis=1)
+    keys = spn._key_schedule_bulk(masters, cfg.rounds, cfg)
+    ct = spn._encrypt_states(states, keys, spn._build_round_tables(cfg))
+    dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1]).astype(np.int64)
+    return _avalanche_report(cfg, len(pairs), dist)
+
+
+def avalanche_scalar(cfg, pairs):
+    """The avalanche from the scalar cipher, one block and one int.bit_count at a time."""
+    dist = []
+    for pt, master in np.asarray(pairs, dtype=np.uint64).tolist():
+        key = spn.int_to_block(master)
+        base = spn.block_to_int(spn.encrypt_block(spn.int_to_block(pt), key, cfg))
+        dist.append([(spn.block_to_int(spn.encrypt_block(spn.int_to_block(pt ^ (1 << (63 - j))), key, cfg))
+                      ^ base).bit_count() for j in range(64)])
+    return _avalanche_report(cfg, len(dist), np.array(dist, dtype=np.int64))

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -296,23 +295,13 @@ def test_full_report_non_bijective_has_no_cycles():
     assert "cycle_lengths" not in rep.to_dict()
 
 
-def _traced_peak_mb(fn) -> float:
-    """Peak of the memory traced while fn runs; tracemalloc sees numpy's buffers."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
-def test_width_12_memory_bounds():
+def test_width_12_memory_bounds(traced_peak_mb):
     # the 128 MB int64 DDT is built only by compute_ddt; reductions take it in row blocks
     table = np.random.default_rng(12).permutation(4096)
     s = sk.SBox(12, table)
-    assert _traced_peak_mb(lambda: sk.full_report(s, with_degree=True)) < 150
-    assert _traced_peak_mb(lambda: raw_metric_value(table, 12, "du")) < 40
-    assert _traced_peak_mb(lambda: sk.compute_ddt(s)) < 170
+    assert traced_peak_mb(lambda: sk.full_report(s, with_degree=True)) < 150
+    assert traced_peak_mb(lambda: raw_metric_value(table, 12, "du")) < 40
+    assert traced_peak_mb(lambda: sk.compute_ddt(s)) < 170
 
 
 def test_to_json_includes_name(aes):

@@ -8,6 +8,8 @@ import sboxkit as sk
 from sboxkit import spn
 from sboxkit.data import PBOX8
 
+import reference
+
 
 @pytest.fixture(scope="module")
 def cfg1(aes):
@@ -17,6 +19,18 @@ def cfg1(aes):
 @pytest.fixture(scope="module")
 def cfg4(aes):
     return spn.SpnConfig(sbox=aes, rounds=4)
+
+
+def _random_config(seed, rounds):
+    """A random S-box with random pbox8, pbox64 and key S-box."""
+    rng = np.random.default_rng(seed)
+    return spn.SpnConfig(
+        sbox=sk.SBox(8, rng.permutation(256)),
+        rounds=rounds,
+        pbox8=tuple(int(v) for v in rng.permutation(8)),
+        pbox64=tuple(int(v) for v in rng.permutation(64)),
+        key_sbox=tuple(int(v) for v in rng.permutation(16)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +223,23 @@ def test_bulk_matches_scalar_with_custom_permutations_and_key_sbox():
     assert (spn.decrypt_blocks(cts, masters, cfg) == pts).all()
 
 
+def test_lane_lookup_matches_shift_and_mask_oracle():
+    tabs = spn._build_round_tables(_random_config(63, 1))
+    pairs = spn.generate_pairs(300, 63)
+    wide = np.random.default_rng(63).integers(0, 2 ** 64, size=(65, 300), dtype=np.uint64)
+    for st in (pairs[:, 0], pairs[:, 1].copy(), wide.T, wide.T.copy(), wide.T[::3, 1:], wide[:, :0]):
+        assert (spn._lane_lookup(st, tabs) == reference.lane_lookup_shifts(st, tabs)).all()
+
+
+def test_bulk_with_strided_columns_matches_scalar(cfg4):
+    pairs = spn.generate_pairs(12, 64)
+    cts = spn.encrypt_blocks(pairs[:, 0], pairs[:, 1], cfg4)
+    for (pt, master), ct in zip(pairs.tolist(), cts):
+        scalar = spn.encrypt_block(spn.int_to_block(pt), spn.int_to_block(master), cfg4)
+        assert spn.block_to_int(scalar) == int(ct)
+    assert (spn.decrypt_blocks(cts, pairs[:, 1], cfg4) == pairs[:, 0]).all()
+
+
 def test_every_input_bit_changes_the_ciphertext(cfg4):
     pt = np.uint64(0x0123456789ABCDEF)
     master = np.array([7], dtype=np.uint64)
@@ -284,7 +315,8 @@ def test_pairs_file_round_trip(tmp_path):
     assert path.stat().st_size == 64 * 16
     assert path.read_bytes()[:16] == struct.pack("<QQ", int(pairs[0, 0]), int(pairs[0, 1]))
     loaded = spn.load_pairs(path)
-    assert loaded.dtype == np.uint64
+    assert loaded.dtype == np.uint64 and loaded.dtype.isnative
+    assert loaded.flags.writeable
     assert (loaded == pairs).all()
 
 
@@ -293,6 +325,29 @@ def test_load_pairs_rejects_truncated_file(tmp_path):
     path.write_bytes(b"\x00" * 17)
     with pytest.raises(ValueError, match="multiple of 16"):
         spn.load_pairs(path)
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 4, 12])
+def test_avalanche_blocks_match_unblocked_oracle(aes, rounds):
+    pairs = spn.generate_pairs(1537, 65 + rounds)
+    for cfg in (spn.SpnConfig(sbox=aes, rounds=rounds), _random_config(65, rounds)):
+        for trials in (1, 511, 512, 513, 1537):
+            got = spn.avalanche_experiment(cfg, pairs=pairs[:trials])
+            assert got == reference.avalanche_unblocked(cfg, pairs[:trials]), trials
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+def test_avalanche_matches_scalar_oracle(aes, rounds):
+    pairs = spn.generate_pairs(3, 66)
+    for cfg in (spn.SpnConfig(sbox=aes, rounds=rounds), _random_config(66, rounds)):
+        assert spn.avalanche_experiment(cfg, pairs=pairs) == reference.avalanche_scalar(cfg, pairs)
+
+
+def test_avalanche_memory_bound(aes, traced_peak_mb):
+    # trials run in fixed blocks; only the 16 B/trial pairs scale with the run
+    cfg = spn.SpnConfig(sbox=aes, rounds=1)
+    pairs = spn.generate_pairs(50_000, 67)
+    assert traced_peak_mb(lambda: spn.avalanche_experiment(cfg, pairs=pairs)) < 8
 
 
 def test_avalanche_report_rendering(aes):
