@@ -44,7 +44,10 @@ class SBox:
     def __post_init__(self):
         if not MIN_N <= self.n <= MAX_N:
             raise ValueError(f"bit width n={self.n} outside supported range [{MIN_N}, {MAX_N}]")
-        tab = np.array(self.table, dtype=np.int64, copy=True)
+        tab = np.asarray(self.table)
+        if not np.issubdtype(tab.dtype, np.integer):
+            raise ValueError(f"table entries must be integers, got dtype {tab.dtype}")
+        tab = np.array(tab, dtype=np.int64, copy=True)
         size = 1 << self.n
         if tab.shape != (size,):
             raise ValueError(f"table must have exactly 2^{self.n} = {size} entries, got shape {tab.shape}")
@@ -95,6 +98,8 @@ class GFContext:
     def __post_init__(self):
         if not MIN_N <= self.n <= MAX_N:
             raise ValueError(f"bit width n={self.n} outside supported range [{MIN_N}, {MAX_N}]")
+        if self.irreducible < 0:
+            raise ValueError(f"modulus -0x{-self.irreducible:x} is negative")
         if self.irreducible.bit_length() != self.n + 1:
             raise ValueError(
                 f"modulus 0x{self.irreducible:x} must have degree exactly n={self.n}"

@@ -32,8 +32,6 @@ def _check_kind(kind: str) -> None:
 class HeatmapSpec:
     kind: str  # a key of KINDS
     scale: int | None = None  # symmetric bound; None = matrix max
-    palette: str = "blue-white-red"
-    marker_color: tuple = MARKER_COLOR
 
     def __post_init__(self):
         _check_kind(self.kind)
@@ -73,7 +71,7 @@ def render_heatmap(values: np.ndarray, spec: HeatmapSpec):
     markers = np.zeros(vals.shape, dtype=bool)
     if max_abs > 0:
         markers[1:, 1:] = np.abs(vals[1:, 1:]) == max_abs
-        rgb[markers] = spec.marker_color
+        rgb[markers] = MARKER_COLOR
     info = {
         "scale": scale,
         "max_abs": max_abs,

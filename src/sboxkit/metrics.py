@@ -1,10 +1,12 @@
-"""Difference and linear table metrics.
+"""Difference, linear and avalanche-criterion metrics from three kernels.
 
-The LAT, max bias and NL share one Walsh kernel: two small float32 matrix
-products per sign matrix, by the Kronecker factorisation H_n = H_hi (x)
-H_lo.  Every partial sum is an integer of magnitude at most 2^n <= 4096 <
-2^24, so float32 holds it exactly in any summation order.  The DDT comes in
-blocks of rows, a bincount each; only `compute_ddt` holds the whole table.
+DDT blocks: rows of the DDT a block at a time, a bincount each; only
+`compute_ddt` holds the whole table.  Walsh: the LAT, max bias and NL share
+two small float32 matrix products per sign matrix, by the Kronecker
+factorisation H_n = H_hi (x) H_lo.  Flip counts: one stacked float32 product
+of the one-bit-flip output differences with themselves; SAC is its diagonal,
+BIC its upper triangle.  Every float32 sum is an integer of magnitude at most
+2^n <= 4096 < 2^24, so float32 holds it exactly in any summation order.
 Normalized quantities are exact Fractions with power-of-two denominators.
 """
 
@@ -74,42 +76,37 @@ def _ddt_blocks(table: np.ndarray, n: int):
         yield start, np.bincount(dy.ravel(), minlength=rows * size).reshape(rows, size)
 
 
-def _du_stats(table: np.ndarray, n: int) -> tuple[int, int]:
-    """Differential uniformity and how many entries reach it, block by block."""
+def _du_stats(blocks) -> tuple[int, int]:
+    """DU and how many entries reach it, over (start, rows) DDT blocks, row 0 excluded."""
     du = count = 0
-    for start, block in _ddt_blocks(table, n):
-        rows = block[1:] if start == 0 else block  # row 0 is excluded
+    for start, block in blocks:
+        rows = block[1:] if start == 0 else block
         top = int(rows.max())
         if top >= du:
             du, count = top, (count if top == du else 0) + int(np.count_nonzero(rows == top))
     return du, count
 
 
+def _flip_counts(table: np.ndarray, n: int) -> np.ndarray:
+    """J[i, a, b] = #{x : bits a and b of S(x) xor S(x xor 2^i) are both 1},
+    as one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
+    t = table.astype(np.uint16)  # n <= 12 bits
+    shifts = np.arange(n, dtype=np.uint16)[:, np.newaxis]
+    diff = t ^ t[np.arange(1 << n) ^ (1 << shifts)]  # row i flips input bit i
+    bits = ((diff[:, np.newaxis] >> shifts) & 1).astype(np.float32)  # (n, n, 2^n)
+    return (bits @ bits.transpose(0, 2, 1)).astype(np.int64)
+
+
 def _sac_deviations(table: np.ndarray, n: int) -> np.ndarray:
-    size = 1 << n
-    half = size // 2
-    x = np.arange(size)
-    out = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        diff = table ^ table[x ^ (1 << i)]
-        for j in range(n):
-            out[i, j] = abs(int(((diff >> j) & 1).sum()) - half)
-    return out
+    """Raw |flips of output bit j under input bit i - 2^(n-1)|: diag(J)."""
+    return np.abs(np.diagonal(_flip_counts(table, n), axis1=1, axis2=2) - (1 << (n - 1)))
 
 
 def _bic_deviations(table: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k."""
-    size = 1 << n
-    quarter = size // 4
-    x = np.arange(size)
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    out = np.empty((n, len(pairs)), dtype=np.int64)
-    for i in range(n):
-        diff = table ^ table[x ^ (1 << i)]
-        bits = ((diff[:, np.newaxis] >> np.arange(n)) & 1).astype(np.int64)
-        joint = bits.T @ bits
-        out[i] = [abs(quarter - int(joint[j, k])) for j, k in pairs]
-    return out, tuple(pairs)
+    j, k = np.triu_indices(n, 1)  # row-major: (0, 1), (0, 2), ..., (n - 2, n - 1)
+    joint = _flip_counts(table, n)[:, j, k]
+    return np.abs((1 << n) // 4 - joint), tuple(zip(j.tolist(), k.tolist()))
 
 
 def _walsh_max(walsh_abs: np.ndarray) -> int:
@@ -247,12 +244,11 @@ def compute_ddt(s: SBox) -> DDT:
 
 def differential_uniformity(d: DDT) -> int:
     """Largest count over nonzero input differences (row 0 excluded)."""
-    return int(d.counts[1:].max())
+    return _du_stats([(0, d.counts)])[0]
 
 
 def du_max_count(d: DDT) -> int:
-    du = differential_uniformity(d)
-    return int(np.count_nonzero(d.counts[1:] == du))
+    return _du_stats([(0, d.counts)])[1]
 
 
 def compute_lat(s: SBox) -> LAT:
@@ -304,7 +300,7 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
     """
-    du, du_count = _du_stats(s.table, s.n)
+    du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
     walsh = _walsh(s.table, s.n, absolute=True)
     walsh_max = _walsh_max(walsh)
     nl_stats = _nl_stats(walsh, s.n)
@@ -351,7 +347,7 @@ class Metric:
 
 # in `CSV_HEADER` column order
 METRICS = {
-    "du": Metric(lambda t, n: _du_stats(t, n)[0]),
+    "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n))[0]),
     "max_bias": Metric(lambda t, n: _walsh_max(_walsh(t, n, absolute=True)) // 2),
     "dsac": Metric(lambda t, n: int(_sac_deviations(t, n).max()), per_size=True),
     "dbic": Metric(lambda t, n: int(_bic_deviations(t, n)[0].max()), per_size=True),

@@ -66,6 +66,22 @@ def ddt_brute(table, n):
     return [ddt_row(table, n, a) for a in range(1 << n)]
 
 
+def flip_counts_brute(table, n, bits):
+    """joint[a][b] = #{x : bits a and b of S(x) xor S(x xor 2^i) are both 1},
+    one n x n list per input bit i in `bits`, over the set bits of each difference."""
+    out = []
+    for i in bits:
+        joint = [[0] * n for _ in range(n)]
+        for x in range(1 << n):
+            diff = int(table[x]) ^ int(table[x ^ (1 << i)])
+            ones = [a for a in range(n) if diff >> a & 1]
+            for a in ones:
+                for b in ones:
+                    joint[a][b] += 1
+        out.append(joint)
+    return out
+
+
 def anf_brute(bits, n):
     """c_a = XOR of f over the subcube below a (quadratic-time subset sum)."""
     size = 1 << n

@@ -122,6 +122,11 @@ def test_gen_reducible_modulus_exits_3(capsys):
     assert "reducible" in capsys.readouterr().err
 
 
+def test_gen_negative_modulus_exits_3(capsys):
+    assert main(["gen", "gold", "--n", "8", "--i", "1", "--irreducible=-0x11b"]) == 3
+    assert "negative" in capsys.readouterr().err
+
+
 def test_gen_unknown_family_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "foo", "--n", "8"])

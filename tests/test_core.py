@@ -50,6 +50,20 @@ def test_sbox_rejects_out_of_range_entry():
         sk.SBox(4, tab)
 
 
+@pytest.mark.parametrize("table", [[0.5, 1.7, 2, 3], [True, False, True, False]])
+def test_sbox_rejects_non_integer_table(table):
+    with pytest.raises(ValueError, match="integers"):
+        sk.SBox(2, table)
+
+
+def test_sbox_accepts_integer_inputs_of_any_kind():
+    assert sk.SBox(8, sk.AES_SBOX) == sk.SBox(8, np.array(sk.AES_SBOX, dtype=np.uint8))
+    assert sk.parse_sbox("3 2 1 0") == sk.SBox(2, [3, 2, 1, 0])
+    ctx = sk.default_context(8)
+    gold = sk.build_monomial_sbox(ctx, "gold", i=1)  # x^3
+    assert gold == sk.SBox(8, [sk.gf_pow(ctx, x, 3) for x in range(256)])
+
+
 def test_sbox_equality_and_hash(aes):
     again = sk.SBox(8, np.array(sk.AES_SBOX))
     assert aes == again
@@ -170,6 +184,11 @@ def test_default_context_moduli():
 def test_context_rejects_wrong_degree_modulus():
     with pytest.raises(ValueError, match="degree"):
         sk.GFContext(8, 0x1B)
+
+
+def test_context_rejects_negative_modulus():
+    with pytest.raises(ValueError, match="negative"):
+        sk.GFContext(8, -0x11B)
 
 
 # 0x1bb = 0x13 * 0x19 and 0x129b = 0x43 * 0x49: their only factors have degree n/2

@@ -79,9 +79,10 @@ def test_ddt_row_spot_probes_large_widths(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_blocked_du_matches_full_table(n):
     for kind, table in _oracle_maps(n).items():
-        d = sk.compute_ddt(sk.SBox(n, table))
-        expected = (sk.differential_uniformity(d), sk.du_max_count(d))
-        assert metrics._du_stats(table, n) == expected, kind
+        counts = sk.compute_ddt(sk.SBox(n, table)).counts
+        top = int(counts[1:].max())
+        expected = (top, int(np.count_nonzero(counts[1:] == top)))
+        assert metrics._du_stats(metrics._ddt_blocks(table, n)) == expected, kind
         assert raw_metric_value(table, n, "du") == expected[0], kind
 
 
@@ -229,6 +230,21 @@ def test_dsac_counts_directly():
         for j in range(4):
             flips = sum((s[x] ^ s[x ^ (1 << i)]) >> j & 1 for x in range(16))
             assert rep.deviations[i, j] == abs(flips - 8)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sac_bic_match_flip_count_oracle_every_width(n):
+    size = 1 << n
+    bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
+    pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
+    for kind, table in _oracle_maps(n).items():
+        sac = metrics._sac_deviations(table, n)
+        bic, got_pairs = metrics._bic_deviations(table, n)
+        assert sac.dtype == bic.dtype == np.int64, kind
+        assert sac.shape == (n, n) and bic.shape == (n, len(pairs)) and got_pairs == pairs, kind
+        for i, joint in zip(bits, reference.flip_counts_brute(table.tolist(), n, bits)):
+            assert sac[i].tolist() == [abs(joint[a][a] - size // 2) for a in range(n)], (kind, i)
+            assert bic[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in pairs], (kind, i)
 
 
 def test_dbic_aes(aes):
