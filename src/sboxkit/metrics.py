@@ -1,6 +1,7 @@
 """Difference, linear and avalanche-criterion metrics from three kernels.
 
-DDT blocks: rows of the DDT a block at a time, a bincount each; only
+DDT blocks: rows of the DDT a block at a time, a bincount each, counting each
+pair {x, x xor a} once, so a block holds exactly half the DDT; only
 `compute_ddt` holds the whole table.  Walsh: the LAT, max bias and NL share
 two small float32 matrix products per sign matrix, by the Kronecker
 factorisation H_n = H_hi (x) H_lo.  Flip counts: one stacked float32 product
@@ -26,7 +27,7 @@ CSV_HEADER = "name,DU,MAX BIAS,DSAC,DBIC,NL"
 
 _HADAMARD_CACHE: dict[int, np.ndarray] = {}
 _DDT_BLOCK = 256  # input differences per bincount
-_XOR_INDEX_CACHE: dict[int, np.ndarray] = {}
+_DDT_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _hadamard(k: int) -> np.ndarray:
@@ -60,31 +61,61 @@ def _walsh(table: np.ndarray, n: int, absolute: bool = False) -> np.ndarray:
 
 
 def _ddt_blocks(table: np.ndarray, n: int):
-    """Yield (start, block), block[i, b] = #{x : S(x) xor S(x xor (start + i)) = b},
-    by one bincount over (i << n) | b codes: uint16 at n <= 8, one block.  As
-    start is a multiple of the block size, (start + i) xor x = i xor (x xor start)."""
+    """Yield (start, block), block[i, b] = DDT[start + i, b] / 2, one bincount of
+    (i << n) | dy codes per block of min(256, 2^n) rows.
+
+    x and x xor a give the same difference, so each pair is counted once: from
+    the x whose bit h(a), the highest set bit of a, is clear.  That is exact for
+    any map, and row 0 (dy = 0 for half the x) reads 2^(n-1).  Over those x,
+    written y with bit h removed, S(x) = u[y] and S(x xor a) = w[y xor j]: u and
+    w are the bit-h-clear and bit-h-set halves of the table, and j = a xor 2^h.
+    Block 0 takes one group of rows per h < min(n, 8), j < 2^h.  A later block
+    shares h = h(start) >= 8, so j = c + i with c = start xor 2^h a multiple of
+    256 and i < 256; w is read from its rows shifted by c, so either way only
+    the low min(8, n-1) bits of y meet j, through one cached XOR index.
+    """
     size = 1 << n
-    rows = min(_DDT_BLOCK, size)
-    x = np.arange(size, dtype=np.int32)
-    if n not in _XOR_INDEX_CACHE:
-        _XOR_INDEX_CACHE[n] = np.bitwise_xor.outer(x[:rows], x)
-    t = table.astype(np.uint16 if n <= 8 else np.int32)
-    keyed = t | np.arange(rows, dtype=t.dtype)[:, np.newaxis] << n  # (i << n) | S(x)
+    half = size >> 1
+    if n not in _DDT_INDEX_CACHE:  # xor[i, y] = i xor y over the lanes; row codes i << n
+        lane = np.arange(min(_DDT_BLOCK, half), dtype=np.intp)
+        codes = np.arange(min(_DDT_BLOCK, size), dtype=np.intp) << n
+        _DDT_INDEX_CACHE[n] = (np.bitwise_xor.outer(lane, lane), codes[:, np.newaxis, np.newaxis])
+    xor, codes = _DDT_INDEX_CACHE[n]
+    lanes = len(xor)
+    rows = len(codes)
+    t = np.asarray(table, dtype=np.intp)
+    buf = np.empty((rows, lanes, half // lanes), dtype=np.intp)  # y = y_hi * lanes + y_lo
     for start in range(0, size, rows):
-        dy = np.take(t[x ^ start], _XOR_INDEX_CACHE[n])
-        dy ^= keyed
-        yield start, np.bincount(dy.ravel(), minlength=rows * size).reshape(rows, size)
+        if start == 0:
+            buf[0] = 0
+            groups = [(h, 1 << h, 1 << h) for h in range(min(n, 8))]  # (h, first row, row count)
+        else:
+            groups = [(start.bit_length() - 1, 0, rows)]
+        for h, first, count in groups:
+            split = t.reshape(-1, 2, 1 << h)
+            u = split[:, 0].reshape(-1, lanes).T
+            w = split[:, 1].reshape(-1, lanes)
+            if start:
+                w = w[np.arange(len(w)) ^ ((start ^ 1 << h) // lanes)]
+            out = buf[first : first + count]
+            np.take(w.T, xor[:count], axis=0, out=out, mode="wrap")
+            np.bitwise_xor(out, u, out=out)
+        np.bitwise_or(buf, codes, out=buf)
+        yield start, np.bincount(buf.ravel(), minlength=rows * size).reshape(rows, size)
 
 
-def _du_stats(blocks) -> tuple[int, int]:
-    """DU and how many entries reach it, over (start, rows) DDT blocks, row 0 excluded."""
-    du = count = 0
+def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
+    """DU and how many entries reach it (0 unless with_count), from (start, rows)
+    half-count DDT blocks, row 0 excluded."""
+    top = count = 0
     for start, block in blocks:
         rows = block[1:] if start == 0 else block
-        top = int(rows.max())
-        if top >= du:
-            du, count = top, (count if top == du else 0) + int(np.count_nonzero(rows == top))
-    return du, count
+        block_top = int(rows.max())
+        if block_top > top:
+            top, count = block_top, 0
+        if with_count and block_top == top:
+            count += int(np.count_nonzero(rows == top))
+    return 2 * top, count
 
 
 def _flip_counts(table: np.ndarray, n: int) -> np.ndarray:
@@ -235,16 +266,16 @@ class MetricReport:
 
 
 def compute_ddt(s: SBox) -> DDT:
-    """counts[a][b] = #{x : S(x) xor S(x xor a) = b}."""
+    """counts[a][b] = #{x : S(x) xor S(x xor a) = b}, twice the half counts."""
     counts = np.empty((s.size, s.size), dtype=np.int64)
     for start, block in _ddt_blocks(s.table, s.n):
-        counts[start : start + len(block)] = block
+        np.multiply(block, 2, out=counts[start : start + len(block)])
     return DDT(s.n, counts)
 
 
 def differential_uniformity(d: DDT) -> int:
     """Largest count over nonzero input differences (row 0 excluded)."""
-    return _du_stats([(0, d.counts)])[0]
+    return _du_stats([(0, d.counts)])[0] // 2  # full counts, which _du_stats would double
 
 
 def du_max_count(d: DDT) -> int:
@@ -347,7 +378,7 @@ class Metric:
 
 # in `CSV_HEADER` column order
 METRICS = {
-    "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n))[0]),
+    "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0]),
     "max_bias": Metric(lambda t, n: _walsh_max(_walsh(t, n, absolute=True)) // 2),
     "dsac": Metric(lambda t, n: int(_sac_deviations(t, n).max()), per_size=True),
     "dbic": Metric(lambda t, n: int(_bic_deviations(t, n)[0].max()), per_size=True),

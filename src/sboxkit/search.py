@@ -1,10 +1,11 @@
 """Seeded random permutation generation and metric-driven search.
 
 Candidate streams come from numpy's PCG64 (period 2^128); the master seed
-is split into one child stream per worker via SeedSequence.spawn, so a run
-is reproducible for a fixed (seed, workers) pair without any coordination
-between workers.  Streams share a process pool no larger than the CPU
-count.  Means are accumulated as exact integer sums.
+is split into one child stream per worker, but never more streams than
+candidates, via SeedSequence.spawn, so a run is reproducible for a fixed
+(seed, workers) pair without any coordination between workers.  Streams
+share a process pool no larger than the CPU count.  Means are accumulated as
+exact integer sums.
 """
 
 from __future__ import annotations
@@ -190,17 +191,18 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
     enumeration order.
     """
     t0 = time.perf_counter()
-    workers = config.workers
-    children = np.random.SeedSequence(config.seed).spawn(workers)
-    base, extra = divmod(config.tries, workers)
-    counts = [base + (1 if w < extra else 0) for w in range(workers)]
+    # streams past `tries` would get no candidates; spawn children keep their index
+    streams = min(config.workers, config.tries)
+    children = np.random.SeedSequence(config.seed).spawn(streams)
+    base, extra = divmod(config.tries, streams)
+    counts = [base + (1 if w < extra else 0) for w in range(streams)]
     inject_tables = [[int(v) for v in s.table] for s in inject]
     want_log = value_log is not None
 
     jobs = []
-    for w in range(workers):
+    for w in range(streams):
         jobs.append((children[w], counts[w], config, inject_tables if w == 0 else [], want_log))
-    processes = pool_size(workers, os.cpu_count())
+    processes = pool_size(streams, os.cpu_count())
     if processes == 1:
         outcomes = [_run_worker(*job) for job in jobs]
     else:

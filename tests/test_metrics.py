@@ -86,6 +86,44 @@ def test_blocked_du_matches_full_table(n):
         assert raw_metric_value(table, n, "du") == expected[0], kind
 
 
+@st.composite
+def _any_map(draw):
+    """An n-bit map, n in [2, 8]: arbitrary, a permutation, constant or the identity."""
+    n = draw(st.integers(2, 8))
+    size = 1 << n
+    kind = draw(st.sampled_from(["arbitrary", "permutation", "constant", "identity"]))
+    if kind == "arbitrary":
+        table = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    elif kind == "permutation":
+        table = draw(st.permutations(range(size)))
+    elif kind == "constant":
+        table = [draw(st.integers(0, size - 1))] * size
+    else:
+        table = range(size)
+    return n, np.array(table, dtype=np.int64)
+
+
+@given(_any_map())
+@settings(max_examples=40, deadline=None)
+def test_half_pair_kernel_matches_brute_ddt(case):
+    n, table = case
+    brute = reference.ddt_brute(table.tolist(), n)
+    rows = np.array(brute[1:])
+    du = int(rows.max())
+    s = sk.SBox(n, table)
+    report = sk.full_report(s)
+    assert sk.compute_ddt(s).counts.tolist() == brute
+    assert raw_metric_value(table, n, "du") == report.du == du
+    assert report.du_count == np.count_nonzero(rows == du)
+
+
+@pytest.mark.parametrize("n, limit", [(8, 1 << 20), (12, 4 << 20)])
+def test_ddt_index_cache_stays_small(n, limit):
+    # the indices stay cached for the life of the process
+    raw_metric_value(np.arange(1 << n), n, "du")
+    assert sum(a.nbytes for a in metrics._DDT_INDEX_CACHE[n]) <= limit
+
+
 def test_differential_uniformity_values(aes, identity8, dillon):
     assert sk.differential_uniformity(sk.compute_ddt(aes)) == 4
     assert sk.du_max_count(sk.compute_ddt(aes)) == 255

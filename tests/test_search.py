@@ -1,6 +1,8 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,32 @@ def test_search_streams_beyond_processes_keep_the_result(monkeypatch):
     inline = run_search(cfg).to_dict()
     del pooled["elapsed"], inline["elapsed"]
     assert inline == pooled
+
+
+def test_search_spawns_no_more_streams_than_tries(traced_peak_mb):
+    # streams at index >= tries would get no candidates, so none are spawned
+    cfg = small_config(n=4, tries=3, workers=100_000)
+    few = run_search(small_config(n=4, tries=3, workers=3))
+    peak = traced_peak_mb(lambda: run_search(cfg))
+    many = run_search(cfg)
+    assert (many.best_sbox, many.best_value, many.mean_value) == (few.best_sbox, few.best_value, few.mean_value)
+    assert many.to_dict()["workers"] == 100_000
+    assert peak < 5
+
+
+GOLDEN_DU = Path(__file__).parent / "data" / "search_du_golden.json"
+
+
+def test_du_search_json_matches_recorded_runs():
+    """`du` search JSON minus `elapsed` equals runs recorded from the full-pair
+    DDT kernel, byte for byte, at n = 6, 8, 10 and several (seed, workers)."""
+    for doc in json.loads(GOLDEN_DU.read_text()):
+        spec = doc["cycle_spec"]
+        cfg = SearchConfig(n=doc["n"], metric=doc["metric"], tries=doc["tries"], seed=doc["seed"],
+                           workers=doc["workers"], cycle_spec=sk.CycleSpec(spec) if spec else None)
+        got = run_search(cfg).to_dict()
+        del got["elapsed"]
+        assert json.dumps(got) == json.dumps(doc), (cfg.n, cfg.seed, cfg.workers)
 
 
 # ---------------------------------------------------------------------------
