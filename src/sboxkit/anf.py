@@ -95,62 +95,48 @@ def dump_anf(s: SBox) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _monomials_by_degree(n: int) -> tuple[np.ndarray, list[int]]:
-    """All masks sorted by (weight, value) and the cumulative count per degree."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    weight = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-    order = np.argsort(weight * (1 << n) + masks)  # composite key is unique
-    sorted_masks = masks[order]
-    cum = [int(np.count_nonzero(weight <= d)) for d in range(n + 1)]
-    return sorted_masks, cum
+def _annihilator_degree(support: np.ndarray, n: int, max_degree: int) -> int | None:
+    """Degree of the lowest-degree nonzero g of degree <= max_degree that
+    vanishes on `support`; None when there is none.
 
-
-def _gf2_rank(rows: list[int], ncols: int) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for r in rows:
-        while r:
-            h = r.bit_length() - 1
-            other = pivots.get(h)
-            if other is None:
-                pivots[h] = r
-                rank += 1
-                break
-            r ^= other
-        if rank == ncols:
-            break
-    return rank
-
-
-def _packed_rows(support: np.ndarray, monomials: np.ndarray) -> list[int]:
-    # row per support point: bit m set iff monomial m covers the point
-    hits = (support[:, np.newaxis] & monomials[np.newaxis, :]) == monomials[np.newaxis, :]
-    packed = np.packbits(hits.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    Each monomial is a row: the bit-packed vector of its values on the
+    support.  Rows enter in (degree, mask) order and are reduced against the
+    pivots kept from the rows before them, so raising the degree only adds
+    rows.  The first row that reduces to zero is a sum of monomials of degree
+    at most its own that vanishes on the support: that g.
+    """
+    masks = np.arange(1 << n)
+    weight = np.bitwise_count(masks)
+    pivots: dict[int, int] = {}  # highest set bit -> the reduced row that owns it
+    for d in range(max_degree + 1):
+        monomials = masks[weight == d, np.newaxis]
+        rows = np.packbits((monomials & support) == monomials, axis=1, bitorder="little")
+        for row in rows:
+            r = int.from_bytes(row.tobytes(), "little")
+            while r and (h := r.bit_length() - 1) in pivots:
+                r ^= pivots[h]
+            if not r:
+                return d
+            pivots[h] = r
+    return None
 
 
 def algebraic_immunity(t: TruthTable, max_degree: int) -> int | None:
     """Smallest d <= max_degree with a nonzero degree-<=d annihilator of f
     or of f xor 1; None when no such d exists.
 
-    A degree-d annihilator of f is any g vanishing on the support of f, so
-    the check is a GF(2) rank computation of the monomial evaluation matrix
-    restricted to that support: rank < monomial count means a kernel vector
-    (a nonzero g) exists.
+    g annihilates f when it vanishes on the support of f, so each side is
+    one incremental GF(2) elimination over the monomials evaluated on that
+    support.  The side of f xor 1 searches only below the answer for f.
     """
     if not 0 <= max_degree <= t.n:
         raise ValueError(f"max_degree must lie in [0, {t.n}]")
-    monomials, cum = _monomials_by_degree(t.n)
-    support_one = np.flatnonzero(t.bits).astype(np.int64)
-    support_zero = np.flatnonzero(t.bits ^ 1).astype(np.int64)
-    for d in range(max_degree + 1):
-        k = cum[d]
-        for support in (support_one, support_zero):
-            if len(support) < k:
-                return d
-            if _gf2_rank(_packed_rows(support, monomials[:k]), k) < k:
-                return d
-    return None
+    best = None
+    for support in (np.flatnonzero(t.bits), np.flatnonzero(t.bits ^ 1)):
+        d = _annihilator_degree(support, t.n, max_degree if best is None else best - 1)
+        if d is not None:
+            best = d
+    return best
 
 
 def sbox_algebraic_immunity(s: SBox, all_components: bool = False) -> int:
@@ -162,12 +148,4 @@ def sbox_algebraic_immunity(s: SBox, all_components: bool = False) -> int:
     """
     cap = (s.n + 1) // 2
     masks = range(1, s.size) if all_components else [1 << j for j in range(s.n)]
-    best = cap
-    for mask in masks:
-        ai = algebraic_immunity(component_truth_table(s, mask), cap)
-        assert ai is not None  # ceil(n/2) bound
-        if ai < best:
-            best = ai
-            if best == 0:
-                break
-    return best
+    return min(algebraic_immunity(component_truth_table(s, mask), cap) for mask in masks)

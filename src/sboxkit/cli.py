@@ -48,6 +48,8 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_PRECONDITION = 4
 
+DEFAULT_TRIALS = 10000
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     # bad flags are configuration errors, not input parse errors
@@ -127,14 +129,16 @@ def cmd_avalanche(args) -> int:
     sbox = _read_sbox(args.sbox, args.base)
     cfg = SpnConfig(sbox=sbox, rounds=args.rounds)
     if args.pairs:
+        if args.seed is not None:
+            raise ValueError("--seed cannot be combined with --pairs, which fixes every trial")
         pairs = load_pairs(args.pairs)
     else:
         if args.seed is None:
             raise ValueError("--seed is required unless --pairs is given")
-        pairs = generate_pairs(args.trials, args.seed)
+        pairs = generate_pairs(DEFAULT_TRIALS if args.trials is None else args.trials, args.seed)
         if args.save_pairs:
             save_pairs(args.save_pairs, pairs)
-    report = avalanche_experiment(cfg, pairs=pairs)
+    report = avalanche_experiment(cfg, trials=args.trials, pairs=pairs)
     name = args.name or Path(args.sbox).stem
     if args.format == "csv":
         _write_text(args.out, AVALANCHE_CSV_HEADER + "\n" + report.csv_row(name) + "\n")
@@ -198,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sbox")
     p.add_argument("--base", type=int, choices=(10, 16), default=10)
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int,
+                   help=f"pairs to generate (default {DEFAULT_TRIALS}); with --pairs, the count the file must hold")
     p.add_argument("--seed", type=int)
     pairs = p.add_mutually_exclusive_group()
     pairs.add_argument("--pairs", help="reuse a stored (plaintext, key) pair file")

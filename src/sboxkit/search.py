@@ -2,10 +2,11 @@
 
 Candidate streams come from numpy's PCG64 (period 2^128); the master seed
 is split into one child stream per worker, but never more streams than
-candidates, via SeedSequence.spawn, so a run is reproducible for a fixed
-(seed, workers) pair without any coordination between workers.  Streams
-share a process pool no larger than the CPU count.  Means are accumulated as
-exact integer sums.
+candidates: stream w is SeedSequence(seed, spawn_key=(w,)), the w-th child
+SeedSequence.spawn would give, so a run is reproducible for a fixed
+(seed, workers) pair without any coordination between workers.  Each
+process of a pool no larger than the CPU count runs one contiguous range of
+streams.  Means are accumulated as exact integer sums.
 """
 
 from __future__ import annotations
@@ -144,35 +145,41 @@ def random_permutation_with_cycles(rng: np.random.Generator, spec: CycleSpec) ->
     return SBox(size.bit_length() - 1, _ring_table(rng, spec))
 
 
-def _run_worker(child, count, config, inject_tables, want_log):
-    """Evaluate `count` candidates from one stream; returns summary tuple.
+def _run_streams(ws, streams, config, inject_tables, want_log):
+    """Evaluate the candidates of streams `ws` (a contiguous range of the
+    run's `streams`); returns one summary tuple, reduced in stream order.
 
-    inject_tables (a list of entry lists) replaces the first candidates of
-    this stream without consuming generator draws; they still count toward
-    tries and the mean.  Used by tests to force known tables into the run.
+    The tries are dealt out over all `streams`, the first ones taking one
+    extra.  inject_tables (a list of entry lists) replaces the first
+    candidates of stream 0 without consuming generator draws; they still
+    count toward tries and the mean.  Used by tests to force known tables
+    into the run.
     """
-    rng = np.random.default_rng(child)
     n = config.n
     size = 1 << n
     spec = config.cycle_spec
+    base, extra = divmod(config.tries, streams)
     best_raw = None
     best_table = None
     total = 0
     log = [] if want_log else None
-    for it in range(count):
-        if it < len(inject_tables):
-            table = np.asarray(inject_tables[it], dtype=np.int64)
-        elif spec is None:
-            table = rng.permutation(size)
-        else:
-            table = _ring_table(rng, spec)
-        raw = raw_metric_value(table, n, config.metric)
-        total += raw
-        if want_log:
-            log.append(raw)
-        if best_raw is None or (raw > best_raw if config.maximize else raw < best_raw):
-            best_raw = raw
-            best_table = table.copy()
+    for w in ws:
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(w,)))
+        injected = inject_tables if w == 0 else []
+        for it in range(base + (w < extra)):
+            if it < len(injected):
+                table = np.asarray(injected[it], dtype=np.int64)
+            elif spec is None:
+                table = rng.permutation(size)
+            else:
+                table = _ring_table(rng, spec)
+            raw = raw_metric_value(table, n, config.metric)
+            total += raw
+            if want_log:
+                log.append(raw)
+            if best_raw is None or (raw > best_raw if config.maximize else raw < best_raw):
+                best_raw = raw
+                best_table = table.copy()
     return best_raw, None if best_table is None else best_table.tolist(), total, log
 
 
@@ -191,29 +198,26 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
     enumeration order.
     """
     t0 = time.perf_counter()
-    # streams past `tries` would get no candidates; spawn children keep their index
+    # streams past `tries` would get no candidates; each keeps its index as spawn key
     streams = min(config.workers, config.tries)
-    children = np.random.SeedSequence(config.seed).spawn(streams)
-    base, extra = divmod(config.tries, streams)
-    counts = [base + (1 if w < extra else 0) for w in range(streams)]
+    processes = pool_size(streams, os.cpu_count())
     inject_tables = [[int(v) for v in s.table] for s in inject]
     want_log = value_log is not None
 
-    jobs = []
-    for w in range(streams):
-        jobs.append((children[w], counts[w], config, inject_tables if w == 0 else [], want_log))
-    processes = pool_size(streams, os.cpu_count())
+    # one job per process over a contiguous range of streams, so job order is stream order
+    bounds = [streams * k // processes for k in range(processes + 1)]
+    jobs = [(range(lo, hi), streams, config, inject_tables, want_log) for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:
-        outcomes = [_run_worker(*job) for job in jobs]
+        outcomes = [_run_streams(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [pool.submit(_run_worker, *job) for job in jobs]
-            outcomes = [f.result() for f in futures]  # reduce in worker-index order
+            futures = [pool.submit(_run_streams, *job) for job in jobs]
+            outcomes = [f.result() for f in futures]
 
     best_raw = None
     best_table = None
     grand_total = 0
-    for w, (raw, table, total, log) in enumerate(outcomes):
+    for raw, table, total, log in outcomes:
         grand_total += total
         if want_log and log:
             value_log.extend(log)

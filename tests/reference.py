@@ -10,6 +10,11 @@ and mask, where the library gathers through a byte view, and
 `avalanche_unblocked` encrypts every trial at once with the library's bulk
 cipher, where the library runs fixed blocks of trials into a histogram;
 `avalanche_scalar` shares nothing with either but the scalar cipher.
+`immunity_rank_per_degree` is the earlier library algorithm, kept so that
+immunity can be checked at n = 8..10, where the dense `immunity_brute` is too
+slow: its rows are support points (bit m set iff monomial m covers the
+point), rebuilt and ranked from scratch at every degree, where the library's
+rows are monomials, added one degree at a time to a single elimination.
 """
 
 from collections import Counter
@@ -140,6 +145,36 @@ def immunity_brute(bits, n, max_degree):
             support = [x for x in range(size) if int(bits[x]) == target]
             rows = [[1 if x & m == m else 0 for m in chosen] for x in support]
             if gf2_rank_dense(rows) < len(chosen):
+                return d
+    return None
+
+
+def immunity_rank_per_degree(bits, n, max_degree):
+    """Annihilator search by packed-row rank, the support x monomial matrix
+    rebuilt for each degree d and each of the supports of f and f xor 1."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    weight = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+    monomials = masks[np.argsort(weight * (1 << n) + masks)]  # (weight, mask) order
+    bits = np.asarray(bits, dtype=np.uint8)
+    supports = (np.flatnonzero(bits), np.flatnonzero(bits ^ 1))
+    for d in range(max_degree + 1):
+        chosen = monomials[: int(np.count_nonzero(weight <= d))]
+        k = len(chosen)
+        for support in supports:
+            hits = (support[:, np.newaxis] & chosen) == chosen
+            packed = np.packbits(hits.astype(np.uint8), axis=1, bitorder="little")
+            pivots = {}
+            for row in packed:
+                r = int.from_bytes(row.tobytes(), "little")
+                while r:
+                    h = r.bit_length() - 1
+                    if h not in pivots:
+                        pivots[h] = r
+                        break
+                    r ^= pivots[h]
+                if len(pivots) == k:
+                    break
+            if len(pivots) < k:
                 return d
     return None
 

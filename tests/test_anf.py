@@ -208,3 +208,65 @@ def test_sbox_immunity_all_components_flag():
         for b in range(1, 16)
     )
     assert full == brute
+
+
+@st.composite
+def _truth_tables(draw, n):
+    """Random, weight <= 2, weight >= 2^n - 2 and constant truth tables."""
+    size = 1 << n
+    kind = draw(st.sampled_from(("random", "sparse", "dense", "constant")))
+    if kind == "random":
+        bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    elif kind == "constant":
+        bits = [draw(st.integers(0, 1))] * size
+    else:
+        ones = draw(st.sets(st.integers(0, size - 1), max_size=2))
+        bits = [int((x in ones) == (kind == "sparse")) for x in range(size)]
+    return np.array(bits, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_immunity_matches_dense_oracle_every_width_and_cap(n):
+    @given(_truth_tables(n))
+    @settings(max_examples=15, deadline=None)
+    def check(bits):
+        for cap in range(n + 1):
+            assert anf.algebraic_immunity(tt(n, bits), cap) == reference.immunity_brute(bits, n, cap), cap
+
+    check()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_majority_has_immunity_half_n(n):
+    # Dalai-Maitra-Sarkar (2006): the majority function reaches ceil(n/2)
+    majority = (np.bitwise_count(np.arange(1 << n)) > n // 2).astype(np.uint8)
+    assert anf.algebraic_immunity(tt(n, majority), n) == (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_sbox_immunity_all_components_matches_brute_minimum(n):
+    size = 1 << n
+    rng = np.random.default_rng(40 + n)
+    maps = [rng.permutation(size), rng.integers(0, size, size=size),
+            sk.build_monomial_sbox(sk.default_context(n), "raw", e=size - 2).table]
+    for table in maps:
+        s = sk.SBox(n, table)
+        brute = min(
+            reference.immunity_brute(anf.component_truth_table(s, b).bits, n, (n + 1) // 2)
+            for b in range(1, size)
+        )
+        assert sk.sbox_algebraic_immunity(s, all_components=True) == brute
+
+
+@pytest.mark.parametrize("n", range(8, 11))
+def test_immunity_matches_rank_per_degree_oracle(n):
+    size = 1 << n
+    rng = np.random.default_rng(50 + n)
+    weight = np.bitwise_count(np.arange(size))
+    inverse = sk.build_monomial_sbox(sk.default_context(n), "raw", e=size - 2)
+    tables = [rng.integers(0, 2, size=size), (weight > n // 2), (weight == 1), (weight <= 1),
+              anf.component_truth_table(inverse, 1).bits, anf.component_truth_table(inverse, size - 1).bits]
+    for bits in tables:
+        bits = np.asarray(bits, dtype=np.uint8)
+        for cap in range(n + 1):
+            assert anf.algebraic_immunity(tt(n, bits), cap) == reference.immunity_rank_per_degree(bits, n, cap), cap

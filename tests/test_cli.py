@@ -246,6 +246,22 @@ def test_avalanche_pair_reuse_is_identical(aes_file, tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_avalanche_trials_must_match_stored_pairs(aes_file, tmp_path, capsys):
+    pairs = tmp_path / "pairs.bin"
+    spn.save_pairs(pairs, spn.generate_pairs(30, 5))
+    assert main(["avalanche", aes_file, "--rounds", "1", "--pairs", str(pairs), "--trials", "5"]) == 3
+    assert "does not match 30 stored pairs" in capsys.readouterr().err
+    assert main(["avalanche", aes_file, "--rounds", "1", "--pairs", str(pairs)]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 30
+
+
+def test_avalanche_seed_with_pairs_exits_3(aes_file, tmp_path, capsys):
+    pairs = tmp_path / "pairs.bin"
+    spn.save_pairs(pairs, spn.generate_pairs(10, 1))
+    assert main(["avalanche", aes_file, "--rounds", "1", "--pairs", str(pairs), "--seed", "1"]) == 3
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_avalanche_saves_the_pairs_it_ran(aes, aes_file, tmp_path, capsys):
     pairs = tmp_path / "pairs.bin"
     assert main(["avalanche", aes_file, "--rounds", "4", "--trials", "30", "--seed", "21",

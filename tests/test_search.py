@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,38 @@ def test_search_spawns_no_more_streams_than_tries(traced_peak_mb):
     assert (many.best_sbox, many.best_value, many.mean_value) == (few.best_sbox, few.best_value, few.mean_value)
     assert many.to_dict()["workers"] == 100_000
     assert peak < 5
+
+
+def test_search_submits_one_job_per_process(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        """ProcessPoolExecutor stand-in that runs each job at submit."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    cfg = small_config(n=3, tries=20_000, workers=20_000)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    pooled = run_search(cfg).to_dict()
+    assert len(submitted) == pool_size(20_000, 2) == 2
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)  # no pool: every stream inline
+    inline = run_search(cfg).to_dict()
+    del pooled["elapsed"], inline["elapsed"]
+    assert inline == pooled
 
 
 GOLDEN_DU = Path(__file__).parent / "data" / "search_du_golden.json"
