@@ -5,18 +5,19 @@ whitening key and no special last round.  Bit 0 is the most significant
 bit of byte 0, and permutations are destination <- source: output position
 i takes input position p[i].
 
-Two implementations share the test surface: a straight scalar one working
-on 8-byte `bytes` (the reference), and a vectorized one on uint64 arrays
-that folds S-box plus both permutations of one byte lane into a single
-8x256 table of 64-bit masks, so a round is eight gathers and a XOR.  Every
-bulk step (round, inverse permutation, inverse S-box, key nibble S-box) is
-such a lane table, built by `_lane_tables` and applied by `_lane_lookup`,
-which gathers each lane's index straight from a uint8 view of the states.
+Two implementations share the test surface: a straight scalar encryption
+on 8-byte `bytes` (the independent reference), and a vectorized cipher on
+uint64 arrays that folds S-box plus both permutations of one byte lane into
+a single 8x256 table of 64-bit masks, so a round is eight gathers and a
+XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
+nibble S-box) is such a lane table, built by `_lane_tables` and applied by
+`_lane_lookup`; `decrypt_block` is `decrypt_blocks` on one element.
 
-The avalanche experiment runs its trials in blocks of `_TRIAL_BLOCK` (512):
-each block is key-scheduled, encrypted with its 64 one-bit variants and
-reduced into an exact 65-bin histogram of flip counts and per-input-bit
-sums, so its memory is the 16 B per trial of the pairs plus a constant.
+Every bulk call runs in blocks of `_BLOCK_WORDS` uint64 state words (32,768
+blocks, or 504 avalanche trials of 65 states) with round keys yielded one
+at a time by `_round_keys`.  Each avalanche block is reduced into an exact
+65-bin histogram of flip counts and per-input-bit sums, so its memory is
+the 16 B per trial of the pairs plus a constant.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .util import exact_decimal
 
 BLOCK_BYTES = 8
 BLOCK_BITS = 64
-_TRIAL_BLOCK = 512  # avalanche trials per block: a (512, 65) uint64 state is 266 KB, inside L2
+_BLOCK_WORDS = 1 << 15  # uint64 state words per bulk block: 256 KB, inside L2
 AVALANCHE_CSV_HEADER = "name,rounds,distance"
 
 
@@ -167,22 +168,9 @@ def encrypt_block(plaintext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
 def decrypt_block(ciphertext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
     if len(ciphertext) != BLOCK_BYTES:
         raise ValueError("ciphertext must be 8 bytes")
-    keys = key_schedule(master, cfg.rounds, cfg)
-    inv_s = np.empty(256, dtype=np.int64)
-    inv_s[cfg.sbox.table] = np.arange(256)
-    inv8 = [0] * 8
-    for i, v in enumerate(cfg.pbox8):
-        inv8[v] = i
-    inv64 = [0] * 64
-    for i, v in enumerate(cfg.pbox64):
-        inv64[v] = i
-    state = bytes(ciphertext)
-    for r in range(cfg.rounds - 1, -1, -1):
-        state = bytes(a ^ b for a, b in zip(state, keys[r]))
-        state = apply_pbox64(state, inv64)
-        state = apply_pbox8(state, inv8)
-        state = bytes(int(inv_s[b]) for b in state)
-    return state
+    if len(master) != BLOCK_BYTES:
+        raise ValueError("master key must be 8 bytes")
+    return int_to_block(decrypt_blocks([block_to_int(ciphertext)], [block_to_int(master)], cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,48 +216,65 @@ def _build_round_tables(cfg: SpnConfig) -> np.ndarray:
     return _lane_tables(cfg.sbox.table, dest)
 
 
-def _key_schedule_bulk(masters: np.ndarray, rounds: int, cfg: SpnConfig) -> np.ndarray:
-    """Round keys for a whole batch of masters; shape (rounds, len(masters))."""
+def _round_keys(masters: np.ndarray, cfg: SpnConfig):
+    """Yield k_1 .. k_rounds for a batch of uint64 masters, one (len(masters),) array each."""
     ks = np.array(cfg.key_sbox)  # byte (hi, lo) -> ks[hi] << 4 | ks[lo]
     tabs = _lane_tables(((ks[:, np.newaxis] << 4) | ks).ravel(), _BYTE_LANES)
-    prev = masters.astype(np.uint64, copy=True)
-    out = np.empty((rounds, len(masters)), dtype=np.uint64)
-    for r in range(1, rounds + 1):
-        t = (prev << np.uint64(8)) | (prev >> np.uint64(56))
-        acc = _lane_lookup(t, tabs)
+    prev = masters
+    for r in range(1, cfg.rounds + 1):
+        acc = _lane_lookup((prev << np.uint64(8)) | (prev >> np.uint64(56)), tabs)
         acc ^= np.uint64(r & 0xFF) << np.uint64(56)
         prev = acc ^ ((prev << np.uint64(24)) | (prev >> np.uint64(40)))
-        out[r - 1] = prev
-    return out
+        yield prev
 
 
-def _encrypt_states(states: np.ndarray, keys: np.ndarray, tabs: np.ndarray) -> np.ndarray:
-    """states: (m, k) uint64 blocks; keys: (rounds, m), broadcast over k."""
-    st = states.copy()
-    for r in range(keys.shape[0]):
-        st = _lane_lookup(st, tabs)
-        st ^= keys[r][:, np.newaxis]
-    return st
+def _row_blocks(rows: int, width: int, masters: np.ndarray):
+    """(slice, its masters) per _BLOCK_WORDS words of rows; one master serves all."""
+    step = _BLOCK_WORDS // width
+    for lo in range(0, rows, step):
+        sl = slice(lo, lo + step)
+        yield sl, masters if len(masters) == 1 else masters[sl]
+
+
+def _encrypt(states: np.ndarray, masters: np.ndarray, cfg: SpnConfig, tabs: np.ndarray) -> np.ndarray:
+    """states: (rows, width) uint64 blocks; one master per row, broadcast over width."""
+    for k in _round_keys(masters, cfg):
+        states = _lane_lookup(states, tabs)
+        states ^= k[:, np.newaxis]
+    return states
+
+
+def _check_blocks(blocks, masters):
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    masters = np.asarray(masters, dtype=np.uint64)
+    if blocks.ndim != 1 or masters.ndim != 1 or len(masters) not in (1, len(blocks)):
+        raise ValueError("blocks must be 1-D, with one master per block or a single master for all")
+    return blocks, masters
 
 
 def encrypt_blocks(plaintexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
     """Vectorized encryption of uint64 blocks (big-endian byte semantics)."""
-    pts = np.asarray(plaintexts, dtype=np.uint64)
-    keys = _key_schedule_bulk(np.asarray(masters, dtype=np.uint64), cfg.rounds, cfg)
-    return _encrypt_states(pts[:, np.newaxis], keys, _build_round_tables(cfg))[:, 0]
+    pts, masters = _check_blocks(plaintexts, masters)
+    tabs = _build_round_tables(cfg)
+    out = np.empty_like(pts)
+    for sl, mk in _row_blocks(len(pts), 1, masters):
+        out[sl] = _encrypt(pts[sl, np.newaxis], mk, cfg, tabs)[:, 0]
+    return out
 
 
 def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
-    st = np.asarray(ciphertexts, dtype=np.uint64).copy()
-    keys = _key_schedule_bulk(np.asarray(masters, dtype=np.uint64), cfg.rounds, cfg)
+    cts, masters = _check_blocks(ciphertexts, masters)
     # ciphertext bit 8i+r goes back to its source bit, _combined_bit_sources[i][r]
     ptabs = _lane_tables(np.arange(256), _combined_bit_sources(cfg))
     inv_tabs = _lane_tables(np.argsort(cfg.sbox.table), _BYTE_LANES)  # S is a bijection
-    for r in range(cfg.rounds - 1, -1, -1):
-        st = st ^ keys[r]
-        st = _lane_lookup(st, ptabs)  # rebinding frees each state before the next lookup
-        st = _lane_lookup(st, inv_tabs)
-    return st
+    out = np.empty_like(cts)
+    for sl, mk in _row_blocks(len(cts), 1, masters):
+        st = cts[sl]
+        for k in reversed(list(_round_keys(mk, cfg))):
+            st = _lane_lookup(st ^ k, ptabs)  # rebinding frees each state before the next lookup
+            st = _lane_lookup(st, inv_tabs)
+        out[sl] = st
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +335,12 @@ def avalanche_experiment(
     flippers = np.uint64(1) << (np.uint64(63) - np.arange(64, dtype=np.uint64))
     hist = np.zeros(65, dtype=np.int64)  # trials x 64 flip events by ciphertext distance
     bit_sums = np.zeros(64, dtype=np.int64)
-    for lo in range(0, trials, _TRIAL_BLOCK):
-        block = pairs[lo:lo + _TRIAL_BLOCK]
-        keys = _key_schedule_bulk(block[:, 1], cfg.rounds, cfg)
-        states = np.empty((len(block), 65), dtype=np.uint64)
-        states[:, 0] = block[:, 0]
-        np.bitwise_xor(block[:, 0, np.newaxis], flippers, out=states[:, 1:])
-        ct = _encrypt_states(states, keys, tabs)
+    for sl, masters in _row_blocks(trials, 65, pairs[:, 1]):
+        pts = pairs[sl, 0]
+        states = np.empty((len(pts), 65), dtype=np.uint64)
+        states[:, 0] = pts
+        np.bitwise_xor(pts[:, np.newaxis], flippers, out=states[:, 1:])
+        ct = _encrypt(states, masters, cfg, tabs)
         dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1])
         hist += np.bincount(dist.ravel(), minlength=65)
         bit_sums += dist.sum(axis=0, dtype=np.int64)

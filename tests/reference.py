@@ -7,8 +7,9 @@ runs int64 butterflies, where the library multiplies float32 matrices, and
 `degree_all_components` transforms all 2^n - 1 components, where the library
 transforms the n coordinates.  `lane_lookup_shifts` extracts bytes by shift
 and mask, where the library gathers through a byte view, and
-`avalanche_unblocked` encrypts every trial at once with the library's bulk
-cipher, where the library runs fixed blocks of trials into a histogram;
+`avalanche_unblocked` encrypts every trial's 65 states in one public
+`encrypt_blocks` call and sums whole arrays, where the library encrypts
+fixed blocks of trials and reduces each into a histogram;
 `avalanche_scalar` shares nothing with either but the scalar cipher.
 `immunity_rank_per_degree` is the earlier library algorithm, kept so that
 immunity can be checked at n = 8..10, where the dense `immunity_brute` is too
@@ -203,14 +204,13 @@ def _avalanche_report(cfg, trials, dist):
 
 
 def avalanche_unblocked(cfg, pairs):
-    """The avalanche over all trials at once: one (trials, 65) state, whole-array sums."""
+    """The avalanche over all trials at once: one (trials, 65) state through
+    `encrypt_blocks`, each master repeated over its 65 blocks, whole-array sums."""
     pairs = np.asarray(pairs, dtype=np.uint64)
     pts = pairs[:, 0]
-    masters = pairs[:, 1]
     flippers = np.uint64(1) << (np.uint64(63) - np.arange(64, dtype=np.uint64))
     states = np.concatenate([pts[:, np.newaxis], pts[:, np.newaxis] ^ flippers[np.newaxis, :]], axis=1)
-    keys = spn._key_schedule_bulk(masters, cfg.rounds, cfg)
-    ct = spn._encrypt_states(states, keys, spn._build_round_tables(cfg))
+    ct = spn.encrypt_blocks(states.ravel(), np.repeat(pairs[:, 1], 65), cfg).reshape(states.shape)
     dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1]).astype(np.int64)
     return _avalanche_report(cfg, len(pairs), dist)
 

@@ -89,11 +89,12 @@ def test_key_schedule_deterministic(cfg4):
 def test_key_schedule_bulk_matches_scalar(cfg4):
     rng = np.random.default_rng(50)
     masters = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
-    bulk = spn._key_schedule_bulk(masters, 4, cfg4)
+    bulk = list(spn._round_keys(masters, cfg4))
+    assert len(bulk) == 4
     for col, m in enumerate(masters):
         scalar = spn.key_schedule(spn.int_to_block(int(m)), 4, cfg4)
         for r in range(4):
-            assert int(bulk[r, col]) == spn.block_to_int(scalar[r])
+            assert int(bulk[r][col]) == spn.block_to_int(scalar[r])
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,28 @@ def test_encrypt_rejects_bad_lengths(cfg1):
         spn.encrypt_block(b"\x00" * 7, b"\x00" * 8, cfg1)
     with pytest.raises(ValueError):
         spn.decrypt_block(b"\x00" * 9, b"\x00" * 8, cfg1)
+    for master in (b"\x00" * 7, b"\x00" * 9):
+        with pytest.raises(ValueError, match="master key must be 8 bytes"):
+            spn.decrypt_block(b"\x00" * 8, master, cfg1)
+
+
+def test_scalar_oracle_shares_nothing_with_bulk(cfg1, monkeypatch):
+    # tests and perfbench check the bulk cipher against this path, so it must not run it
+    def bulk(*args):
+        raise AssertionError("the scalar cipher reached the bulk path")
+    monkeypatch.setattr(spn, "_lane_lookup", bulk)
+    monkeypatch.setattr(spn, "_lane_tables", bulk)
+    assert spn.key_schedule(b"\x00" * 8, 1, cfg1)[0] == bytes([0x01] + [0] * 7)
+    assert spn.encrypt_block(b"\x00" * 8, b"\x00" * 8, cfg1).hex() == "4dc33a3e938985eb"
+    p = cfg1.pbox64
+    src = bytearray(8)
+    src[p[0] >> 3] |= 1 << (7 - (p[0] & 7))
+    assert spn.apply_pbox64(bytes(src), p) == b"\x80" + b"\x00" * 7
+    inv = tuple(int(v) for v in np.argsort(p))
+    for state in (bytes(range(8)), bytes.fromhex("4dc33a3e938985eb")):
+        assert spn.apply_pbox64(spn.apply_pbox64(state, p), inv) == state
+    with pytest.raises(AssertionError, match="bulk path"):
+        spn.encrypt_blocks(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64), cfg1)
 
 
 @pytest.mark.parametrize("rounds", [1, 4, 12])
@@ -213,7 +236,7 @@ def test_bulk_matches_scalar_with_custom_permutations_and_key_sbox():
     pts = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
     masters = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
     cts = spn.encrypt_blocks(pts, masters, cfg)
-    keys = spn._key_schedule_bulk(masters, cfg.rounds, cfg)
+    keys = np.stack(list(spn._round_keys(masters, cfg)))
     for col, (pt, master, ct) in enumerate(zip(pts, masters, cts)):
         master_block = spn.int_to_block(int(master))
         scalar = spn.encrypt_block(spn.int_to_block(int(pt)), master_block, cfg)
@@ -238,6 +261,51 @@ def test_bulk_with_strided_columns_matches_scalar(cfg4):
         scalar = spn.encrypt_block(spn.int_to_block(pt), spn.int_to_block(master), cfg4)
         assert spn.block_to_int(scalar) == int(ct)
     assert (spn.decrypt_blocks(cts, pairs[:, 1], cfg4) == pairs[:, 0]).all()
+
+
+@pytest.mark.parametrize("cipher", ["encrypt_blocks", "decrypt_blocks"])
+def test_bulk_shape_rule(cfg1, cipher):
+    fn = getattr(spn, cipher)
+    one, three = np.arange(1, dtype=np.uint64), np.arange(3, dtype=np.uint64)
+    for blocks, masters in ((one, three), (three, three[:2]), (three, three[:0]),
+                            (np.uint64(5), one), (one, np.uint64(5)), (np.uint64(5), np.uint64(5)),
+                            (three.reshape(3, 1), three), (three, three.reshape(3, 1))):
+        with pytest.raises(ValueError, match="one master per block or a single master for all"):
+            fn(blocks, masters, cfg1)
+    assert fn(three[:0], three[:0], cfg1).shape == (0,)
+    assert fn(three[:0], one, cfg1).shape == (0,)
+
+
+@pytest.mark.parametrize("rounds", [1, 4])
+def test_bulk_block_boundaries_match_scalar(aes, rounds):
+    rows = spn._BLOCK_WORDS  # one uint64 state word per block
+    total = 3 * rows + 1
+    pts, masters = np.random.default_rng(68 + rounds).integers(0, 2 ** 64, size=(2, total), dtype=np.uint64)
+    for cfg in (spn.SpnConfig(sbox=aes, rounds=rounds), _random_config(68, rounds)):
+        cts = spn.encrypt_blocks(pts, masters, cfg)
+        assert (spn.decrypt_blocks(cts, masters, cfg) == pts).all()
+        for m in (rows - 1, rows, rows + 1):
+            assert (spn.encrypt_blocks(pts[:m], masters[:m], cfg) == cts[:m]).all(), m
+            assert (spn.decrypt_blocks(cts[:m], masters[:m], cfg) == pts[:m]).all(), m
+        for i in (0, rows - 1, rows, rows + 1, 2 * rows, total - 1):
+            scalar = spn.encrypt_block(spn.int_to_block(int(pts[i])), spn.int_to_block(int(masters[i])), cfg)
+            assert spn.block_to_int(scalar) == int(cts[i]), i
+        # a single master serves every block, across block boundaries too
+        one = spn.encrypt_blocks(pts, masters[:1], cfg)
+        assert (one == spn.encrypt_blocks(pts, np.repeat(masters[:1], total), cfg)).all()
+        assert (spn.decrypt_blocks(one, masters[:1], cfg) == pts).all()
+        for i in (0, rows, total - 1):
+            scalar = spn.encrypt_block(spn.int_to_block(int(pts[i])), spn.int_to_block(int(masters[0])), cfg)
+            assert spn.block_to_int(scalar) == int(one[i]), i
+
+
+def test_bulk_memory_bound(aes, traced_peak_mb):
+    # blocks run _BLOCK_WORDS at a time and round keys are never held for the whole batch
+    cfg = spn.SpnConfig(sbox=aes, rounds=12)
+    pts, masters = np.random.default_rng(69).integers(0, 2 ** 64, size=(2, 100_000), dtype=np.uint64)
+    cts = spn.encrypt_blocks(pts, masters, cfg)
+    assert traced_peak_mb(lambda: spn.encrypt_blocks(pts, masters, cfg)) < 8
+    assert traced_peak_mb(lambda: spn.decrypt_blocks(cts, masters, cfg)) < 8
 
 
 def test_every_input_bit_changes_the_ciphertext(cfg4):
@@ -329,9 +397,10 @@ def test_load_pairs_rejects_truncated_file(tmp_path):
 
 @pytest.mark.parametrize("rounds", [0, 1, 4, 12])
 def test_avalanche_blocks_match_unblocked_oracle(aes, rounds):
-    pairs = spn.generate_pairs(1537, 65 + rounds)
+    rows = spn._BLOCK_WORDS // 65  # trials per block
+    pairs = spn.generate_pairs(3 * rows + 1, 65 + rounds)
     for cfg in (spn.SpnConfig(sbox=aes, rounds=rounds), _random_config(65, rounds)):
-        for trials in (1, 511, 512, 513, 1537):
+        for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 1):
             got = spn.avalanche_experiment(cfg, pairs=pairs[:trials])
             assert got == reference.avalanche_unblocked(cfg, pairs[:trials]), trials
 
