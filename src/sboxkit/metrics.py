@@ -28,6 +28,7 @@ CSV_HEADER = "name,DU,MAX BIAS,DSAC,DBIC,NL"
 _HADAMARD_CACHE: dict[int, np.ndarray] = {}
 _DDT_BLOCK = 256  # input differences per bincount
 _DDT_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_FLIP_INDEX_CACHE: dict[int, tuple] = {}
 
 
 def _hadamard(k: int) -> np.ndarray:
@@ -118,12 +119,28 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
     return 2 * top, count
 
 
+def _flip_index(n: int) -> tuple:
+    """(shifts, flip, j, k, pairs) for width n, built once, arrays read-only:
+    shifts = 0..n-1 as a column, flip[i, x] = x xor 2^i, and the output-bit
+    pairs j < k in row-major order (0, 1), (0, 2), ..., (n - 2, n - 1), as
+    index arrays and as a tuple."""
+    index = _FLIP_INDEX_CACHE.get(n)
+    if index is None:
+        shifts = np.arange(n, dtype=np.uint16)[:, np.newaxis]
+        flip = np.arange(1 << n) ^ (1 << shifts)
+        j, k = np.triu_indices(n, 1)
+        for a in (shifts, flip, j, k):
+            a.flags.writeable = False
+        index = _FLIP_INDEX_CACHE[n] = (shifts, flip, j, k, tuple(zip(j.tolist(), k.tolist())))
+    return index
+
+
 def _flip_counts(table: np.ndarray, n: int) -> np.ndarray:
     """J[i, a, b] = #{x : bits a and b of S(x) xor S(x xor 2^i) are both 1},
     as one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
+    shifts, flip = _flip_index(n)[:2]
     t = table.astype(np.uint16)  # n <= 12 bits
-    shifts = np.arange(n, dtype=np.uint16)[:, np.newaxis]
-    diff = t ^ t[np.arange(1 << n) ^ (1 << shifts)]  # row i flips input bit i
+    diff = t ^ t[flip]  # row i flips input bit i
     bits = ((diff[:, np.newaxis] >> shifts) & 1).astype(np.float32)  # (n, n, 2^n)
     return (bits @ bits.transpose(0, 2, 1)).astype(np.int64)
 
@@ -135,9 +152,8 @@ def _sac_deviations(table: np.ndarray, n: int) -> np.ndarray:
 
 def _bic_deviations(table: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k."""
-    j, k = np.triu_indices(n, 1)  # row-major: (0, 1), (0, 2), ..., (n - 2, n - 1)
-    joint = _flip_counts(table, n)[:, j, k]
-    return np.abs((1 << n) // 4 - joint), tuple(zip(j.tolist(), k.tolist()))
+    j, k, pairs = _flip_index(n)[2:]
+    return np.abs((1 << n) // 4 - _flip_counts(table, n)[:, j, k]), pairs
 
 
 def _walsh_max(walsh_abs: np.ndarray) -> int:

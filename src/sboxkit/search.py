@@ -125,15 +125,17 @@ def random_permutation(rng: np.random.Generator, size: int) -> SBox:
 
 
 def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
-    """One shuffled pool supplies every cycle's elements in drawn order; each
-    chunk is linked into a ring, which forces the requested decomposition."""
+    """One shuffled pool supplies every cycle's elements in drawn order, and
+    one gather links each chunk into a ring: position i's successor is i + 1,
+    except at a chunk's last position, which points back to the chunk's first.
+    table[pool] = pool[successor] is then the requested decomposition."""
     pool = rng.permutation(spec.total)
+    lengths = np.array(spec.lengths)
+    ends = np.cumsum(lengths)
+    nxt = np.arange(1, spec.total + 1)
+    nxt[ends - 1] = ends - lengths
     table = np.empty(spec.total, dtype=np.int64)
-    pos = 0
-    for length in spec.lengths:
-        ring = pool[pos : pos + length]
-        pos += length
-        table[ring] = np.roll(ring, -1)
+    table[pool] = pool[nxt]
     return table
 
 

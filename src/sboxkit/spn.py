@@ -11,7 +11,8 @@ uint64 arrays that folds S-box plus both permutations of one byte lane into
 a single 8x256 table of 64-bit masks, so a round is eight gathers and a
 XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
 nibble S-box) is such a lane table, built by `_lane_tables` and applied by
-`_lane_lookup`; `decrypt_block` is `decrypt_blocks` on one element.
+`_lane_lookup`; the key tables are cached per key S-box.  `decrypt_block`
+is `decrypt_blocks` on one element.
 
 Every bulk call runs in blocks of `_BLOCK_WORDS` uint64 state words (32,768
 blocks, or 504 avalanche trials of 65 states) with round keys yielded one
@@ -22,6 +23,7 @@ the 16 B per trial of the pairs plus a constant.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,10 +218,19 @@ def _build_round_tables(cfg: SpnConfig) -> np.ndarray:
     return _lane_tables(cfg.sbox.table, dest)
 
 
+@functools.lru_cache(maxsize=16)
+def _key_tables(key_sbox: tuple) -> np.ndarray:
+    """Read-only lane tables of the key nibble S-box on whole bytes, shared by
+    every bulk block's key schedule under the same key S-box."""
+    ks = np.array(key_sbox)  # byte (hi, lo) -> ks[hi] << 4 | ks[lo]
+    tabs = _lane_tables(((ks[:, np.newaxis] << 4) | ks).ravel(), _BYTE_LANES)
+    tabs.flags.writeable = False
+    return tabs
+
+
 def _round_keys(masters: np.ndarray, cfg: SpnConfig):
     """Yield k_1 .. k_rounds for a batch of uint64 masters, one (len(masters),) array each."""
-    ks = np.array(cfg.key_sbox)  # byte (hi, lo) -> ks[hi] << 4 | ks[lo]
-    tabs = _lane_tables(((ks[:, np.newaxis] << 4) | ks).ravel(), _BYTE_LANES)
+    tabs = _key_tables(tuple(cfg.key_sbox))
     prev = masters
     for r in range(1, cfg.rounds + 1):
         acc = _lane_lookup((prev << np.uint64(8)) | (prev >> np.uint64(56)), tabs)

@@ -16,6 +16,8 @@ immunity can be checked at n = 8..10, where the dense `immunity_brute` is too
 slow: its rows are support points (bit m set iff monomial m covers the
 point), rebuilt and ranked from scratch at every degree, where the library's
 rows are monomials, added one degree at a time to a single elimination.
+`ring_table_loop` is the earlier cycle-constrained generator, one `np.roll`
+per cycle, where the library links every ring with a single gather.
 """
 
 from collections import Counter
@@ -178,6 +180,19 @@ def immunity_rank_per_degree(bits, n, max_degree):
             if len(pivots) < k:
                 return d
     return None
+
+
+def ring_table_loop(rng, spec):
+    """One shuffled pool cut into chunks of spec.lengths in order; each chunk is
+    linked into a ring by rolling it, one cycle at a time."""
+    pool = rng.permutation(spec.total)
+    table = np.empty(spec.total, dtype=np.int64)
+    pos = 0
+    for length in spec.lengths:
+        ring = pool[pos : pos + length]
+        pos += length
+        table[ring] = np.roll(ring, -1)
+    return table
 
 
 def lane_lookup_shifts(st, tabs):

@@ -285,6 +285,24 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
             assert bic[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in pairs], (kind, i)
 
 
+def test_flip_index_cache_is_keyed_by_n():
+    # interleaved widths must each read their own cached indices
+    rng = np.random.default_rng(17)
+    for n in (8, 3, 12, 3, 8):
+        size = 1 << n
+        s = sk.SBox(n, rng.permutation(size))
+        sac, bic = sk.dsac(s), sk.dbic(s)
+        assert bic.pairs == tuple((j, k) for j in range(n) for k in range(j + 1, n)), n
+        bits = range(n) if n < 12 else (0, 5, 11)  # three input bits keep n = 12 fast
+        for i, joint in zip(bits, reference.flip_counts_brute(s.table.tolist(), n, bits)):
+            assert sac.deviations[i].tolist() == [abs(joint[a][a] - size // 2) for a in range(n)], (n, i)
+            assert bic.deviations[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in bic.pairs], (n, i)
+    for n in (3, 8, 12):
+        for index in metrics._flip_index(n)[:4]:
+            with pytest.raises(ValueError, match="read-only"):
+                index[(0,) * index.ndim] = 1
+
+
 def test_dbic_aes(aes):
     rep = sk.dbic(aes)
     assert rep.max_norm == Fraction(9, 128)

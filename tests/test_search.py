@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit import search
 from sboxkit.search import GENERATOR_NAME, SearchConfig, load_search_result, pool_size, run_search
+
+import reference
 
 
 def small_config(**overrides):
@@ -50,6 +54,41 @@ def test_cycle_constrained_generation(name):
     for _ in range(20):
         s = sk.random_permutation_with_cycles(rng, spec)
         assert sk.cycle_decomposition(s).lengths == tuple(sorted(spec.lengths))
+
+
+@st.composite
+def cycle_specs(draw):
+    """A cycle partition of 2^n, n in [2, 12]: some fixed points, the rest cut
+    at random points, in shuffled order."""
+    n = draw(st.integers(2, 12))
+    size = 1 << n
+    fixed = draw(st.sampled_from([0, 1, 2, draw(st.integers(0, size))]))
+    rest = size - fixed
+    cuts = sorted(draw(st.sets(st.integers(1, rest - 1), max_size=40))) if rest > 1 else []
+    bounds = [0, *cuts, rest] if rest else [0]
+    lengths = [1] * fixed + [b - a for a, b in zip(bounds, bounds[1:])]
+    np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).shuffle(lengths)
+    return sk.CycleSpec(tuple(lengths))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycle_specs(), st.integers(0, 2 ** 64 - 1))
+def test_ring_table_matches_per_cycle_oracle(spec, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    table = search._ring_table(rng, spec)
+    assert table.dtype == np.int64
+    assert table.tolist() == reference.ring_table_loop(oracle_rng, spec).tolist()
+    assert rng.integers(2 ** 63) == oracle_rng.integers(2 ** 63)  # the same draws were consumed
+    s = sk.SBox(spec.total.bit_length() - 1, table)
+    assert sk.cycle_decomposition(s).lengths == tuple(sorted(spec.lengths))
+
+
+def test_ring_table_identity_and_single_cycle_edges():
+    for n in range(2, 13):
+        size = 1 << n
+        for spec in (sk.CycleSpec((1,) * size), sk.CycleSpec((size,)), sk.CycleSpec((1, size - 1))):
+            rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+            assert search._ring_table(rng, spec).tolist() == reference.ring_table_loop(oracle_rng, spec).tolist()
 
 
 def test_cycle_generation_rejects_bad_total():
@@ -273,6 +312,21 @@ def test_du_search_json_matches_recorded_runs():
         got = run_search(cfg).to_dict()
         del got["elapsed"]
         assert json.dumps(got) == json.dumps(doc), (cfg.n, cfg.seed, cfg.workers)
+
+
+GOLDEN_CYCLES = Path(__file__).parent / "data" / "search_cycles_golden.json"
+
+
+def test_cycle_search_json_matches_recorded_runs():
+    """Cycle-constrained `dsac`/`dbic` search JSON minus `elapsed` equals runs
+    recorded from the per-cycle ring builder, byte for byte: the five built-in
+    specs at workers 1, 2, 3, and specs with fixed points at n = 3, 6, 10, 12."""
+    for doc in json.loads(GOLDEN_CYCLES.read_text()):
+        cfg = SearchConfig(n=doc["n"], metric=doc["metric"], tries=doc["tries"], seed=doc["seed"],
+                           workers=doc["workers"], cycle_spec=sk.CycleSpec(doc["cycle_spec"]))
+        got = run_search(cfg).to_dict()
+        del got["elapsed"]
+        assert json.dumps(got) == json.dumps(doc), (cfg.n, cfg.metric, cfg.cycle_spec.lengths[:3], cfg.workers)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import sboxkit as sk
 from sboxkit import spn
-from sboxkit.data import PBOX8
+from sboxkit.data import KEY_SBOX, PBOX8
 
 import reference
 
@@ -306,6 +306,18 @@ def test_bulk_memory_bound(aes, traced_peak_mb):
     cts = spn.encrypt_blocks(pts, masters, cfg)
     assert traced_peak_mb(lambda: spn.encrypt_blocks(pts, masters, cfg)) < 8
     assert traced_peak_mb(lambda: spn.decrypt_blocks(cts, masters, cfg)) < 8
+
+
+def test_key_tables_built_once_per_key_sbox(aes, monkeypatch):
+    built = []
+    lane_tables = spn._lane_tables
+    monkeypatch.setattr(spn, "_lane_tables", lambda *args: built.append(1) or lane_tables(*args))
+    cfg = spn.SpnConfig(sbox=aes, rounds=2, key_sbox=tuple(reversed(KEY_SBOX)))
+    spn._key_tables.cache_clear()
+    report = spn.avalanche_experiment(cfg, trials=3 * (spn._BLOCK_WORDS // 65) + 1, seed=5)  # four blocks
+    assert len(built) == 2  # the round tables and the key tables, not one key table per block
+    assert report == reference.avalanche_unblocked(cfg, spn.generate_pairs(report.trials, 5))
+    assert len(built) == 3  # encrypt_blocks builds its round tables and reuses the key tables
 
 
 def test_every_input_bit_changes_the_ciphertext(cfg4):
