@@ -2,11 +2,14 @@
 
 DDT blocks: rows of the DDT a block at a time, a bincount each, counting each
 pair {x, x xor a} once, so a block holds exactly half the DDT; only
-`compute_ddt` holds the whole table.  Walsh: the LAT, max bias and NL share
-two small float32 matrix products per sign matrix, by the Kronecker
-factorisation H_n = H_hi (x) H_lo.  Flip counts: one stacked float32 product
-of the one-bit-flip output differences with themselves; SAC is its diagonal,
-BIC its upper triangle.  Every float32 sum is an integer of magnitude at most
+`compute_ddt` holds the whole table.  Walsh blocks: columns of the LAT at
+most 2^18 values (1 MB) at a time, the sign rows of each gathered from a cached
+Hadamard matrix and transformed by two stacks of small float32 products, by
+the Kronecker factorisation H_n = H_hi (x) H_lo; max bias and NL are reduced
+block by block and only `compute_lat` holds the whole table.  Flip counts: one
+stacked float32 product of the one-bit-flip output differences with
+themselves, BIC its upper triangle; SAC, its diagonal, is read off the
+difference bits directly.  Every float32 sum is an integer of magnitude at most
 2^n <= 4096 < 2^24, so float32 holds it exactly in any summation order.
 Normalized quantities are exact Fractions with power-of-two denominators.
 """
@@ -41,24 +44,49 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def _walsh(table: np.ndarray, n: int, absolute: bool = False) -> np.ndarray:
-    """walsh[b, a] = sum over x of (-1)^(b.S(x) xor a.x), exact in float32.
+def _walsh_blocks(table: np.ndarray, n: int, absolute: bool = False):
+    """Yield (start, block), block[a, j] = W(a, start + j) = sum over x of
+    (-1)^((start + j).S(x) xor a.x), 2^k output masks per block, exact in float32.
 
-    Sign row b + 2^k is row b times (-1)^(bit k of S(x)).  With x = x_hi 2^lo
-    + x_lo, each row's (2^hi, 2^lo) block gets H_lo on the right and H_hi on
-    the left, as stacks of products too small for BLAS to spread over threads.
+    k = min(n, 8, 18 - n) keeps a block at 2^18 values (1 MB): one block up to
+    n = 8, 256 masks at n = 9, 10, 128 at n = 11 and 64 at n = 12.  With
+    b = c 2^k + j, (-1)^(b.S(x)) = H_k[S(x) mod 2^k, j] H_(n-k)[c, S(x) >> k],
+    and as H is symmetric the sign rows of block 0 are one row gather of H_k;
+    block c multiplies them by the column H_(n-k)[c, S(x) >> k].  With x = x_hi 2^lo + x_lo, H_n = H_hi (x)
+    H_lo is applied down x as stacks of products too small for BLAS to spread
+    over threads: H_lo over each x_hi, then H_hi over each x_lo.
     """
     size = 1 << n
+    k = min(n, 8, 18 - n)
     lo = n // 2
-    hi = n - lo
-    m = np.empty((size, size), dtype=np.float32)
-    m[0] = 1
-    for k in range(n):
-        h = 1 << k
-        np.multiply(m[:h], 1 - 2 * ((table >> k) & 1).astype(np.float32), out=m[h : 2 * h])
-    blocks = m.reshape(size, 1 << hi, 1 << lo)
-    np.matmul(_hadamard(hi), blocks @ _hadamard(lo), out=blocks)
-    return np.abs(m, out=m) if absolute else m
+    t = np.asarray(table, dtype=np.intp)
+    base = np.take(_hadamard(k), t & ((1 << k) - 1), axis=0)  # base[x, j] = (-1)^(j.S(x))
+    high = t >> k
+    h_lo, h_hi, h_c = _hadamard(lo), _hadamard(n - lo), _hadamard(n - k)
+    half = np.empty((size >> lo, 1 << lo, 1 << k), dtype=np.float32)  # (x_hi, a_lo, j)
+    # with one block, base is dead after its lo stage and takes the output
+    out = base.reshape(half.shape) if k == n else np.empty_like(half)
+    block = out.reshape(size, 1 << k)
+    for c in range(1 << (n - k)):
+        signs = base if c == 0 else np.multiply(base, h_c[c, high][:, np.newaxis], out=block)
+        np.matmul(h_lo, signs.reshape(half.shape), out=half)
+        np.matmul(h_hi, half.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        yield c << k, np.abs(block, out=block) if absolute else block
+
+
+def _walsh_stats(blocks) -> tuple[int, np.ndarray]:
+    """From (start, block) |Walsh| blocks: the extreme over a != 0, b != 0 (twice
+    the max bias) and, per output mask b != 0, the extreme over every a."""
+    top = 0
+    columns = []
+    for start, block in blocks:
+        rest = block[1:].max(axis=0)  # a != 0
+        column = np.maximum(rest, block[0])
+        if start == 0:
+            rest, column = rest[1:], column[1:]
+        top = max(top, int(rest.max()))
+        columns.append(column)
+    return top, np.concatenate(columns)
 
 
 def _ddt_blocks(table: np.ndarray, n: int):
@@ -135,35 +163,31 @@ def _flip_index(n: int) -> tuple:
     return index
 
 
-def _flip_counts(table: np.ndarray, n: int) -> np.ndarray:
-    """J[i, a, b] = #{x : bits a and b of S(x) xor S(x xor 2^i) are both 1},
-    as one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
+def _flip_bits(table: np.ndarray, n: int) -> np.ndarray:
+    """bits[i, a, x] = bit a of S(x) xor S(x xor 2^i), uint16, shape (n, n, 2^n)."""
     shifts, flip = _flip_index(n)[:2]
     t = table.astype(np.uint16)  # n <= 12 bits
     diff = t ^ t[flip]  # row i flips input bit i
-    bits = ((diff[:, np.newaxis] >> shifts) & 1).astype(np.float32)  # (n, n, 2^n)
+    return (diff[:, np.newaxis] >> shifts) & 1
+
+
+def _flip_counts(table: np.ndarray, n: int) -> np.ndarray:
+    """J[i, a, b] = #{x : bits a and b of S(x) xor S(x xor 2^i) are both 1},
+    as one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
+    bits = _flip_bits(table, n).astype(np.float32)
     return (bits @ bits.transpose(0, 2, 1)).astype(np.int64)
 
 
 def _sac_deviations(table: np.ndarray, n: int) -> np.ndarray:
-    """Raw |flips of output bit j under input bit i - 2^(n-1)|: diag(J)."""
-    return np.abs(np.diagonal(_flip_counts(table, n), axis1=1, axis2=2) - (1 << (n - 1)))
+    """Raw |flips of output bit j under input bit i - 2^(n-1)|: diag(J), which
+    is the number of set difference bits."""
+    return np.abs(_flip_bits(table, n).sum(axis=2).astype(np.int64) - (1 << (n - 1)))
 
 
 def _bic_deviations(table: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k."""
     j, k, pairs = _flip_index(n)[2:]
     return np.abs((1 << n) // 4 - _flip_counts(table, n)[:, j, k]), pairs
-
-
-def _walsh_max(walsh_abs: np.ndarray) -> int:
-    """Extreme |Walsh sum| outside row and column zero: twice the max bias."""
-    return int(walsh_abs[1:, 1:].max())
-
-
-def _component_nl(walsh_abs: np.ndarray, n: int) -> np.ndarray:
-    # per component b != 0 the max |sum| runs over every a, including a = 0
-    return (1 << (n - 1)) - walsh_abs[1:].max(axis=1).astype(np.int64) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +324,10 @@ def du_max_count(d: DDT) -> int:
 
 def compute_lat(s: SBox) -> LAT:
     """sums[a][b] = sum over x of (-1)^(b.S(x) xor a.x)."""
-    return LAT(s.n, _walsh(s.table, s.n).T.astype(np.int64))
+    sums = np.empty((s.size, s.size), dtype=np.int64)
+    for start, block in _walsh_blocks(s.table, s.n):
+        sums[:, start : start + block.shape[1]] = block
+    return LAT(s.n, sums)
 
 
 def max_bias(l: LAT) -> int:
@@ -308,11 +335,12 @@ def max_bias(l: LAT) -> int:
 
     Entries are even, so halving is exact; the raw extreme is 2x this.
     """
-    return _walsh_max(np.abs(l.sums)) // 2
+    return _walsh_stats([(0, np.abs(l.sums))])[0] // 2
 
 
-def _nl_stats(walsh_abs: np.ndarray, n: int) -> NonlinearityStats:
-    comps = _component_nl(walsh_abs, n)
+def _nl_stats(column_max: np.ndarray, n: int) -> NonlinearityStats:
+    # per component b != 0 the max |sum| runs over every a, including a = 0
+    comps = (1 << (n - 1)) - column_max.astype(np.int64) // 2
     nl = int(comps.min())  # the minimum over components is the S-box's NL
     return NonlinearityStats(nl, nl, int(comps.max()), Fraction(int(comps.sum()), comps.size))
 
@@ -320,7 +348,7 @@ def _nl_stats(walsh_abs: np.ndarray, n: int) -> NonlinearityStats:
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(_walsh(s.table, s.n, absolute=True), s.n)
+    return _nl_stats(_walsh_stats(_walsh_blocks(s.table, s.n, absolute=True))[1], s.n)
 
 
 def dsac(s: SBox) -> SacReport:
@@ -348,10 +376,8 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     table metrics and are never wanted in bulk search loops.
     """
     du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
-    walsh = _walsh(s.table, s.n, absolute=True)
-    walsh_max = _walsh_max(walsh)
-    nl_stats = _nl_stats(walsh, s.n)
-    del walsh
+    walsh_max, column_max = _walsh_stats(_walsh_blocks(s.table, s.n, absolute=True))
+    nl_stats = _nl_stats(column_max, s.n)
     bijective = is_bijective(s)
     degree = ai = ai_scope = None
     if with_degree or with_ai:
@@ -395,10 +421,13 @@ class Metric:
 # in `CSV_HEADER` column order
 METRICS = {
     "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0]),
-    "max_bias": Metric(lambda t, n: _walsh_max(_walsh(t, n, absolute=True)) // 2),
+    "max_bias": Metric(lambda t, n: _walsh_stats(_walsh_blocks(t, n, absolute=True))[0] // 2),
     "dsac": Metric(lambda t, n: int(_sac_deviations(t, n).max()), per_size=True),
     "dbic": Metric(lambda t, n: int(_bic_deviations(t, n)[0].max()), per_size=True),
-    "nl": Metric(lambda t, n: int(_component_nl(_walsh(t, n, absolute=True), n).min()), maximize=True),
+    "nl": Metric(
+        lambda t, n: (1 << (n - 1)) - int(_walsh_stats(_walsh_blocks(t, n, absolute=True))[1].max()) // 2,
+        maximize=True,
+    ),
 }
 
 

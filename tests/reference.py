@@ -63,6 +63,14 @@ def walsh_butterfly(table, n):
     return mat.T
 
 
+def walsh_stats_brute(table, n):
+    """(max |W(a, b)| over a, b != 0, [max over every a of |W(a, b)| for b = 1..2^n - 1])
+    from the whole `walsh_butterfly` table."""
+    walsh = walsh_butterfly(table, n)
+    np.abs(walsh, out=walsh)
+    return int(walsh[1:, 1:].max()), walsh[:, 1:].max(axis=0).tolist()
+
+
 def ddt_row(table, n, a):
     """Difference counts for one input difference a, via a Counter."""
     size = 1 << n

@@ -182,6 +182,38 @@ def test_lat_matches_butterfly_oracle_every_width(n):
             assert int(np.abs(sums[1:, 1:]).max()) == 0
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_walsh_reductions_match_butterfly_oracle_every_width(n):
+    # a non-bijective map has a nonzero a = 0 row, so swapping the row and
+    # column exclusions changes walsh_max or the component maxima
+    maps = {**_oracle_maps(n), "identity": np.arange(1 << n)}
+    half = 1 << (n - 1)
+    for kind, table in maps.items():
+        walsh_max, column_max = reference.walsh_stats_brute(table, n)
+        comps = [half - c // 2 for c in column_max]
+        s = sk.SBox(n, table)
+        assert raw_metric_value(table, n, "max_bias") == walsh_max // 2, kind
+        assert raw_metric_value(table, n, "nl") == min(comps), kind
+        stats = sk.nonlinearity(s)
+        assert (stats.nl, stats.component_min, stats.component_max) == (min(comps), min(comps), max(comps)), kind
+        assert stats.component_avg == Fraction(sum(comps), len(comps)), kind
+        report = sk.full_report(s)
+        assert (report.walsh_max, report.max_bias, report.nl) == (walsh_max, walsh_max // 2, min(comps)), kind
+    starts = []
+    for start, block in metrics._walsh_blocks(maps["random"], n):
+        assert block.shape[0] == 1 << n and block.size <= 1 << 18
+        starts.extend(range(start, start + block.shape[1]))
+    assert starts == list(range(1 << n))
+
+
+def test_hadamard_cache_stays_small():
+    # one H_k per k <= 8 serves every width; they stay cached for the life of the process
+    for n in range(2, 13):
+        raw_metric_value(np.arange(1 << n), n, "nl")
+    assert set(metrics._HADAMARD_CACHE) <= set(range(9))
+    assert sum(h.nbytes for h in metrics._HADAMARD_CACHE.values()) <= 512 << 10
+
+
 def test_lat_spot_probes_width_12():
     rng = np.random.default_rng(12)
     probes = [(0, 0), (0, 4095), (4095, 4095)]
@@ -368,12 +400,15 @@ def test_full_report_non_bijective_has_no_cycles():
 
 
 def test_width_12_memory_bounds(traced_peak_mb):
-    # the 128 MB int64 DDT is built only by compute_ddt; reductions take it in row blocks
+    # the 128 MB int64 DDT and LAT are built only by compute_ddt and compute_lat;
+    # reductions take them in blocks
     table = np.random.default_rng(12).permutation(4096)
     s = sk.SBox(12, table)
-    assert traced_peak_mb(lambda: sk.full_report(s, with_degree=True)) < 150
+    assert traced_peak_mb(lambda: sk.full_report(s, with_degree=True)) < 40
     assert traced_peak_mb(lambda: raw_metric_value(table, 12, "du")) < 40
+    assert traced_peak_mb(lambda: raw_metric_value(table, 12, "nl")) < 10
     assert traced_peak_mb(lambda: sk.compute_ddt(s)) < 170
+    assert traced_peak_mb(lambda: sk.compute_lat(s)) < 150
 
 
 def test_to_json_includes_name(aes):

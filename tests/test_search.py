@@ -299,34 +299,38 @@ def test_search_submits_one_job_per_process(monkeypatch):
     assert inline == pooled
 
 
-GOLDEN_DU = Path(__file__).parent / "data" / "search_du_golden.json"
+GOLDEN = Path(__file__).parent / "data"
 
 
-def test_du_search_json_matches_recorded_runs():
-    """`du` search JSON minus `elapsed` equals runs recorded from the full-pair
-    DDT kernel, byte for byte, at n = 6, 8, 10 and several (seed, workers)."""
-    for doc in json.loads(GOLDEN_DU.read_text()):
+def _assert_recorded_runs(name):
+    """Search JSON minus `elapsed` equals each run recorded in tests/data/`name`, byte for byte."""
+    for doc in json.loads((GOLDEN / name).read_text()):
         spec = doc["cycle_spec"]
         cfg = SearchConfig(n=doc["n"], metric=doc["metric"], tries=doc["tries"], seed=doc["seed"],
                            workers=doc["workers"], cycle_spec=sk.CycleSpec(spec) if spec else None)
         got = run_search(cfg).to_dict()
         del got["elapsed"]
-        assert json.dumps(got) == json.dumps(doc), (cfg.n, cfg.seed, cfg.workers)
+        assert json.dumps(got) == json.dumps(doc), (cfg.n, cfg.metric, cfg.seed, cfg.workers, spec and spec[:3])
 
 
-GOLDEN_CYCLES = Path(__file__).parent / "data" / "search_cycles_golden.json"
+def test_du_search_json_matches_recorded_runs():
+    """`du` runs recorded from the full-pair DDT kernel, at n = 6, 8, 10 and
+    several (seed, workers)."""
+    _assert_recorded_runs("search_du_golden.json")
+
+
+def test_walsh_search_json_matches_recorded_runs():
+    """`max_bias`/`nl` runs recorded from the doubling-sign Walsh kernel: n = 8
+    at seeds 1, 2 x workers 1, 2 and with the rijndael cycles, n = 3, 6, and
+    n = 9, 10, 12, which span several Walsh blocks."""
+    _assert_recorded_runs("search_walsh_golden.json")
 
 
 def test_cycle_search_json_matches_recorded_runs():
-    """Cycle-constrained `dsac`/`dbic` search JSON minus `elapsed` equals runs
-    recorded from the per-cycle ring builder, byte for byte: the five built-in
-    specs at workers 1, 2, 3, and specs with fixed points at n = 3, 6, 10, 12."""
-    for doc in json.loads(GOLDEN_CYCLES.read_text()):
-        cfg = SearchConfig(n=doc["n"], metric=doc["metric"], tries=doc["tries"], seed=doc["seed"],
-                           workers=doc["workers"], cycle_spec=sk.CycleSpec(doc["cycle_spec"]))
-        got = run_search(cfg).to_dict()
-        del got["elapsed"]
-        assert json.dumps(got) == json.dumps(doc), (cfg.n, cfg.metric, cfg.cycle_spec.lengths[:3], cfg.workers)
+    """Cycle-constrained `dsac`/`dbic` runs recorded from the per-cycle ring
+    builder: the five built-in specs at workers 1, 2, 3, and specs with fixed
+    points at n = 3, 6, 10, 12."""
+    _assert_recorded_runs("search_cycles_golden.json")
 
 
 # ---------------------------------------------------------------------------
