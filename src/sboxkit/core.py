@@ -30,6 +30,20 @@ MIN_N = 2
 MAX_N = 12  # DDT/LAT are O(2^(2n)); 12 caps the largest table at 16M entries
 
 
+def check_width(n: int) -> None:
+    """ValueError unless MIN_N <= n <= MAX_N."""
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"bit width n={n} outside supported range [{MIN_N}, {MAX_N}]")
+
+
+def width_of(count: int, what: str, error: type[ValueError] = ValueError) -> int:
+    """n for a table of `count` = 2^n entries, MIN_N <= n <= MAX_N; else `error`."""
+    n = count.bit_length() - 1
+    if n < MIN_N or n > MAX_N or count != 1 << n:
+        raise error(f"{what} {count} is not a power of two in [{1 << MIN_N}, {1 << MAX_N}]")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class SBox:
     """An n-bit substitution table, not necessarily bijective.
@@ -42,8 +56,7 @@ class SBox:
     table: np.ndarray
 
     def __post_init__(self):
-        if not MIN_N <= self.n <= MAX_N:
-            raise ValueError(f"bit width n={self.n} outside supported range [{MIN_N}, {MAX_N}]")
+        check_width(self.n)
         tab = np.asarray(self.table)
         if not np.issubdtype(tab.dtype, np.integer):
             raise ValueError(f"table entries must be integers, got dtype {tab.dtype}")
@@ -96,8 +109,7 @@ class GFContext:
     irreducible: int
 
     def __post_init__(self):
-        if not MIN_N <= self.n <= MAX_N:
-            raise ValueError(f"bit width n={self.n} outside supported range [{MIN_N}, {MAX_N}]")
+        check_width(self.n)
         if self.irreducible < 0:
             raise ValueError(f"modulus -0x{-self.irreducible:x} is negative")
         if self.irreducible.bit_length() != self.n + 1:
@@ -134,7 +146,7 @@ def parse_sbox(text: str, base: int = 10) -> SBox:
     """Parse whitespace/comma separated integer tokens into an SBox.
 
     Accepts base 10 or 16 (hex tokens may carry a 0x prefix).  The token
-    count must be a power of two in [4, 4096]; bijectivity is not required.
+    count must be a power of two 2^n, MIN_N <= n <= MAX_N; bijectivity is not required.
     """
     if base not in (10, 16):
         raise SboxParseError(f"base must be 10 or 16, got {base}")
@@ -143,11 +155,7 @@ def parse_sbox(text: str, base: int = 10) -> SBox:
         for tok in line.replace(",", " ").split():
             tokens.append((lineno, tok))
     count = len(tokens)
-    if count < 4 or count > 4096 or count & (count - 1):
-        raise SboxParseError(
-            f"token count {count} is not a power of two in [4, 4096]"
-        )
-    n = count.bit_length() - 1
+    n = width_of(count, "token count", SboxParseError)
     values = []
     for lineno, tok in tokens:
         body = tok[2:] if base == 16 and tok.lower().startswith("0x") else tok

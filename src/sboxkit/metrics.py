@@ -11,7 +11,11 @@ stacked float32 product of the one-bit-flip output differences with
 themselves, BIC its upper triangle; SAC, its diagonal, is read off the
 difference bits directly.  Every float32 sum is an integer of magnitude at most
 2^n <= 4096 < 2^24, so float32 holds it exactly in any summation order.
-Normalized quantities are exact Fractions with power-of-two denominators.
+
+`METRICS` defines each of the five search metrics once: its raw integer kernel,
+its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
+Fractions) and its `MetricReport` field and CSV column.  `CSV_HEADER`,
+`MetricReport.csv_row`, the SAC/BIC reports, `run_search` and the CLI read it.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .core import CycleStructure, SBox, cycle_decomposition, is_bijective
 from .util import exact_decimal
-
-CSV_HEADER = "name,DU,MAX BIAS,DSAC,DBIC,NL"
 
 _HADAMARD_CACHE: dict[int, np.ndarray] = {}
 _DDT_BLOCK = 256  # input differences per bincount
@@ -44,9 +47,10 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def _walsh_blocks(table: np.ndarray, n: int, absolute: bool = False):
+def _walsh_blocks(table: np.ndarray, n: int):
     """Yield (start, block), block[a, j] = W(a, start + j) = sum over x of
-    (-1)^((start + j).S(x) xor a.x), 2^k output masks per block, exact in float32.
+    (-1)^((start + j).S(x) xor a.x), 2^k output masks per block, exact in float32;
+    the caller may overwrite a block, a buffer the next one reuses.
 
     k = min(n, 8, 18 - n) keeps a block at 2^18 values (1 MB): one block up to
     n = 8, 256 masks at n = 9, 10, 128 at n = 11 and 64 at n = 12.  With
@@ -61,32 +65,35 @@ def _walsh_blocks(table: np.ndarray, n: int, absolute: bool = False):
     lo = n // 2
     t = np.asarray(table, dtype=np.intp)
     base = np.take(_hadamard(k), t & ((1 << k) - 1), axis=0)  # base[x, j] = (-1)^(j.S(x))
-    high = t >> k
     h_lo, h_hi, h_c = _hadamard(lo), _hadamard(n - lo), _hadamard(n - k)
     half = np.empty((size >> lo, 1 << lo, 1 << k), dtype=np.float32)  # (x_hi, a_lo, j)
     # with one block, base is dead after its lo stage and takes the output
     out = base.reshape(half.shape) if k == n else np.empty_like(half)
     block = out.reshape(size, 1 << k)
     for c in range(1 << (n - k)):
-        signs = base if c == 0 else np.multiply(base, h_c[c, high][:, np.newaxis], out=block)
+        signs = base if c == 0 else np.multiply(base, h_c[c, t >> k][:, np.newaxis], out=block)
         np.matmul(h_lo, signs.reshape(half.shape), out=half)
         np.matmul(h_hi, half.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-        yield c << k, np.abs(block, out=block) if absolute else block
+        yield c << k, block
 
 
-def _walsh_stats(blocks) -> tuple[int, np.ndarray]:
-    """From (start, block) |Walsh| blocks: the extreme over a != 0, b != 0 (twice
-    the max bias) and, per output mask b != 0, the extreme over every a."""
+def _walsh_stats(blocks, n: int) -> tuple[int, np.ndarray]:
+    """From (start, block) Walsh blocks, made absolute in place: the max bias,
+    half the extreme over a != 0, b != 0, and per output mask b != 0 the
+    component nonlinearity, 2^(n-1) less half the extreme over every a.  Every
+    Walsh sum is even, so both halvings are exact; the NLs, and any sum of them
+    (< 2^(2n-1) <= 2^23), stay exact in float32."""
     top = 0
     columns = []
     for start, block in blocks:
+        block = np.abs(block, out=block)
         rest = block[1:].max(axis=0)  # a != 0
         column = np.maximum(rest, block[0])
         if start == 0:
             rest, column = rest[1:], column[1:]
         top = max(top, int(rest.max()))
         columns.append(column)
-    return top, np.concatenate(columns)
+    return top // 2, (1 << (n - 1)) - 0.5 * np.concatenate(columns)
 
 
 def _ddt_blocks(table: np.ndarray, n: int):
@@ -171,23 +178,65 @@ def _flip_bits(table: np.ndarray, n: int) -> np.ndarray:
     return (diff[:, np.newaxis] >> shifts) & 1
 
 
-def _flip_counts(table: np.ndarray, n: int) -> np.ndarray:
-    """J[i, a, b] = #{x : bits a and b of S(x) xor S(x xor 2^i) are both 1},
-    as one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
-    bits = _flip_bits(table, n).astype(np.float32)
-    return (bits @ bits.transpose(0, 2, 1)).astype(np.int64)
+def _sac_deviations(bits: np.ndarray, n: int) -> np.ndarray:
+    """Raw |flips of output bit j under input bit i - 2^(n-1)| from `_flip_bits`:
+    the number of set difference bits."""
+    return np.abs(bits.sum(axis=2).astype(np.int64) - (1 << (n - 1)))
 
 
-def _sac_deviations(table: np.ndarray, n: int) -> np.ndarray:
-    """Raw |flips of output bit j under input bit i - 2^(n-1)|: diag(J), which
-    is the number of set difference bits."""
-    return np.abs(_flip_bits(table, n).sum(axis=2).astype(np.int64) - (1 << (n - 1)))
-
-
-def _bic_deviations(table: np.ndarray, n: int):
-    """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k."""
+def _bic_deviations(bits: np.ndarray, n: int):
+    """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k,
+    from `_flip_bits`.  J[i, a, b] = #{x : bits a and b of the difference are
+    both 1} is one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
     j, k, pairs = _flip_index(n)[2:]
-    return np.abs((1 << n) // 4 - _flip_counts(table, n)[:, j, k]), pairs
+    b = bits.astype(np.float32)
+    joint = (b @ b.transpose(0, 2, 1)).astype(np.int64)
+    return np.abs((1 << n) // 4 - joint[:, j, k]), pairs
+
+
+@dataclass(frozen=True)
+class Metric:
+    """`raw(table, n)` is the integer kernel search compares; `field` is the
+    `MetricReport` attribute holding that raw value; `column` its CSV heading."""
+
+    raw: Callable[[np.ndarray, int], int]
+    column: str
+    field: str
+    maximize: bool = False
+    per_size: bool = False  # raw counts units of 1/2^n
+
+    def value(self, raw, n: int):
+        """The reported value of `raw` (an int or a Fraction) at width n."""
+        return Fraction(raw, 1 << n) if self.per_size else raw
+
+    def best(self, values):
+        """The best of `values`, the first of equal ones winning."""
+        return (max if self.maximize else min)(values)
+
+
+# in CSV column order
+METRICS = {
+    "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0], "DU", "du"),
+    "max_bias": Metric(lambda t, n: _walsh_stats(_walsh_blocks(t, n), n)[0], "MAX BIAS", "max_bias"),
+    "dsac": Metric(lambda t, n: int(_sac_deviations(_flip_bits(t, n), n).max()), "DSAC", "dsac.max_raw",
+                   per_size=True),
+    "dbic": Metric(lambda t, n: int(_bic_deviations(_flip_bits(t, n), n)[0].max()), "DBIC", "dbic.max_raw",
+                   per_size=True),
+    "nl": Metric(lambda t, n: int(_walsh_stats(_walsh_blocks(t, n), n)[1].min()), "NL", "nl", maximize=True),
+}
+
+CSV_HEADER = ",".join(["name", *(m.column for m in METRICS.values())])
+
+
+def lookup_metric(name: str) -> Metric:
+    try:
+        return METRICS[name]
+    except KeyError:
+        raise ValueError(f"unknown metric {name!r}; choose from {tuple(METRICS)}") from None
+
+
+def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
+    return lookup_metric(metric).raw(table, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,17 +341,9 @@ class MetricReport:
         return json.dumps(body, indent=2) + "\n"
 
     def csv_row(self, name: str) -> str:
-        """One row in the `CSV_HEADER` column order."""
-        return ",".join(
-            [
-                name,
-                str(self.du),
-                str(self.max_bias),
-                exact_decimal(self.dsac.max_norm),
-                exact_decimal(self.dbic.max_norm),
-                str(self.nl),
-            ]
-        )
+        """One row under `CSV_HEADER`: each metric's value read from its field."""
+        values = (m.value(attrgetter(m.field)(self), self.n) for m in METRICS.values())
+        return ",".join([name, *map(exact_decimal, values)])
 
 
 def compute_ddt(s: SBox) -> DDT:
@@ -331,16 +372,11 @@ def compute_lat(s: SBox) -> LAT:
 
 
 def max_bias(l: LAT) -> int:
-    """Half the extreme |Walsh sum| outside row/column zero.
-
-    Entries are even, so halving is exact; the raw extreme is 2x this.
-    """
-    return _walsh_stats([(0, np.abs(l.sums))])[0] // 2
+    """Half the extreme |Walsh sum| outside row/column zero."""
+    return _walsh_stats([(0, l.sums.copy())], l.n)[0]
 
 
-def _nl_stats(column_max: np.ndarray, n: int) -> NonlinearityStats:
-    # per component b != 0 the max |sum| runs over every a, including a = 0
-    comps = (1 << (n - 1)) - column_max.astype(np.int64) // 2
+def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
     nl = int(comps.min())  # the minimum over components is the S-box's NL
     return NonlinearityStats(nl, nl, int(comps.max()), Fraction(int(comps.sum()), comps.size))
 
@@ -348,36 +384,40 @@ def _nl_stats(column_max: np.ndarray, n: int) -> NonlinearityStats:
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(_walsh_stats(_walsh_blocks(s.table, s.n, absolute=True))[1], s.n)
+    return _nl_stats(_walsh_stats(_walsh_blocks(s.table, s.n), s.n)[1])
+
+
+def _sac_report(bits: np.ndarray, n: int) -> SacReport:
+    devs = _sac_deviations(bits, n)
+    mx = int(devs.max())
+    scale = METRICS["dsac"].value
+    return SacReport(devs, mx, scale(mx, n), scale(Fraction(int(devs.sum()), devs.size), n))
+
+
+def _bic_report(bits: np.ndarray, n: int) -> BicReport:
+    devs, pairs = _bic_deviations(bits, n)
+    mx = int(devs.max())
+    return BicReport(devs, pairs, mx, METRICS["dbic"].value(mx, n))
 
 
 def dsac(s: SBox) -> SacReport:
-    devs = _sac_deviations(s.table, s.n)
-    size = s.size
-    mx = int(devs.max())
-    return SacReport(
-        deviations=devs,
-        max_raw=mx,
-        max_norm=Fraction(mx, size),
-        mean_norm=Fraction(int(devs.sum()), devs.size * size),
-    )
+    return _sac_report(_flip_bits(s.table, s.n), s.n)
 
 
 def dbic(s: SBox) -> BicReport:
-    devs, pairs = _bic_deviations(s.table, s.n)
-    mx = int(devs.max())
-    return BicReport(deviations=devs, pairs=pairs, max_raw=mx, max_norm=Fraction(mx, s.size))
+    return _bic_report(_flip_bits(s.table, s.n), s.n)
 
 
 def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> MetricReport:
-    """Everything at once, one DDT and one LAT evaluation total.
+    """Everything at once, one pass of each kernel: DDT, Walsh and flip bits.
 
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
     """
     du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
-    walsh_max, column_max = _walsh_stats(_walsh_blocks(s.table, s.n, absolute=True))
-    nl_stats = _nl_stats(column_max, s.n)
+    bias, nls = _walsh_stats(_walsh_blocks(s.table, s.n), s.n)
+    nl_stats = _nl_stats(nls)
+    bits = _flip_bits(s.table, s.n)
     bijective = is_bijective(s)
     degree = ai = ai_scope = None
     if with_degree or with_ai:
@@ -393,50 +433,16 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         bijective=bijective,
         du=du,
         du_count=du_count,
-        max_bias=walsh_max // 2,
-        walsh_max=walsh_max,
+        max_bias=bias,
+        walsh_max=2 * bias,
         nl=nl_stats.nl,
         nl_component_min=nl_stats.component_min,
         nl_component_max=nl_stats.component_max,
         nl_component_avg=nl_stats.component_avg,
-        dsac=dsac(s),
-        dbic=dbic(s),
+        dsac=_sac_report(bits, s.n),
+        dbic=_bic_report(bits, s.n),
         cycles=cycle_decomposition(s) if bijective else None,
         degree=degree,
         ai=ai,
         ai_scope=ai_scope,
     )
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Search loops compare `raw(table, n)` values directly and rescale once
-    at the end; a `per_size` raw value counts units of 1/2^n."""
-
-    raw: Callable[[np.ndarray, int], int]
-    maximize: bool = False
-    per_size: bool = False
-
-
-# in `CSV_HEADER` column order
-METRICS = {
-    "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0]),
-    "max_bias": Metric(lambda t, n: _walsh_stats(_walsh_blocks(t, n, absolute=True))[0] // 2),
-    "dsac": Metric(lambda t, n: int(_sac_deviations(t, n).max()), per_size=True),
-    "dbic": Metric(lambda t, n: int(_bic_deviations(t, n)[0].max()), per_size=True),
-    "nl": Metric(
-        lambda t, n: (1 << (n - 1)) - int(_walsh_stats(_walsh_blocks(t, n, absolute=True))[1].max()) // 2,
-        maximize=True,
-    ),
-}
-
-
-def lookup_metric(name: str) -> Metric:
-    try:
-        return METRICS[name]
-    except KeyError:
-        raise ValueError(f"unknown metric {name!r}; choose from {tuple(METRICS)}") from None
-
-
-def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
-    return lookup_metric(metric).raw(table, n)

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SBox, MIN_N, MAX_N
-from .metrics import METRICS, lookup_metric, raw_metric_value
+from .core import SBox, check_width, width_of
+from .metrics import METRICS, lookup_metric
 from .util import exact_decimal
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -72,8 +72,7 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not MIN_N <= self.n <= MAX_N:
-            raise ValueError(f"n={self.n} outside supported range [{MIN_N}, {MAX_N}]")
+        check_width(self.n)
         lookup_metric(self.metric)
         if self.tries < 1:
             raise ValueError("tries must be >= 1")
@@ -119,9 +118,7 @@ class SearchResult:
 
 def random_permutation(rng: np.random.Generator, size: int) -> SBox:
     """Uniform random permutation of [0, size) from the given stream."""
-    if size < 4 or size > 4096 or size & (size - 1):
-        raise ValueError(f"size {size} is not a power of two in [4, 4096]")
-    return SBox(size.bit_length() - 1, rng.permutation(size))
+    return SBox(width_of(size, "size"), rng.permutation(size))
 
 
 def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
@@ -141,15 +138,13 @@ def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
 
 def random_permutation_with_cycles(rng: np.random.Generator, spec: CycleSpec) -> SBox:
     """Random permutation whose cycle type matches spec exactly."""
-    size = spec.total
-    if size < 4 or size > 4096 or size & (size - 1):
-        raise ValueError(f"cycle lengths must sum to a power of two in [4, 4096], got {size}")
-    return SBox(size.bit_length() - 1, _ring_table(rng, spec))
+    return SBox(width_of(spec.total, "cycle length total"), _ring_table(rng, spec))
 
 
-def _run_streams(ws, streams, config, inject_tables, want_log):
+def _run_streams(ws, streams, config, inject_tables):
     """Evaluate the candidates of streams `ws` (a contiguous range of the
-    run's `streams`); returns one summary tuple, reduced in stream order.
+    run's `streams`); returns their raw values in enumeration order and the
+    table of the first best one.
 
     The tries are dealt out over all `streams`, the first ones taking one
     extra.  inject_tables (a list of entry lists) replaces the first
@@ -160,11 +155,10 @@ def _run_streams(ws, streams, config, inject_tables, want_log):
     n = config.n
     size = 1 << n
     spec = config.cycle_spec
+    metric = lookup_metric(config.metric)
     base, extra = divmod(config.tries, streams)
-    best_raw = None
-    best_table = None
-    total = 0
-    log = [] if want_log else None
+    values = []
+    best_raw = best_table = None
     for w in ws:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(w,)))
         injected = inject_tables if w == 0 else []
@@ -175,14 +169,11 @@ def _run_streams(ws, streams, config, inject_tables, want_log):
                 table = rng.permutation(size)
             else:
                 table = _ring_table(rng, spec)
-            raw = raw_metric_value(table, n, config.metric)
-            total += raw
-            if want_log:
-                log.append(raw)
-            if best_raw is None or (raw > best_raw if config.maximize else raw < best_raw):
-                best_raw = raw
-                best_table = table.copy()
-    return best_raw, None if best_table is None else best_table.tolist(), total, log
+            raw = metric.raw(table, n)
+            if not values or metric.best((best_raw, raw)) != best_raw:  # strictly better
+                best_raw, best_table = raw, table.copy()
+            values.append(raw)
+    return values, best_table.tolist()
 
 
 def pool_size(workers: int, cpus: int | None) -> int:
@@ -191,7 +182,8 @@ def pool_size(workers: int, cpus: int | None) -> int:
 
 
 def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -> SearchResult:
-    """Algorithm: generate `tries` candidates, track the strict best, sum values.
+    """Algorithm: generate `tries` candidates; the best is the metric's best
+    over all their raw values and the mean their exact sum over `tries`.
 
     Ties keep the earlier candidate in (worker index, iteration) order, so
     results are deterministic for a fixed (seed, workers) pair.  `inject`
@@ -204,11 +196,10 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
     streams = min(config.workers, config.tries)
     processes = pool_size(streams, os.cpu_count())
     inject_tables = [[int(v) for v in s.table] for s in inject]
-    want_log = value_log is not None
 
-    # one job per process over a contiguous range of streams, so job order is stream order
+    # one job per process over a contiguous, nonempty range of streams, so job order is stream order
     bounds = [streams * k // processes for k in range(processes + 1)]
-    jobs = [(range(lo, hi), streams, config, inject_tables, want_log) for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [(range(lo, hi), streams, config, inject_tables) for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:
         outcomes = [_run_streams(*job) for job in jobs]
     else:
@@ -216,25 +207,17 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
             futures = [pool.submit(_run_streams, *job) for job in jobs]
             outcomes = [f.result() for f in futures]
 
-    best_raw = None
-    best_table = None
-    grand_total = 0
-    for raw, table, total, log in outcomes:
-        grand_total += total
-        if want_log and log:
-            value_log.extend(log)
-        if raw is None:
-            continue
-        if best_raw is None or (raw > best_raw if config.maximize else raw < best_raw):
-            best_raw = raw
-            best_table = table
-
-    scale = 1 << config.n if METRICS[config.metric].per_size else 1
+    metric = lookup_metric(config.metric)
+    values = [v for job_values, _ in outcomes for v in job_values]
+    best_raw = metric.best(values)
+    best_table = next(table for job_values, table in outcomes if best_raw in job_values)
+    if value_log is not None:
+        value_log.extend(values)
     return SearchResult(
         config=config,
         best_sbox=SBox(config.n, np.array(best_table, dtype=np.int64)),
-        best_value=Fraction(best_raw, scale) if scale > 1 else best_raw,
-        mean_value=Fraction(grand_total, config.tries * scale),
+        best_value=metric.value(best_raw, config.n),
+        mean_value=metric.value(Fraction(sum(values), config.tries), config.n),
         generator_name=GENERATOR_NAME,
         elapsed=time.perf_counter() - t0,
     )

@@ -1,4 +1,8 @@
+import json
+from collections import Counter
 from fractions import Fraction
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import sboxkit as sk
 from sboxkit.data import KEY_SBOX
 from sboxkit import metrics
 from sboxkit.metrics import CSV_HEADER, METRICS, raw_metric_value
+from sboxkit.search import SearchConfig, run_search
 from sboxkit.util import exact_decimal
 
 import reference
@@ -308,8 +313,9 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
     bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     for kind, table in _oracle_maps(n).items():
-        sac = metrics._sac_deviations(table, n)
-        bic, got_pairs = metrics._bic_deviations(table, n)
+        flips = metrics._flip_bits(table, n)
+        sac = metrics._sac_deviations(flips, n)
+        bic, got_pairs = metrics._bic_deviations(flips, n)
         assert sac.dtype == bic.dtype == np.int64, kind
         assert sac.shape == (n, n) and bic.shape == (n, len(pairs)) and got_pairs == pairs, kind
         for i, joint in zip(bits, reference.flip_counts_brute(table.tolist(), n, bits)):
@@ -412,8 +418,6 @@ def test_width_12_memory_bounds(traced_peak_mb):
 
 
 def test_to_json_includes_name(aes):
-    import json
-
     doc = json.loads(sk.full_report(aes).to_json("aes"))
     assert doc["name"] == "aes"
     assert doc["du"] == 4
@@ -424,6 +428,35 @@ def test_to_json_includes_name(aes):
 def test_csv_header_matches_row_shape(aes):
     row = sk.full_report(aes).csv_row("aes")
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
+    assert CSV_HEADER == "name,DU,MAX BIAS,DSAC,DBIC,NL"
+
+
+def test_report_json_and_csv_match_recorded_reports():
+    """`full_report(with_degree=True)` JSON and CSV row, with AI up to n = 8,
+    for the oracle maps and the identity at every width, byte for byte as
+    recorded in tests/data/report_golden.json."""
+    recorded = json.loads((Path(__file__).parent / "data" / "report_golden.json").read_text())
+    assert [(doc["n"], doc["kind"]) for doc in recorded] == [
+        (n, kind) for n in range(2, 13) for kind in ("permutation", "random", "constant", "identity")
+    ]
+    for doc in recorded:
+        n, kind = doc["n"], doc["kind"]
+        table = _oracle_maps(n)[kind] if kind != "identity" else np.arange(1 << n)
+        rep = sk.full_report(sk.SBox(n, table), with_degree=True, with_ai=n <= 8)
+        name = f"{kind}{n}"
+        assert rep.to_json(name) == doc["json"], name
+        assert rep.csv_row(name) == doc["csv"], name
+
+
+def test_full_report_makes_one_pass_of_each_kernel(aes, monkeypatch):
+    calls = Counter()
+    for kernel in ("_flip_bits", "_ddt_blocks", "_walsh_blocks"):
+        def counted(*args, _kernel=kernel, _inner=getattr(metrics, kernel), **kwargs):
+            calls[_kernel] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(metrics, kernel, counted)
+    sk.full_report(aes, with_degree=True, with_ai=True)
+    assert calls == {"_flip_bits": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +464,18 @@ def test_csv_header_matches_row_shape(aes):
 
 
 def test_raw_metric_values_agree_with_reports():
-    rng = np.random.default_rng(30)
-    for _ in range(5):
-        tab = rng.permutation(256)
-        s = sk.SBox(8, tab)
-        rep = sk.full_report(s)
-        reported = {"du": rep.du, "max_bias": rep.max_bias, "nl": rep.nl,
-                    "dsac": rep.dsac.max_raw, "dbic": rep.dbic.max_raw}
-        assert set(reported) == set(METRICS)
-        for name in METRICS:
-            assert raw_metric_value(tab, 8, name) == reported[name], name
+    # the report field, the CSV column and a one-try search all read one raw value
+    for n in range(2, 13):
+        for kind, table in {**_oracle_maps(n), "identity": np.arange(1 << n)}.items():
+            s = sk.SBox(n, table)
+            rep = sk.full_report(s)
+            row = dict(zip(CSV_HEADER.split(","), rep.csv_row(kind).split(",")))
+            for name, metric in METRICS.items():
+                raw = raw_metric_value(table, n, name)
+                assert attrgetter(metric.field)(rep) == raw, (n, kind, name)
+                assert row[metric.column] == exact_decimal(metric.value(raw, n)), (n, kind, name)
+                result = run_search(SearchConfig(n=n, metric=name, tries=1, seed=0), inject=(s,))
+                assert result.best_value == metric.value(raw, n), (n, kind, name)
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
