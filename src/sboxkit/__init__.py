@@ -59,7 +59,6 @@ from .search import (
 )
 from .spn import (
     AvalancheReport,
-    RoundKeys,
     SpnConfig,
     apply_pbox8,
     apply_pbox64,

@@ -63,6 +63,8 @@ def _read_sbox(path: str, base: int) -> SBox:
         text = Path(path).read_text()
     except OSError as exc:
         raise SboxParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a configuration error
+        raise SboxParseError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_sbox(text, base=base)
 
 

@@ -35,6 +35,8 @@ class HeatmapSpec:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        if self.scale is not None and self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
 
 
 def heatmap_values(s: SBox, kind: str) -> np.ndarray:

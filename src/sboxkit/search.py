@@ -6,7 +6,8 @@ candidates: stream w is SeedSequence(seed, spawn_key=(w,)), the w-th child
 SeedSequence.spawn would give, so a run is reproducible for a fixed
 (seed, workers) pair without any coordination between workers.  Each
 process of a pool no larger than the CPU count runs one contiguous range of
-streams.  Means are accumulated as exact integer sums.
+streams.  Every candidate, in a search or from the public generators, comes
+from one draw step, `_draw`.  Means are accumulated as exact integer sums.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class SearchResult:
 
 def random_permutation(rng: np.random.Generator, size: int) -> SBox:
     """Uniform random permutation of [0, size) from the given stream."""
-    return SBox(width_of(size, "size"), rng.permutation(size))
+    return SBox(width_of(size, "size"), _draw(rng, size, None))
 
 
 def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
@@ -136,70 +137,55 @@ def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
     return table
 
 
+def _draw(rng: np.random.Generator, size: int, spec: CycleSpec | None) -> np.ndarray:
+    """The one draw step: a fresh uniform permutation of [0, size), or one of
+    exactly spec's cycle type when a spec is set."""
+    return rng.permutation(size) if spec is None else _ring_table(rng, spec)
+
+
 def random_permutation_with_cycles(rng: np.random.Generator, spec: CycleSpec) -> SBox:
     """Random permutation whose cycle type matches spec exactly."""
-    return SBox(width_of(spec.total, "cycle length total"), _ring_table(rng, spec))
+    return SBox(width_of(spec.total, "cycle length total"), _draw(rng, spec.total, spec))
 
 
-def _run_streams(ws, streams, config, inject_tables):
+def _run_streams(ws, streams, config):
     """Evaluate the candidates of streams `ws` (a contiguous range of the
     run's `streams`); returns their raw values in enumeration order and the
-    table of the first best one.
-
-    The tries are dealt out over all `streams`, the first ones taking one
-    extra.  inject_tables (a list of entry lists) replaces the first
-    candidates of stream 0 without consuming generator draws; they still
-    count toward tries and the mean.  Used by tests to force known tables
-    into the run.
-    """
+    table of the first best one.  The tries are dealt out over all
+    `streams`, the first ones taking one extra."""
     n = config.n
-    size = 1 << n
-    spec = config.cycle_spec
     metric = lookup_metric(config.metric)
     base, extra = divmod(config.tries, streams)
     values = []
     best_raw = best_table = None
     for w in ws:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(w,)))
-        injected = inject_tables if w == 0 else []
-        for it in range(base + (w < extra)):
-            if it < len(injected):
-                table = np.asarray(injected[it], dtype=np.int64)
-            elif spec is None:
-                table = rng.permutation(size)
-            else:
-                table = _ring_table(rng, spec)
+        for _ in range(base + (w < extra)):
+            table = _draw(rng, 1 << n, config.cycle_spec)
             raw = metric.raw(table, n)
             if not values or metric.best((best_raw, raw)) != best_raw:  # strictly better
-                best_raw, best_table = raw, table.copy()
+                best_raw, best_table = raw, table
             values.append(raw)
-    return values, best_table.tolist()
+    return values, best_table
 
 
-def pool_size(workers: int, cpus: int | None) -> int:
-    """Processes that run `workers` streams: one each, but no more than `cpus`."""
-    return min(workers, cpus or 1)
-
-
-def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -> SearchResult:
+def run_search(config: SearchConfig, value_log: list | None = None) -> SearchResult:
     """Algorithm: generate `tries` candidates; the best is the metric's best
     over all their raw values and the mean their exact sum over `tries`.
 
     Ties keep the earlier candidate in (worker index, iteration) order, so
-    results are deterministic for a fixed (seed, workers) pair.  `inject`
-    prepends known S-boxes as worker 0's first candidates (test hook); when
+    results are deterministic for a fixed (seed, workers) pair.  When
     `value_log` is a list it receives every candidate's raw value in
     enumeration order.
     """
     t0 = time.perf_counter()
     # streams past `tries` would get no candidates; each keeps its index as spawn key
     streams = min(config.workers, config.tries)
-    processes = pool_size(streams, os.cpu_count())
-    inject_tables = [[int(v) for v in s.table] for s in inject]
+    processes = min(streams, os.cpu_count() or 1)
 
     # one job per process over a contiguous, nonempty range of streams, so job order is stream order
     bounds = [streams * k // processes for k in range(processes + 1)]
-    jobs = [(range(lo, hi), streams, config, inject_tables) for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [(range(lo, hi), streams, config) for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:
         outcomes = [_run_streams(*job) for job in jobs]
     else:
@@ -215,7 +201,7 @@ def run_search(config: SearchConfig, inject=(), value_log: list | None = None) -
         value_log.extend(values)
     return SearchResult(
         config=config,
-        best_sbox=SBox(config.n, np.array(best_table, dtype=np.int64)),
+        best_sbox=SBox(config.n, best_table),
         best_value=metric.value(best_raw, config.n),
         mean_value=metric.value(Fraction(sum(values), config.tries), config.n),
         generator_name=GENERATOR_NAME,
@@ -227,8 +213,3 @@ def save_search_result(result: SearchResult, path) -> None:
     with open(path, "w") as fh:
         json.dump(result.to_dict(), fh, indent=2)
         fh.write("\n")
-
-
-def load_search_result(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

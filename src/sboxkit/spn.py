@@ -6,10 +6,11 @@ bit of byte 0, and permutations are destination <- source: output position
 i takes input position p[i].
 
 Two implementations share the test surface: a straight scalar encryption
-on 8-byte `bytes` (the independent reference), and a vectorized cipher on
-uint64 arrays that folds S-box plus both permutations of one byte lane into
-a single 8x256 table of 64-bit masks, so a round is eight gathers and a
-XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
+on 8-byte `bytes` (the independent reference, whose `key_schedule(master,
+cfg)` returns the cfg.rounds round keys as a plain tuple), and a vectorized
+cipher on uint64 arrays that folds S-box plus both permutations of one byte
+lane into a single 8x256 table of 64-bit masks, so a round is eight gathers
+and a XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
 nibble S-box) is such a lane table, built by `_lane_tables` and applied by
 `_lane_lookup`; the key tables are cached per key S-box.  `decrypt_block`
 is `decrypt_blocks` on one element.
@@ -68,17 +69,6 @@ class SpnConfig:
 
 
 @dataclass(frozen=True)
-class RoundKeys:
-    keys: tuple  # k_1 .. k_rounds, each 8 bytes
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __getitem__(self, i):
-        return self.keys[i]
-
-
-@dataclass(frozen=True)
 class AvalancheReport:
     trials: int
     rounds: int
@@ -113,18 +103,17 @@ def _rotl_bytes(block: bytes, k: int) -> bytes:
     return bytes(block[(i + k) % BLOCK_BYTES] for i in range(BLOCK_BYTES))
 
 
-def key_schedule(master: bytes, rounds: int, cfg: SpnConfig) -> RoundKeys:
-    """k_0 = master; each next key: rotate bytes left once, push every nibble
-    through the key S-box (high nibble first), XOR the round index into byte
-    0, then XOR the previous key rotated left three bytes."""
+def key_schedule(master: bytes, cfg: SpnConfig) -> tuple:
+    """(k_1, .., k_rounds) for cfg.rounds, each 8 bytes.  k_0 = master; each
+    next key: rotate bytes left once, push every nibble through the key S-box
+    (high nibble first), XOR the round index into byte 0, then XOR the
+    previous key rotated left three bytes."""
     if len(master) != BLOCK_BYTES:
         raise ValueError("master key must be 8 bytes")
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
     ks = cfg.key_sbox
     keys = []
     prev = bytes(master)
-    for r in range(1, rounds + 1):
+    for r in range(1, cfg.rounds + 1):
         t = bytearray(_rotl_bytes(prev, 1))
         for i in range(BLOCK_BYTES):
             t[i] = (ks[t[i] >> 4] << 4) | ks[t[i] & 0xF]
@@ -132,7 +121,7 @@ def key_schedule(master: bytes, rounds: int, cfg: SpnConfig) -> RoundKeys:
         rot3 = _rotl_bytes(prev, 3)
         prev = bytes(a ^ b for a, b in zip(t, rot3))
         keys.append(prev)
-    return RoundKeys(tuple(keys))
+    return tuple(keys)
 
 
 def _bit(state: bytes, b: int) -> int:
@@ -156,7 +145,7 @@ def apply_pbox64(state: bytes, p) -> bytes:
 def encrypt_block(plaintext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
     if len(plaintext) != BLOCK_BYTES:
         raise ValueError("plaintext must be 8 bytes")
-    keys = key_schedule(master, cfg.rounds, cfg)
+    keys = key_schedule(master, cfg)
     tab = cfg.sbox.table
     state = bytes(plaintext)
     for r in range(cfg.rounds):

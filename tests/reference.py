@@ -3,13 +3,13 @@
 Everything here is written with plain loops and dicts, deliberately sharing
 no code path with the library, so agreement actually means something.  The
 exceptions are whole-table numpy so that they reach n=12: `walsh_butterfly`
-runs int64 butterflies, where the library multiplies float32 matrices, and
-`degree_all_components` transforms all 2^n - 1 components, where the library
-transforms the n coordinates.  `lane_lookup_shifts` extracts bytes by shift
-and mask, where the library gathers through a byte view, and
-`avalanche_unblocked` encrypts every trial's 65 states in one public
-`encrypt_blocks` call and sums whole arrays, where the library encrypts
-fixed blocks of trials and reduces each into a histogram;
+runs in-place int32 butterflies, where the library multiplies float32
+matrices, and `degree_all_components` transforms all 2^n - 1 components,
+where the library transforms the n coordinates.  `lane_lookup_shifts`
+extracts bytes by shift and mask, where the library gathers through a byte
+view, and `avalanche_unblocked` encrypts every trial's 65 states in one
+public `encrypt_blocks` call and sums whole arrays, where the library
+encrypts fixed blocks of trials and reduces each into a histogram;
 `avalanche_scalar` shares nothing with either but the scalar cipher.
 `immunity_rank_per_degree` is the earlier library algorithm, kept so that
 immunity can be checked at n = 8..10, where the dense `immunity_brute` is too
@@ -46,19 +46,21 @@ def lat_full(table, n):
 
 
 def walsh_butterfly(table, n):
-    """Every LAT sum at once, sums[a][b], by int64 Walsh-Hadamard butterflies
-    over the sign vectors x -> (-1)^(b.S(x)), one row per output mask b."""
+    """Every LAT sum at once, sums[a][b], by in-place int32 Walsh-Hadamard
+    butterflies over the sign vectors x -> (-1)^(b.S(x)), one row per output
+    mask b.  int32 is exact: every partial sum is bounded by 2^n <= 2^12."""
     size = 1 << n
     tab = np.asarray(table, dtype=np.uint64)
-    mat = np.empty((size, size), dtype=np.int64)
+    mat = np.empty((size, size), dtype=np.int32)
     for b in range(size):
-        mat[b] = 1 - 2 * (np.bitwise_count(tab & np.uint64(b)) & 1).astype(np.int64)
+        mat[b] = 1 - 2 * (np.bitwise_count(tab & np.uint64(b)) & 1).astype(np.int32)
     h = 1
     while h < size:
         pairs = mat.reshape(size, size // (2 * h), 2, h)
-        top = pairs[:, :, 0, :] + pairs[:, :, 1, :]
-        np.subtract(pairs[:, :, 0, :], pairs[:, :, 1, :], out=pairs[:, :, 1, :])
-        pairs[:, :, 0, :] = top
+        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        lo += hi  # (lo, hi) -> (lo + hi, lo - hi) with no temporary
+        hi *= -2
+        hi += lo
         h *= 2
     return mat.T
 

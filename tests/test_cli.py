@@ -83,6 +83,19 @@ def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", []),
+    ("avalanche", ["--rounds", "1", "--seed", "1"]),
+    ("heatmap", ["-o", "x.ppm"]),
+])
+def test_non_utf8_sbox_file_exits_2(command, extra, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe\x00\x01")
+    assert main([command, "bad.txt", *extra]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "x.ppm").exists()
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -317,6 +330,16 @@ def test_heatmap_scale_too_small_exits_3(aes_file, tmp_path, capsys):
     rc = main(["heatmap", aes_file, "--scale", "10", "-o", str(tmp_path / "x.ppm")])
     assert rc == 3
     assert "below the matrix extreme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["0", "-7"])
+def test_heatmap_scale_below_one_exits_3(tmp_path, capsys, scale):
+    # a constant map's DDT interior is all zero, so no extreme check can catch the scale
+    path = tmp_path / "const.txt"
+    path.write_text(sk.format_sbox(sk.SBox(4, np.zeros(16, dtype=np.int64))))
+    assert main(["heatmap", str(path), "--table", "ddt", f"--scale={scale}", "-o", str(tmp_path / "x.ppm")]) == 3
+    assert f"scale must be >= 1, got {scale}" in capsys.readouterr().err
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_heatmap_bad_input_exits_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit import search
-from sboxkit.search import GENERATOR_NAME, SearchConfig, load_search_result, pool_size, run_search
+from sboxkit.search import GENERATOR_NAME, SearchConfig, run_search
 
 import reference
 
@@ -205,19 +205,32 @@ def test_search_honors_cycle_spec():
     assert sk.cycle_decomposition(result.best_sbox).lengths == (16,) * 16
 
 
-def test_search_tie_break_keeps_first_candidate(aes):
+def force_draws(monkeypatch, *sboxes):
+    """The run's first draws (stream 0 at workers=1) return these tables
+    without consuming generator draws; later ones come from the generator."""
+    forced = [np.array(s.table) for s in sboxes]
+    draw = search._draw
+    monkeypatch.setattr(search, "_draw", lambda *args: forced.pop(0) if forced else draw(*args))
+
+
+def test_search_tie_break_keeps_first_candidate(aes, monkeypatch):
     relabeled = sk.SBox(8, np.array([aes[x ^ 0x5A] ^ 0xC3 for x in range(256)]))
     cfg = SearchConfig(n=8, metric="du", tries=2, seed=0)
-    fwd = run_search(cfg, inject=(aes, relabeled))
-    rev = run_search(cfg, inject=(relabeled, aes))
-    assert fwd.best_value == rev.best_value == 4  # both injected tables tie
+    with monkeypatch.context() as m:
+        force_draws(m, aes, relabeled)
+        fwd = run_search(cfg)
+    with monkeypatch.context() as m:
+        force_draws(m, relabeled, aes)
+        rev = run_search(cfg)
+    assert fwd.best_value == rev.best_value == 4  # both forced tables tie
     assert fwd.best_sbox == aes
     assert rev.best_sbox == relabeled
 
 
-def test_search_injected_optimum_wins(aes):
+def test_search_injected_optimum_wins(aes, monkeypatch):
     cfg = SearchConfig(n=8, metric="nl", tries=4, seed=12)
-    result = run_search(cfg, inject=(aes,))
+    force_draws(monkeypatch, aes)
+    result = run_search(cfg)
     assert result.best_value == 112  # far above any random 8-bit permutation
     assert result.best_sbox == aes
 
@@ -238,13 +251,6 @@ def test_search_worker_split_changes_streams():
     two = run_search(small_config(tries=24, workers=2))
     # spawned child streams differ from the single-stream run by design
     assert one.mean_value != two.mean_value or one.best_sbox != two.best_sbox
-
-
-def test_pool_size_never_exceeds_cpus():
-    assert pool_size(5000, 2) == 2
-    assert pool_size(3, 8) == 3
-    assert pool_size(1, 64) == 1
-    assert pool_size(4, None) == 1  # os.cpu_count() may not know
 
 
 def test_search_streams_beyond_processes_keep_the_result(monkeypatch):
@@ -292,11 +298,15 @@ def test_search_submits_one_job_per_process(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     pooled = run_search(cfg).to_dict()
-    assert len(submitted) == pool_size(20_000, 2) == 2
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)  # no pool: every stream inline
+    assert len(submitted) == 2  # never more processes than CPUs
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)  # unknown: no pool, every stream inline
     inline = run_search(cfg).to_dict()
+    assert len(submitted) == 2
     del pooled["elapsed"], inline["elapsed"]
     assert inline == pooled
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    run_search(small_config(n=3, tries=30, workers=3))
+    assert len(submitted) == 2 + 3  # never more processes than streams
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -344,7 +354,7 @@ def test_search_result_round_trip(tmp_path):
     result = run_search(cfg)
     path = tmp_path / "result.json"
     sk.save_search_result(result, path)
-    doc = load_search_result(path)
+    doc = json.loads(path.read_text())
     assert doc == result.to_dict()
     assert doc["generator"] == "numpy-pcg64"
     assert doc["cycle_spec"] == [64]
