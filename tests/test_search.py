@@ -273,40 +273,68 @@ def test_search_spawns_no_more_streams_than_tries(traced_peak_mb):
     assert peak < 5
 
 
-def test_search_submits_one_job_per_process(monkeypatch):
-    submitted = []
+class InlinePool:
+    """ProcessPoolExecutor stand-in that runs each job at submit and records the pools it makes."""
 
-    class InlinePool:
-        """ProcessPoolExecutor stand-in that runs each job at submit."""
+    sizes = []  # max_workers of every pool made
+    submitted = []  # args of every job submitted
 
-        def __init__(self, max_workers):
-            pass
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def submit(self, fn, *args):
-            submitted.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(InlinePool, "submitted", [])
+    return InlinePool
+
+
+def test_pool_size_never_exceeds_cpus(monkeypatch, inline_pool):
+    def processes(streams, cpus):
+        """Processes run_search uses for `streams` streams on `cpus` CPUs (1: no pool, all inline)."""
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        inline_pool.sizes.clear()
+        inline_pool.submitted.clear()
+        run_search(small_config(n=3, tries=streams, workers=streams))
+        assert len(inline_pool.sizes) <= 1
+        if not inline_pool.sizes:
+            return 1
+        assert len(inline_pool.submitted) == inline_pool.sizes[0]  # one job per process
+        return inline_pool.sizes[0]
+
+    assert processes(5000, 2) == 2
+    assert processes(3, 8) == 3
+    assert processes(1, 64) == 1
+    assert processes(4, None) == 1  # os.cpu_count() may not know
+
+
+def test_search_submits_one_job_per_process(monkeypatch, inline_pool):
     cfg = small_config(n=3, tries=20_000, workers=20_000)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
     pooled = run_search(cfg).to_dict()
-    assert len(submitted) == 2  # never more processes than CPUs
+    assert len(inline_pool.submitted) == 2  # never more processes than CPUs
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)  # unknown: no pool, every stream inline
     inline = run_search(cfg).to_dict()
-    assert len(submitted) == 2
+    assert len(inline_pool.submitted) == 2
     del pooled["elapsed"], inline["elapsed"]
     assert inline == pooled
     monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
     run_search(small_config(n=3, tries=30, workers=3))
-    assert len(submitted) == 2 + 3  # never more processes than streams
+    assert len(inline_pool.submitted) == 2 + 3  # never more processes than streams
 
 
 GOLDEN = Path(__file__).parent / "data"
