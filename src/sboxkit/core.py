@@ -216,6 +216,16 @@ def gf_mul(ctx: GFContext, a: int, b: int) -> int:
     return r
 
 
+def _gf_mul_array(ctx: GFContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """gf_mul over whole arrays: n shift/XOR/reduce steps, one per bit of b."""
+    r = np.zeros_like(a)
+    for j in range(ctx.n):
+        r ^= a * ((b >> j) & 1)
+        a = a << 1
+        a ^= ctx.irreducible * (a >> ctx.n)
+    return r
+
+
 def gf_pow(ctx: GFContext, x: int, e: int) -> int:
     """Square-and-multiply. x^0 = 1 for every x by convention, 0^e = 0 for e > 0."""
     if e < 0:
@@ -297,9 +307,13 @@ def build_monomial_sbox(ctx: GFContext, family: str, i: int | None = None, e: in
     S(0) = 0 always (e >= 1 in every family).
     """
     exp = _monomial_exponent(ctx, family, i, e)
-    table = np.fromiter(
-        (gf_pow(ctx, x, exp) for x in range(ctx.size)), dtype=np.int64, count=ctx.size
-    )
+    table = np.ones(ctx.size, dtype=np.int64)
+    base = np.arange(ctx.size, dtype=np.int64)
+    while exp:
+        if exp & 1:
+            table = _gf_mul_array(ctx, table, base)
+        base = _gf_mul_array(ctx, base, base)
+        exp >>= 1
     return SBox(ctx.n, table)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,6 +188,8 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
     if processes == 1:
         outcomes = [_run_streams(*job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: only pooled runs pay for its import
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_run_streams, *job) for job in jobs]
             outcomes = [f.result() for f in futures]

@@ -11,13 +11,18 @@ view, and `avalanche_unblocked` encrypts every trial's 65 states in one
 public `encrypt_blocks` call and sums whole arrays, where the library
 encrypts fixed blocks of trials and reduces each into a histogram;
 `avalanche_scalar` shares nothing with either but the scalar cipher.
-`immunity_rank_per_degree` is the earlier library algorithm, kept so that
-immunity can be checked at n = 8..10, where the dense `immunity_brute` is too
+`immunity_rank_per_degree` is an earlier library algorithm, kept so that
+immunity can be checked at n = 8..11, where the dense `immunity_brute` is too
 slow: its rows are support points (bit m set iff monomial m covers the
-point), rebuilt and ranked from scratch at every degree, where the library's
-rows are monomials, added one degree at a time to a single elimination.
+point), rebuilt and ranked from scratch at every degree.
+`immunity_incremental` is the library algorithm that followed it: its rows
+are monomials, added one degree at a time to a single elimination per
+support.  The library eliminates over the free values of an annihilator on
+the points of weight <= d instead, one degree at a time from the top.
 `ring_table_loop` is the earlier cycle-constrained generator, one `np.roll`
 per cycle, where the library links every ring with a single gather.
+`monomial_table` is the earlier power-map builder, one scalar `gf_pow` per
+field element, where the library multiplies whole arrays.
 """
 
 from collections import Counter
@@ -26,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from sboxkit import spn
+from sboxkit.core import gf_pow
 
 
 def parity(v: int) -> int:
@@ -192,6 +198,45 @@ def immunity_rank_per_degree(bits, n, max_degree):
     return None
 
 
+def annihilator_degree_incremental(support, n, max_degree):
+    """Degree of the lowest-degree nonzero g of degree <= max_degree that
+    vanishes on `support`; None when there is none.
+
+    Each monomial is a row: the bit-packed vector of its values on the
+    support.  Rows enter in (degree, mask) order and are reduced against the
+    pivots kept from the rows before them, so raising the degree only adds
+    rows.  The first row that reduces to zero is a sum of monomials of degree
+    at most its own that vanishes on the support: that g.
+    """
+    masks = np.arange(1 << n)
+    weight = np.bitwise_count(masks)
+    pivots = {}  # highest set bit -> the reduced row that owns it
+    for d in range(max_degree + 1):
+        monomials = masks[weight == d, np.newaxis]
+        rows = np.packbits((monomials & support) == monomials, axis=1, bitorder="little")
+        for row in rows:
+            r = int.from_bytes(row.tobytes(), "little")
+            while r and (h := r.bit_length() - 1) in pivots:
+                r ^= pivots[h]
+            if not r:
+                return d
+            pivots[h] = r
+    return None
+
+
+def immunity_incremental(bits, n, max_degree):
+    """Annihilator search by one incremental elimination per support, of f
+    and then of f xor 1; the side of f xor 1 searches only below the answer
+    for f."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    best = None
+    for support in (np.flatnonzero(bits), np.flatnonzero(bits ^ 1)):
+        d = annihilator_degree_incremental(support, n, max_degree if best is None else best - 1)
+        if d is not None:
+            best = d
+    return best
+
+
 def ring_table_loop(rng, spec):
     """One shuffled pool cut into chunks of spec.lengths in order; each chunk is
     linked into a ring by rolling it, one cycle at a time."""
@@ -249,3 +294,8 @@ def avalanche_scalar(cfg, pairs):
         dist.append([(spn.block_to_int(spn.encrypt_block(spn.int_to_block(pt ^ (1 << (63 - j))), key, cfg))
                       ^ base).bit_count() for j in range(64)])
     return _avalanche_report(cfg, len(dist), np.array(dist, dtype=np.int64))
+
+
+def monomial_table(ctx, e):
+    """x -> x^e over ctx, one scalar `gf_pow` per element."""
+    return np.array([gf_pow(ctx, x, e) for x in range(ctx.size)], dtype=np.int64)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,7 +260,7 @@ def test_sbox_immunity_all_components_matches_brute_minimum(n):
         assert sk.sbox_algebraic_immunity(s, all_components=True) == brute
 
 
-@pytest.mark.parametrize("n", range(8, 11))
+@pytest.mark.parametrize("n", range(8, 12))
 def test_immunity_matches_rank_per_degree_oracle(n):
     size = 1 << n
     rng = np.random.default_rng(50 + n)
@@ -270,3 +272,42 @@ def test_immunity_matches_rank_per_degree_oracle(n):
         bits = np.asarray(bits, dtype=np.uint8)
         for cap in range(n + 1):
             assert anf.algebraic_immunity(tt(n, bits), cap) == reference.immunity_rank_per_degree(bits, n, cap), cap
+
+
+def _immunity_maps(n):
+    """Random permutation, inverse, Gold (i = 1) and Kasami maps of width n; the
+    Kasami parameter is the smallest i >= 2 prime to n (i = 1 would give Gold's x^3)."""
+    size = 1 << n
+    ctx = sk.default_context(n)
+    kasami_i = next(i for i in range(2, n + 2) if math.gcd(i, n) == 1)
+    return {
+        "random": sk.SBox(n, np.random.default_rng(60 + n).permutation(size)),
+        "inverse": sk.build_monomial_sbox(ctx, "raw", e=size - 2),
+        "gold": sk.build_monomial_sbox(ctx, "gold", i=1),
+        "kasami": sk.build_monomial_sbox(ctx, "kasami", i=kasami_i),
+    }
+
+
+def _incremental_minimum(s, masks):
+    """Minimum of the incremental-elimination oracle over the components `masks`."""
+    cap = (s.n + 1) // 2
+    return min(reference.immunity_incremental(anf.component_truth_table(s, b).bits, s.n, cap) for b in masks)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sbox_immunity_matches_incremental_oracle(n):
+    maps = _immunity_maps(n)
+    coordinates = [1 << j for j in range(n)]
+    for kind, s in maps.items():
+        assert sk.sbox_algebraic_immunity(s) == _incremental_minimum(s, coordinates), kind
+    if n == 10:
+        return  # the oracle takes 7-12 s over the 1023 components of one n=10 map
+    for kind, s in maps.items():
+        assert sk.sbox_algebraic_immunity(s, all_components=True) == _incremental_minimum(s, range(1, 1 << n)), kind
+
+
+def test_immunity_matches_incremental_oracle_inverse12_coordinates():
+    s = sk.build_monomial_sbox(sk.default_context(12), "raw", e=(1 << 12) - 2)
+    for j in range(12):
+        bits = anf.component_truth_table(s, 1 << j).bits
+        assert anf.algebraic_immunity(tt(12, bits), 6) == reference.immunity_incremental(bits, 12, 6), j

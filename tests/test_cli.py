@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +379,12 @@ def test_missing_subcommand_exits_3():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 3
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a search that runs more than one process imports concurrent.futures.process
+    code = "import sys, sboxkit.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sk.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import sboxkit as sk
-from sboxkit.core import MAX_N, MIN_N
+from sboxkit.core import MAX_N, MIN_N, _monomial_exponent
 from sboxkit.data import IRREDUCIBLE
+
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,30 @@ def test_inverse_family_squares_to_field_inverse():
 def test_raw_exponent():
     ctx = sk.default_context(4)
     assert sk.build_monomial_sbox(ctx, "raw", e=1) == sk.SBox(4, np.arange(16))
+
+
+def _family_parameters(n):
+    """(family, kwargs) for every valid parameter of every family at width n.
+
+    i and i + n give the same Gold/Kasami map (x^(2^n) = x), so i runs over
+    [1, n); raw takes every e <= 2^(n+1) up to n = 5, and beyond it e = 1,
+    2^n - 2 (inverse), 2^n - 1 (non-bijective) and 3 * 2^n + 5 (above 2^n).
+    """
+    out = [(f, {"i": i}) for f in ("gold", "kasami") for i in range(1, n) if math.gcd(i, n) == 1]
+    out += [(f, {}) for f in ("welch", "niho", "inverse") if n % 2]
+    if n % 5 == 0:
+        out.append(("dobbertin", {}))
+    raw = range(1, (2 << n) + 1) if n <= 5 else (1, (1 << n) - 2, (1 << n) - 1, 3 * (1 << n) + 5)
+    return out + [("raw", {"e": e}) for e in raw]
+
+
+@pytest.mark.parametrize("n", range(MIN_N, MAX_N + 1))
+def test_every_family_matches_the_per_element_builder(n):
+    ctx = sk.GFContext(n, IRREDUCIBLE[n])
+    for family, kwargs in _family_parameters(n):
+        e = _monomial_exponent(ctx, family, kwargs.get("i"), kwargs.get("e"))
+        table = sk.build_monomial_sbox(ctx, family, **kwargs).table
+        assert np.array_equal(table, reference.monomial_table(ctx, e)), (family, kwargs)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from collections import Counter
@@ -297,7 +298,7 @@ class InlinePool:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(InlinePool, "submitted", [])
     return InlinePool
