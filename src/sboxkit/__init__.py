@@ -55,7 +55,6 @@ from .search import (
     random_permutation,
     random_permutation_with_cycles,
     run_search,
-    save_search_result,
 )
 from .spn import (
     AvalancheReport,

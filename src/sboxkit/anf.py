@@ -23,19 +23,26 @@ import numpy as np
 from .core import SBox
 
 
+def _bit_vector(values, n: int, what: str) -> np.ndarray:
+    """A read-only uint8 copy of values, checked to be 2^n zeros and ones
+    before the cast, which would wrap 256 to 0 and -1 to 255."""
+    v = np.asarray(values)
+    if v.shape != (1 << n,):
+        raise ValueError(f"{what} must have 2^{n} entries")
+    if not ((v == 0) | (v == 1)).all():
+        raise ValueError(f"{what} entries must be 0 or 1")
+    b = v.astype(np.uint8)
+    b.flags.writeable = False
+    return b
+
+
 @dataclass(frozen=True, eq=False)
 class TruthTable:
     n: int
     bits: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.bits, dtype=np.uint8, copy=True)
-        if b.shape != (1 << self.n,):
-            raise ValueError(f"truth table must have 2^{self.n} entries")
-        if b.size and b.max() > 1:
-            raise ValueError("truth table entries must be 0 or 1")
-        b.flags.writeable = False
-        object.__setattr__(self, "bits", b)
+        object.__setattr__(self, "bits", _bit_vector(self.bits, self.n, "truth table"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +51,7 @@ class AnfCoefficients:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.uint8, copy=True)
-        if c.shape != (1 << self.n,):
-            raise ValueError(f"coefficient vector must have 2^{self.n} entries")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _bit_vector(self.coeffs, self.n, "coefficient vector"))
 
 
 def _mobius(vec: np.ndarray) -> np.ndarray:
@@ -89,23 +92,33 @@ def anf_monomials(a: AnfCoefficients) -> list[int]:
     return [int(m) for m in np.flatnonzero(a.coeffs)]
 
 
+def _coordinate_anfs(s: SBox) -> np.ndarray:
+    """Row j = the ANF coefficients of coordinate j, x -> bit j of S(x)."""
+    return _mobius((s.table >> np.arange(s.n)[:, np.newaxis]) & 1)
+
+
 def algebraic_degree(s: SBox) -> int:
     """Max monomial size over the ANFs of all 2^n - 1 nonzero components.
 
     The zero function has degree 0.  The ANF is linear, so deg(b.S) <= max_j
     deg(S_j), and the coordinates S_j are components: the same maximum.
     """
-    coeffs = _mobius((s.table >> np.arange(s.n)[:, np.newaxis]) & 1)
+    coeffs = _coordinate_anfs(s)
     return int(np.bitwise_count(np.flatnonzero(coeffs.any(axis=0))).max(initial=0))
 
 
 def dump_anf(s: SBox) -> str:
-    """One line per nonzero component: '<component mask>: <monomial masks>', hex."""
-    lines = []
-    for b in range(1, s.size):
-        coeffs = mobius_transform(component_truth_table(s, b))
-        masks = " ".join(f"{m:x}" for m in anf_monomials(coeffs))
-        lines.append(f"{b:x}: {masks}")
+    """One line per nonzero component: '<component mask>: <monomial masks>', hex.
+
+    The ANF is linear, so component b's is the XOR of the coordinate ANFs of
+    b's set bits: the components are built by doubling over the coordinates.
+    """
+    comps = np.zeros((1, s.size), dtype=np.uint8)
+    for coord in _coordinate_anfs(s):
+        comps = np.concatenate([comps, comps ^ coord])  # row b | 2^j = row b xor coordinate j
+    hexes = [f"{m:x}" for m in range(s.size)]
+    lines = [f"{hexes[b]}: " + " ".join([hexes[m] for m in np.flatnonzero(c).tolist()])
+             for b, c in enumerate(comps[1:], 1)]
     return "\n".join(lines) + "\n"
 
 

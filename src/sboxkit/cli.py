@@ -33,7 +33,7 @@ from .heatmap import (
     write_ppm,
 )
 from .metrics import CSV_HEADER, METRICS, full_report
-from .search import CycleSpec, SearchConfig, builtin_cycle_specs, run_search, save_search_result
+from .search import CycleSpec, SearchConfig, builtin_cycle_specs, run_search
 from .spn import (
     AVALANCHE_CSV_HEADER,
     SpnConfig,
@@ -119,7 +119,7 @@ def cmd_search(args) -> int:
     doc = result.to_dict()
     print(f"best {config.metric} = {doc['best_value']}  mean = {doc['mean_value']}")
     if args.out:
-        save_search_result(result, args.out)
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     if args.log_values:
         with open(args.log_values, "w") as fh:
             fh.write("index,raw_value\n")
@@ -134,13 +134,15 @@ def cmd_avalanche(args) -> int:
         if args.seed is not None:
             raise ValueError("--seed cannot be combined with --pairs, which fixes every trial")
         pairs = load_pairs(args.pairs)
+        if args.trials is not None and args.trials != len(pairs):
+            raise ValueError(f"trials={args.trials} does not match {len(pairs)} stored pairs")
     else:
         if args.seed is None:
             raise ValueError("--seed is required unless --pairs is given")
         pairs = generate_pairs(DEFAULT_TRIALS if args.trials is None else args.trials, args.seed)
         if args.save_pairs:
             save_pairs(args.save_pairs, pairs)
-    report = avalanche_experiment(cfg, trials=args.trials, pairs=pairs)
+    report = avalanche_experiment(cfg, pairs)
     name = args.name or Path(args.sbox).stem
     if args.format == "csv":
         _write_text(args.out, AVALANCHE_CSV_HEADER + "\n" + report.csv_row(name) + "\n")

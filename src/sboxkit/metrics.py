@@ -20,6 +20,7 @@ Fractions) and its `MetricReport` field and CSV column.  `CSV_HEADER`,
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,20 +32,20 @@ import numpy as np
 from .core import CycleStructure, SBox, cycle_decomposition, is_bijective
 from .util import exact_decimal
 
-_HADAMARD_CACHE: dict[int, np.ndarray] = {}
 _DDT_BLOCK = 256  # input differences per bincount
-_DDT_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_FLIP_INDEX_CACHE: dict[int, tuple] = {}
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: every caller of a cached builder shares its arrays."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
 def _hadamard(k: int) -> np.ndarray:
     """The 2^k x 2^k Sylvester-Hadamard matrix h[i, j] = (-1)^(i.j), float32."""
-    h = _HADAMARD_CACHE.get(k)
-    if h is None:
-        v = np.arange(1 << k)
-        h = 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(v, v)) & 1).astype(np.float32)
-        _HADAMARD_CACHE[k] = h
-    return h
+    v = np.arange(1 << k)
+    return _read_only(1 - 2 * (np.bitwise_count(np.bitwise_and.outer(v, v)) & 1).astype(np.float32))
 
 
 def _walsh_blocks(table: np.ndarray, n: int):
@@ -96,6 +97,15 @@ def _walsh_stats(blocks, n: int) -> tuple[int, np.ndarray]:
     return top // 2, (1 << (n - 1)) - 0.5 * np.concatenate(columns)
 
 
+@functools.cache
+def _ddt_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, codes) for `_ddt_blocks` at width n: xor[i, y] = i xor y over the
+    lanes, and the row codes i << n as a (rows, 1, 1) column."""
+    lane = np.arange(min(_DDT_BLOCK, (1 << n) >> 1), dtype=np.intp)
+    codes = np.arange(min(_DDT_BLOCK, 1 << n), dtype=np.intp) << n
+    return _read_only(np.bitwise_xor.outer(lane, lane)), _read_only(codes[:, np.newaxis, np.newaxis])
+
+
 def _ddt_blocks(table: np.ndarray, n: int):
     """Yield (start, block), block[i, b] = DDT[start + i, b] / 2, one bincount of
     (i << n) | dy codes per block of min(256, 2^n) rows.
@@ -112,11 +122,7 @@ def _ddt_blocks(table: np.ndarray, n: int):
     """
     size = 1 << n
     half = size >> 1
-    if n not in _DDT_INDEX_CACHE:  # xor[i, y] = i xor y over the lanes; row codes i << n
-        lane = np.arange(min(_DDT_BLOCK, half), dtype=np.intp)
-        codes = np.arange(min(_DDT_BLOCK, size), dtype=np.intp) << n
-        _DDT_INDEX_CACHE[n] = (np.bitwise_xor.outer(lane, lane), codes[:, np.newaxis, np.newaxis])
-    xor, codes = _DDT_INDEX_CACHE[n]
+    xor, codes = _ddt_index(n)
     lanes = len(xor)
     rows = len(codes)
     t = np.asarray(table, dtype=np.intp)
@@ -154,20 +160,16 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
     return 2 * top, count
 
 
+@functools.cache
 def _flip_index(n: int) -> tuple:
-    """(shifts, flip, j, k, pairs) for width n, built once, arrays read-only:
-    shifts = 0..n-1 as a column, flip[i, x] = x xor 2^i, and the output-bit
-    pairs j < k in row-major order (0, 1), (0, 2), ..., (n - 2, n - 1), as
-    index arrays and as a tuple."""
-    index = _FLIP_INDEX_CACHE.get(n)
-    if index is None:
-        shifts = np.arange(n, dtype=np.uint16)[:, np.newaxis]
-        flip = np.arange(1 << n) ^ (1 << shifts)
-        j, k = np.triu_indices(n, 1)
-        for a in (shifts, flip, j, k):
-            a.flags.writeable = False
-        index = _FLIP_INDEX_CACHE[n] = (shifts, flip, j, k, tuple(zip(j.tolist(), k.tolist())))
-    return index
+    """(shifts, flip, j, k, pairs) for width n: shifts = 0..n-1 as a column,
+    flip[i, x] = x xor 2^i, and the output-bit pairs j < k in row-major order
+    (0, 1), (0, 2), ..., (n - 2, n - 1), as index arrays and as a tuple."""
+    shifts = np.arange(n, dtype=np.uint16)[:, np.newaxis]
+    flip = np.arange(1 << n) ^ (1 << shifts)
+    j, k = np.triu_indices(n, 1)
+    pairs = tuple(zip(j.tolist(), k.tolist()))
+    return _read_only(shifts), _read_only(flip), _read_only(j), _read_only(k), pairs
 
 
 def _flip_bits(table: np.ndarray, n: int) -> np.ndarray:

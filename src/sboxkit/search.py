@@ -12,7 +12,6 @@ from one draw step, `_draw`.  Means are accumulated as exact integer sums.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -208,9 +207,3 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
         generator_name=GENERATOR_NAME,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def save_search_result(result: SearchResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")

@@ -15,6 +15,10 @@ nibble S-box) is such a lane table, built by `_lane_tables` and applied by
 `_lane_lookup`; the key tables are cached per key S-box.  `decrypt_block`
 is `decrypt_blocks` on one element.
 
+The avalanche experiment has one input, a (trials, 2) array of (plaintext,
+master) pairs: `generate_pairs(trials, seed)` draws one and `save_pairs` /
+`load_pairs` store it, so every S-box compared runs on the same trials.
+
 Every bulk call runs in blocks of `_BLOCK_WORDS` uint64 state words (32,768
 blocks, or 504 avalanche trials of 65 states) with round keys yielded one
 at a time by `_round_keys`.  Each avalanche block is reduced into an exact
@@ -303,33 +307,19 @@ def load_pairs(path) -> np.ndarray:
     return np.fromfile(path, "<u8").astype(np.uint64, copy=False).reshape(-1, 2)
 
 
-def avalanche_experiment(
-    cfg: SpnConfig,
-    trials: int | None = None,
-    seed: int | None = None,
-    pairs: np.ndarray | None = None,
-) -> AvalancheReport:
+def avalanche_experiment(cfg: SpnConfig, pairs: np.ndarray) -> AvalancheReport:
     """Mean ciphertext Hamming distance over all single-bit plaintext flips.
 
-    Each trial encrypts a baseline block and its 64 one-bit variants under
-    one master key; the report aggregates trials x 64 flip events.  Passing
-    the same seed (or an explicit pairs array) reuses the identical pair
-    set across different S-boxes, which is what makes cross-S-box distance
+    Each (plaintext, master) row of pairs is one trial: a baseline block and
+    its 64 one-bit variants under one master key; the report aggregates
+    trials x 64 flip events.  Running every S-box on the same pairs (from
+    `generate_pairs` or `load_pairs`) is what makes cross-S-box distance
     comparisons meaningful.
     """
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=np.uint64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
-            raise ValueError("pairs must be a non-empty (trials, 2) array")
-        if trials is not None and trials != len(pairs):
-            raise ValueError(f"trials={trials} does not match {len(pairs)} stored pairs")
-        trials = len(pairs)
-    else:
-        if trials is None or trials < 1:
-            raise ValueError("trials must be >= 1")
-        if seed is None:
-            raise ValueError("seed is required when no pairs are supplied")
-        pairs = generate_pairs(trials, seed)
+    pairs = np.asarray(pairs, dtype=np.uint64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
+        raise ValueError("pairs must be a non-empty (trials, 2) array")
+    trials = len(pairs)
 
     tabs = _build_round_tables(cfg)
     flippers = np.uint64(1) << (np.uint64(63) - np.arange(64, dtype=np.uint64))

@@ -22,7 +22,9 @@ the points of weight <= d instead, one degree at a time from the top.
 `ring_table_loop` is the earlier cycle-constrained generator, one `np.roll`
 per cycle, where the library links every ring with a single gather.
 `monomial_table` is the earlier power-map builder, one scalar `gf_pow` per
-field element, where the library multiplies whole arrays.
+field element, where the library multiplies whole arrays.  `ddt_bincount`
+counts every ordered pair in one whole-table bincount, checked against the
+Counter loops of `ddt_brute`.
 """
 
 from collections import Counter
@@ -88,6 +90,17 @@ def ddt_row(table, n, a):
 
 def ddt_brute(table, n):
     return [ddt_row(table, n, a) for a in range(1 << n)]
+
+
+def ddt_bincount(table, n):
+    """`ddt_brute` in one bincount: the code (a << n) | S(x) xor S(x xor a) of
+    every ordered pair (a, x), where the library counts each pair {x, x xor a}
+    once, a block of rows at a time."""
+    t = np.asarray(table, dtype=np.int64)
+    x = np.arange(1 << n)
+    a = x[:, np.newaxis]
+    codes = (a << n) | (t[x] ^ t[x ^ a])
+    return np.bincount(codes.ravel(), minlength=1 << (2 * n)).reshape(1 << n, 1 << n).tolist()
 
 
 def flip_counts_brute(table, n, bits):

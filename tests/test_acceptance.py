@@ -131,10 +131,9 @@ def reference_or_search_winner(name):
 
 def avalanche_distances(sbox):
     """|mean flipped bits - 32| after 4, 6 and 12 rounds on one fixed pair set."""
+    pairs = spn.generate_pairs(10_000, 2024)
     return {
-        rounds: spn.avalanche_experiment(
-            spn.SpnConfig(sbox=sbox, rounds=rounds), trials=10_000, seed=2024
-        ).distance_from_32
+        rounds: spn.avalanche_experiment(spn.SpnConfig(sbox=sbox, rounds=rounds), pairs).distance_from_32
         for rounds in (4, 6, 12)
     }
 
@@ -259,7 +258,7 @@ def test_criterion_09_oracle_equivalence():
         for seed in range(100):
             rng = np.random.default_rng(10_000 + seed)
             s = sk.SBox(8, rng.permutation(256))
-            assert sk.compute_ddt(s).counts.tolist() == reference.ddt_brute(s.table, 8)
+            assert sk.compute_ddt(s).counts.tolist() == reference.ddt_bincount(s.table, 8)
 
 
 def test_criterion_10_invariant_suites(aes):

@@ -286,7 +286,7 @@ def test_avalanche_saves_the_pairs_it_ran(aes, aes_file, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (spn.load_pairs(pairs) == spn.generate_pairs(30, 21)).all()
     cfg = spn.SpnConfig(sbox=aes, rounds=4)
-    assert doc == {"name": "aes", **spn.avalanche_experiment(cfg, trials=30, seed=21).to_dict()}
+    assert doc == {"name": "aes", **spn.avalanche_experiment(cfg, spn.generate_pairs(30, 21)).to_dict()}
 
 
 def test_avalanche_save_pairs_with_pairs_exits_3(aes_file, tmp_path, capsys):

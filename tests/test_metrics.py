@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit.data import KEY_SBOX
-from sboxkit import metrics, search
+from sboxkit import metrics, search, spn
 from sboxkit.metrics import CSV_HEADER, METRICS, raw_metric_value
 from sboxkit.search import SearchConfig, run_search
 from sboxkit.util import exact_decimal
@@ -67,6 +67,13 @@ def test_ddt_matches_brute_force_every_width(n):
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
         assert counts.dtype == np.int64 and not counts.flags.writeable
         assert counts.tolist() == reference.ddt_brute(table.tolist(), n), kind
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_bincount_ddt_oracle_matches_counter_oracle(n):
+    # criterion 9 reads the bincount oracle over many maps; the Counter loops vouch for it
+    for kind, table in _oracle_maps(n).items():
+        assert reference.ddt_bincount(table, n) == reference.ddt_brute(table.tolist(), n), kind
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -126,7 +133,10 @@ def test_half_pair_kernel_matches_brute_ddt(case):
 def test_ddt_index_cache_stays_small(n, limit):
     # the indices stay cached for the life of the process
     raw_metric_value(np.arange(1 << n), n, "du")
-    assert sum(a.nbytes for a in metrics._DDT_INDEX_CACHE[n]) <= limit
+    misses = metrics._ddt_index.cache_info().misses
+    index = metrics._ddt_index(n)
+    assert metrics._ddt_index.cache_info().misses == misses  # built by the kernel and kept
+    assert sum(a.nbytes for a in index) <= limit
 
 
 def test_differential_uniformity_values(aes, identity8, dillon):
@@ -215,8 +225,9 @@ def test_hadamard_cache_stays_small():
     # one H_k per k <= 8 serves every width; they stay cached for the life of the process
     for n in range(2, 13):
         raw_metric_value(np.arange(1 << n), n, "nl")
-    assert set(metrics._HADAMARD_CACHE) <= set(range(9))
-    assert sum(h.nbytes for h in metrics._HADAMARD_CACHE.values()) <= 512 << 10
+    held = [metrics._hadamard(k) for k in range(9)]
+    assert metrics._hadamard.cache_info().currsize == 9  # so every cached k is one of these
+    assert sum(h.nbytes for h in held) <= 512 << 10
 
 
 def test_lat_spot_probes_width_12():
@@ -339,6 +350,19 @@ def test_flip_index_cache_is_keyed_by_n():
         for index in metrics._flip_index(n)[:4]:
             with pytest.raises(ValueError, match="read-only"):
                 index[(0,) * index.ndim] = 1
+
+
+@pytest.mark.parametrize("n", [2, 8, 12])
+def test_cached_arrays_are_read_only(n):
+    # every caller shares a cached array, so one write would corrupt every later call
+    table = np.random.default_rng(n).permutation(1 << n)
+    for name in METRICS:
+        raw_metric_value(table, n, name)
+    cached = [metrics._hadamard(k) for k in range(min(n, 8) + 1)]
+    cached += [*metrics._ddt_index(n), *metrics._flip_index(n)[:4], spn._key_tables(tuple(KEY_SBOX))]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
 
 
 def test_dbic_aes(aes):

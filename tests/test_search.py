@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sboxkit as sk
-from sboxkit import search
+from sboxkit import cli, search
 from sboxkit.search import GENERATOR_NAME, SearchConfig, run_search
 
 import reference
@@ -376,13 +376,21 @@ def test_cycle_search_json_matches_recorded_runs():
 # persistence
 
 
-def test_search_result_round_trip(tmp_path):
-    cfg = SearchConfig(
+def test_search_result_round_trip(tmp_path, monkeypatch):
+    results = []  # the result `sboxkit search -o` writes, elapsed time included
+
+    def recorded_run_search(config, **kw):
+        results.append(run_search(config, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_search", recorded_run_search)
+    path = tmp_path / "result.json"
+    assert cli.main(["search", "--n", "6", "--metric", "dbic", "--tries", "8", "--seed", "77",
+                     "--cycles", "64", "--workers", "1", "-o", str(path)]) == 0
+    (result,) = results
+    assert result.config == SearchConfig(
         n=6, metric="dbic", tries=8, seed=77, cycle_spec=sk.CycleSpec((64,)), workers=1
     )
-    result = run_search(cfg)
-    path = tmp_path / "result.json"
-    sk.save_search_result(result, path)
     doc = json.loads(path.read_text())
     assert doc == result.to_dict()
     assert doc["generator"] == "numpy-pcg64"

@@ -315,9 +315,10 @@ def test_key_tables_built_once_per_key_sbox(aes, monkeypatch):
     monkeypatch.setattr(spn, "_lane_tables", lambda *args: built.append(1) or lane_tables(*args))
     cfg = spn.SpnConfig(sbox=aes, rounds=2, key_sbox=tuple(reversed(KEY_SBOX)))
     spn._key_tables.cache_clear()
-    report = spn.avalanche_experiment(cfg, trials=3 * (spn._BLOCK_WORDS // 65) + 1, seed=5)  # four blocks
+    pairs = spn.generate_pairs(3 * (spn._BLOCK_WORDS // 65) + 1, 5)  # four blocks
+    report = spn.avalanche_experiment(cfg, pairs)
     assert len(built) == 2  # the round tables and the key tables, not one key table per block
-    assert report == reference.avalanche_unblocked(cfg, spn.generate_pairs(report.trials, 5))
+    assert report == reference.avalanche_unblocked(cfg, pairs)
     assert len(built) == 3  # encrypt_blocks builds its round tables and reuses the key tables
 
 
@@ -342,7 +343,7 @@ def test_block_int_conversions():
 
 def test_avalanche_zero_rounds_exact(aes):
     cfg = spn.SpnConfig(sbox=aes, rounds=0)
-    rep = spn.avalanche_experiment(cfg, trials=50, seed=1)
+    rep = spn.avalanche_experiment(cfg, spn.generate_pairs(50, 1))
     assert rep.mean_flips == 1  # only the flipped bit itself survives
     assert rep.distance_from_32 == 31
     assert rep.mean_abs_deviation == 31
@@ -350,43 +351,28 @@ def test_avalanche_zero_rounds_exact(aes):
 
 
 def test_avalanche_deterministic(cfg4):
-    r1 = spn.avalanche_experiment(cfg4, trials=100, seed=5)
-    r2 = spn.avalanche_experiment(cfg4, trials=100, seed=5)
-    r3 = spn.avalanche_experiment(cfg4, trials=100, seed=6)
+    r1 = spn.avalanche_experiment(cfg4, spn.generate_pairs(100, 5))
+    r2 = spn.avalanche_experiment(cfg4, spn.generate_pairs(100, 5))
+    r3 = spn.avalanche_experiment(cfg4, spn.generate_pairs(100, 6))
     assert r1 == r2
     assert r1 != r3
 
 
 def test_avalanche_mean_consistency(cfg4):
-    rep = spn.avalanche_experiment(cfg4, trials=200, seed=9)
+    rep = spn.avalanche_experiment(cfg4, spn.generate_pairs(200, 9))
     assert rep.trials == 200
     assert rep.rounds == 4
     assert sum(rep.per_input_bit_means) / 64 == rep.mean_flips
     assert abs(rep.mean_flips - 32) < 1  # four rounds already diffuse well
 
 
-def test_avalanche_requires_seed_or_pairs(cfg4):
-    with pytest.raises(ValueError, match="seed"):
-        spn.avalanche_experiment(cfg4, trials=10)
-    with pytest.raises(ValueError, match="trials"):
-        spn.avalanche_experiment(cfg4)
+def test_avalanche_rejects_malformed_pairs(cfg4):
     with pytest.raises(ValueError, match="trials"):
         spn.generate_pairs(0, 1)
-
-
-def test_avalanche_pairs_override(cfg4):
-    pairs = spn.generate_pairs(120, 77)
-    by_seed = spn.avalanche_experiment(cfg4, trials=120, seed=77)
-    by_pairs = spn.avalanche_experiment(cfg4, pairs=pairs)
-    assert by_seed == by_pairs
-
-
-def test_avalanche_pairs_trials_mismatch(cfg4):
-    pairs = spn.generate_pairs(10, 0)
-    with pytest.raises(ValueError, match="does not match"):
-        spn.avalanche_experiment(cfg4, trials=11, pairs=pairs)
     with pytest.raises(ValueError, match="non-empty"):
-        spn.avalanche_experiment(cfg4, pairs=np.empty((0, 2), dtype=np.uint64))
+        spn.avalanche_experiment(cfg4, np.empty((0, 2), dtype=np.uint64))
+    with pytest.raises(ValueError, match="non-empty"):
+        spn.avalanche_experiment(cfg4, spn.generate_pairs(10, 0).ravel())
 
 
 def test_pairs_file_round_trip(tmp_path):
@@ -434,7 +420,7 @@ def test_avalanche_memory_bound(aes, traced_peak_mb):
 
 def test_avalanche_report_rendering(aes):
     cfg = spn.SpnConfig(sbox=aes, rounds=0)
-    rep = spn.avalanche_experiment(cfg, trials=10, seed=2)
+    rep = spn.avalanche_experiment(cfg, spn.generate_pairs(10, 2))
     assert rep.csv_row("aes") == "aes,0,31"
     doc = rep.to_dict()
     assert doc["mean_flips"] == "1"
