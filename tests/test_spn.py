@@ -366,9 +366,19 @@ def test_avalanche_mean_consistency(cfg4):
     assert abs(rep.mean_flips - 32) < 1  # four rounds already diffuse well
 
 
-def test_avalanche_rejects_malformed_pairs(cfg4):
+def test_avalanche_requires_seed_or_pairs(cfg4):
+    # The experiment runs on explicit pairs; drawing them takes a seed.
+    with pytest.raises(TypeError):
+        spn.avalanche_experiment(cfg4)
+    with pytest.raises(TypeError):
+        spn.generate_pairs(10)
     with pytest.raises(ValueError, match="trials"):
         spn.generate_pairs(0, 1)
+
+
+def test_avalanche_pairs_trials_mismatch(cfg4):
+    # The trial count is the number of pairs; a pairs array of any other shape is refused.
+    assert spn.avalanche_experiment(cfg4, spn.generate_pairs(11, 0)).trials == 11
     with pytest.raises(ValueError, match="non-empty"):
         spn.avalanche_experiment(cfg4, np.empty((0, 2), dtype=np.uint64))
     with pytest.raises(ValueError, match="non-empty"):
