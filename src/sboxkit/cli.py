@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .core import (
     FAMILIES,
-    MonomialConditionError,
     NotBijectiveError,
     SBox,
     SboxParseError,
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
     except NotBijectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (MonomialConditionError, ValueError) as exc:
+    except ValueError as exc:  # MonomialConditionError too: it is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -36,6 +36,19 @@ def check_width(n: int) -> None:
         raise ValueError(f"bit width n={n} outside supported range [{MIN_N}, {MAX_N}]")
 
 
+def check_seed(seed) -> None:
+    """ValueError unless seed is an int in [0, 2^64); None would draw OS entropy."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only view of a, which itself stays as writable as it was."""
+    v = np.asarray(a).view()
+    v.flags.writeable = False
+    return v
+
+
 def width_of(count: int, what: str, error: type[ValueError] = ValueError) -> int:
     """n for a table of `count` = 2^n entries, MIN_N <= n <= MAX_N; else `error`."""
     n = count.bit_length() - 1

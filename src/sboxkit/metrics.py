@@ -29,23 +29,18 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CycleStructure, SBox, cycle_decomposition, is_bijective
+from . import anf
+from .core import CycleStructure, SBox, cycle_decomposition, is_bijective, read_only
 from .util import exact_decimal
 
 _DDT_BLOCK = 256  # input differences per bincount
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: every caller of a cached builder shares its arrays."""
-    a.flags.writeable = False
-    return a
 
 
 @functools.cache
 def _hadamard(k: int) -> np.ndarray:
     """The 2^k x 2^k Sylvester-Hadamard matrix h[i, j] = (-1)^(i.j), float32."""
     v = np.arange(1 << k)
-    return _read_only(1 - 2 * (np.bitwise_count(np.bitwise_and.outer(v, v)) & 1).astype(np.float32))
+    return read_only(1 - 2 * (np.bitwise_count(np.bitwise_and.outer(v, v)) & 1).astype(np.float32))
 
 
 def _walsh_blocks(table: np.ndarray, n: int):
@@ -103,7 +98,7 @@ def _ddt_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     lanes, and the row codes i << n as a (rows, 1, 1) column."""
     lane = np.arange(min(_DDT_BLOCK, (1 << n) >> 1), dtype=np.intp)
     codes = np.arange(min(_DDT_BLOCK, 1 << n), dtype=np.intp) << n
-    return _read_only(np.bitwise_xor.outer(lane, lane)), _read_only(codes[:, np.newaxis, np.newaxis])
+    return read_only(np.bitwise_xor.outer(lane, lane)), read_only(codes[:, np.newaxis, np.newaxis])
 
 
 def _ddt_blocks(table: np.ndarray, n: int):
@@ -169,7 +164,7 @@ def _flip_index(n: int) -> tuple:
     flip = np.arange(1 << n) ^ (1 << shifts)
     j, k = np.triu_indices(n, 1)
     pairs = tuple(zip(j.tolist(), k.tolist()))
-    return _read_only(shifts), _read_only(flip), _read_only(j), _read_only(k), pairs
+    return read_only(shifts), read_only(flip), read_only(j), read_only(k), pairs
 
 
 def _flip_bits(table: np.ndarray, n: int) -> np.ndarray:
@@ -247,9 +242,7 @@ class DDT:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts)
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", read_only(self.counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,9 +251,7 @@ class LAT:
     sums: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.sums)
-        s.flags.writeable = False
-        object.__setattr__(self, "sums", s)
+        object.__setattr__(self, "sums", read_only(self.sums))
 
 
 @dataclass(frozen=True)
@@ -423,8 +414,6 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     bijective = is_bijective(s)
     degree = ai = ai_scope = None
     if with_degree or with_ai:
-        from . import anf  # deferred: anf pulls no extra deps but keeps import light
-
         if with_degree:
             degree = anf.algebraic_degree(s)
         if with_ai:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SBox, check_width, width_of
+from .core import SBox, check_seed, check_width, width_of
 from .metrics import METRICS, lookup_metric
 from .util import exact_decimal
 
@@ -77,8 +77,7 @@ class SearchConfig:
             raise ValueError("tries must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
         if self.cycle_spec is not None and self.cycle_spec.total != 1 << self.n:
             raise ValueError(
                 f"cycle lengths sum to {self.cycle_spec.total}, need {1 << self.n}"

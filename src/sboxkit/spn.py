@@ -12,8 +12,8 @@ cipher on uint64 arrays that folds S-box plus both permutations of one byte
 lane into a single 8x256 table of 64-bit masks, so a round is eight gathers
 and a XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
 nibble S-box) is such a lane table, built by `_lane_tables` and applied by
-`_lane_lookup`; the key tables are cached per key S-box.  `decrypt_block`
-is `decrypt_blocks` on one element.
+`_lane_lookup`; only the S-box varies, so the key and inverse-permutation
+tables are module constants.  `decrypt_block` is `decrypt_blocks` on one element.
 
 The avalanche experiment has one input, a (trials, 2) array of (plaintext,
 master) pairs: `generate_pairs(trials, seed)` draws one and `save_pairs` /
@@ -28,14 +28,13 @@ the 16 B per trial of the pairs plus a constant.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import NotBijectiveError, SBox, is_bijective
+from .core import NotBijectiveError, SBox, check_seed, is_bijective, read_only
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
 from .util import exact_decimal
 
@@ -52,13 +51,10 @@ def _check_perm(p, size, what):
 
 @dataclass(frozen=True)
 class SpnConfig:
-    """Cipher parameterization. The S-box must be a bijective 8-bit table."""
+    """The S-box and round count; the S-box must be a bijective 8-bit table."""
 
     sbox: SBox
     rounds: int
-    pbox8: tuple = PBOX8
-    pbox64: tuple = DILLON_PERMUTATION
-    key_sbox: tuple = KEY_SBOX
 
     def __post_init__(self):
         if self.sbox.n != 8:
@@ -67,9 +63,6 @@ class SpnConfig:
             raise NotBijectiveError("cipher S-box must be bijective")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        _check_perm(self.pbox8, 8, "pbox8")
-        _check_perm(self.pbox64, 64, "pbox64")
-        _check_perm(self.key_sbox, 16, "key_sbox")
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ def key_schedule(master: bytes, cfg: SpnConfig) -> tuple:
     previous key rotated left three bytes."""
     if len(master) != BLOCK_BYTES:
         raise ValueError("master key must be 8 bytes")
-    ks = cfg.key_sbox
+    ks = KEY_SBOX
     keys = []
     prev = bytes(master)
     for r in range(1, cfg.rounds + 1):
@@ -154,8 +147,8 @@ def encrypt_block(plaintext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
     state = bytes(plaintext)
     for r in range(cfg.rounds):
         state = bytes(int(tab[b]) for b in state)
-        state = apply_pbox8(state, cfg.pbox8)
-        state = apply_pbox64(state, cfg.pbox64)
+        state = apply_pbox8(state, PBOX8)
+        state = apply_pbox64(state, DILLON_PERMUTATION)
         state = bytes(a ^ b for a, b in zip(state, keys[r]))
     return state
 
@@ -172,7 +165,7 @@ def decrypt_block(ciphertext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
 # vectorized path
 
 
-_BYTE_LANES = np.arange(64).reshape(8, 8)  # bit r of lane i stays at block bit 8i + r
+_BYTE_LANES = read_only(np.arange(64).reshape(8, 8))  # bit r of lane i stays at block bit 8i + r
 
 
 def _lane_tables(values, positions) -> np.ndarray:
@@ -199,34 +192,27 @@ def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _combined_bit_sources(cfg: SpnConfig) -> np.ndarray:
-    # chain both permutations: output bit d <- byte-shuffled bit pbox64[d]
-    p64 = np.array(cfg.pbox64)
-    return (np.array(cfg.pbox8)[p64 >> 3] * 8 + (p64 & 7)).reshape(8, 8)
+# Both permutations chained: output bit d <- byte-shuffled bit DILLON_PERMUTATION[d],
+# so ciphertext bit 8i+r came from block bit _BIT_SOURCES[i][r].  Every call
+# shares these tables, so they are read-only.
+_BIT_SOURCES = read_only(np.array([PBOX8[p >> 3] * 8 + (p & 7) for p in DILLON_PERMUTATION]).reshape(8, 8))
+_ROUND_DEST = read_only(np.argsort(_BIT_SOURCES, axis=None).reshape(8, 8))
+_INV_PERM_TABLES = read_only(_lane_tables(np.arange(256), _BIT_SOURCES))
+# the key S-box on whole bytes: byte (hi, lo) -> KEY_SBOX[hi] << 4 | KEY_SBOX[lo]
+_KEY_TABLES = read_only(_lane_tables([KEY_SBOX[v >> 4] << 4 | KEY_SBOX[v & 0xF] for v in range(256)],
+                                     _BYTE_LANES))
 
 
 def _build_round_tables(cfg: SpnConfig) -> np.ndarray:
     """tabs[i][v] = the full permuted 64-bit contribution of S(v) at byte i."""
-    dest = np.argsort(_combined_bit_sources(cfg), axis=None).reshape(8, 8)
-    return _lane_tables(cfg.sbox.table, dest)
-
-
-@functools.lru_cache(maxsize=16)
-def _key_tables(key_sbox: tuple) -> np.ndarray:
-    """Read-only lane tables of the key nibble S-box on whole bytes, shared by
-    every bulk block's key schedule under the same key S-box."""
-    ks = np.array(key_sbox)  # byte (hi, lo) -> ks[hi] << 4 | ks[lo]
-    tabs = _lane_tables(((ks[:, np.newaxis] << 4) | ks).ravel(), _BYTE_LANES)
-    tabs.flags.writeable = False
-    return tabs
+    return _lane_tables(cfg.sbox.table, _ROUND_DEST)
 
 
 def _round_keys(masters: np.ndarray, cfg: SpnConfig):
     """Yield k_1 .. k_rounds for a batch of uint64 masters, one (len(masters),) array each."""
-    tabs = _key_tables(tuple(cfg.key_sbox))
     prev = masters
     for r in range(1, cfg.rounds + 1):
-        acc = _lane_lookup((prev << np.uint64(8)) | (prev >> np.uint64(56)), tabs)
+        acc = _lane_lookup((prev << np.uint64(8)) | (prev >> np.uint64(56)), _KEY_TABLES)
         acc ^= np.uint64(r & 0xFF) << np.uint64(56)
         prev = acc ^ ((prev << np.uint64(24)) | (prev >> np.uint64(40)))
         yield prev
@@ -248,9 +234,20 @@ def _encrypt(states: np.ndarray, masters: np.ndarray, cfg: SpnConfig, tabs: np.n
     return states
 
 
+def _as_words(a, what: str) -> np.ndarray:
+    """a as uint64; what the cast would garble (a float, bool or object dtype,
+    a negative value) is refused first.  uint64 input is not scanned."""
+    a = np.asarray(a)
+    if a.dtype != np.uint64:
+        if not np.issubdtype(a.dtype, np.integer) or (a.size and a.min() < 0):
+            raise ValueError(f"{what} must be non-negative integers, got dtype {a.dtype}")
+        a = a.astype(np.uint64)
+    return a
+
+
 def _check_blocks(blocks, masters):
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    masters = np.asarray(masters, dtype=np.uint64)
+    blocks = _as_words(blocks, "blocks")
+    masters = _as_words(masters, "masters")
     if blocks.ndim != 1 or masters.ndim != 1 or len(masters) not in (1, len(blocks)):
         raise ValueError("blocks must be 1-D, with one master per block or a single master for all")
     return blocks, masters
@@ -268,14 +265,12 @@ def encrypt_blocks(plaintexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) 
 
 def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
     cts, masters = _check_blocks(ciphertexts, masters)
-    # ciphertext bit 8i+r goes back to its source bit, _combined_bit_sources[i][r]
-    ptabs = _lane_tables(np.arange(256), _combined_bit_sources(cfg))
     inv_tabs = _lane_tables(np.argsort(cfg.sbox.table), _BYTE_LANES)  # S is a bijection
     out = np.empty_like(cts)
     for sl, mk in _row_blocks(len(cts), 1, masters):
         st = cts[sl]
         for k in reversed(list(_round_keys(mk, cfg))):
-            st = _lane_lookup(st ^ k, ptabs)  # rebinding frees each state before the next lookup
+            st = _lane_lookup(st ^ k, _INV_PERM_TABLES)  # rebinding frees each state before the next lookup
             st = _lane_lookup(st, inv_tabs)
         out[sl] = st
     return out
@@ -289,6 +284,7 @@ def generate_pairs(trials: int, seed: int) -> np.ndarray:
     """(trials, 2) uint64 array of (plaintext, master) pairs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 2 ** 64, size=trials, dtype=np.uint64)
     keys = rng.integers(0, 2 ** 64, size=trials, dtype=np.uint64)
@@ -316,7 +312,7 @@ def avalanche_experiment(cfg: SpnConfig, pairs: np.ndarray) -> AvalancheReport:
     `generate_pairs` or `load_pairs`) is what makes cross-S-box distance
     comparisons meaningful.
     """
-    pairs = np.asarray(pairs, dtype=np.uint64)
+    pairs = _as_words(pairs, "pairs")
     if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
         raise ValueError("pairs must be a non-empty (trials, 2) array")
     trials = len(pairs)

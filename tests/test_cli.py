@@ -239,6 +239,9 @@ def test_avalanche_json_fields(aes_file, capsys):
 def test_avalanche_requires_seed_without_pairs(aes_file, capsys):
     assert main(["avalanche", aes_file, "--rounds", "4"]) == 3
     assert "--seed" in capsys.readouterr().err
+    for seed in ("-1", str(2 ** 64)):
+        assert main(["avalanche", aes_file, "--rounds", "4", "--trials", "2", f"--seed={seed}"]) == 3
+        assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
 
 
 def test_avalanche_non_bijective_exits_4(tmp_path, capsys):

@@ -150,6 +150,13 @@ def test_ddt_counts_read_only(aes):
     d = sk.compute_ddt(aes)
     with pytest.raises(ValueError):
         d.counts[0, 0] = 1
+    # the tables hold a read-only view: the caller's own array stays writeable, and is not copied
+    for cls, field in ((sk.DDT, "counts"), (sk.LAT, "sums")):
+        a = np.zeros((2, 2), dtype=np.int64)
+        held = getattr(cls(1, a), field)
+        assert a.flags.writeable and np.shares_memory(a, held)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +366,8 @@ def test_cached_arrays_are_read_only(n):
     for name in METRICS:
         raw_metric_value(table, n, name)
     cached = [metrics._hadamard(k) for k in range(min(n, 8) + 1)]
-    cached += [*metrics._ddt_index(n), *metrics._flip_index(n)[:4], spn._key_tables(tuple(KEY_SBOX))]
+    cached += [*metrics._ddt_index(n), *metrics._flip_index(n)[:4], spn._BYTE_LANES, spn._BIT_SOURCES,
+               spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_TABLES]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1

@@ -7,7 +7,7 @@ import pytest
 
 import sboxkit as sk
 from sboxkit import spn
-from sboxkit.data import KEY_SBOX, PBOX8
+from sboxkit.data import DILLON_PERMUTATION, PBOX8
 
 import reference
 
@@ -23,15 +23,9 @@ def cfg4(aes):
 
 
 def _random_config(seed, rounds):
-    """A random S-box with random pbox8, pbox64 and key S-box."""
+    """A random S-box in the cipher."""
     rng = np.random.default_rng(seed)
-    return spn.SpnConfig(
-        sbox=sk.SBox(8, rng.permutation(256)),
-        rounds=rounds,
-        pbox8=tuple(int(v) for v in rng.permutation(8)),
-        pbox64=tuple(int(v) for v in rng.permutation(64)),
-        key_sbox=tuple(int(v) for v in rng.permutation(16)),
-    )
+    return spn.SpnConfig(sbox=sk.SBox(8, rng.permutation(256)), rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +49,15 @@ def test_config_rejects_negative_rounds(aes):
 
 
 def test_config_rejects_bad_permutations(aes):
+    # the permutations and key S-box are the bundled constants, not settable;
+    # the public layer helpers still check the permutation they are given
+    for field, value in (("pbox8", PBOX8), ("pbox64", DILLON_PERMUTATION), ("key_sbox", tuple(range(16)))):
+        with pytest.raises(TypeError, match=field):
+            spn.SpnConfig(sbox=aes, rounds=1, **{field: value})
     with pytest.raises(ValueError, match="pbox8"):
-        spn.SpnConfig(sbox=aes, rounds=1, pbox8=(0,) * 8)
+        spn.apply_pbox8(bytes(8), (0,) * 8)
     with pytest.raises(ValueError, match="pbox64"):
-        spn.SpnConfig(sbox=aes, rounds=1, pbox64=tuple(range(63)) + (0,))
-    with pytest.raises(ValueError, match="key_sbox"):
-        spn.SpnConfig(sbox=aes, rounds=1, key_sbox=tuple(range(15)) + (0,))
+        spn.apply_pbox64(bytes(8), tuple(range(63)) + (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +110,8 @@ def test_apply_pbox8_moves_bytes():
     assert out == bytes(PBOX8)  # out[i] = state[p[i]] and state[i] = i
 
 
-def test_apply_pbox64_round_trip(cfg1):
-    p = cfg1.pbox64
+def test_apply_pbox64_round_trip():
+    p = DILLON_PERMUTATION
     inv = [0] * 64
     for i, v in enumerate(p):
         inv[v] = i
@@ -124,9 +121,9 @@ def test_apply_pbox64_round_trip(cfg1):
         assert spn.apply_pbox64(spn.apply_pbox64(state, p), inv) == state
 
 
-def test_apply_pbox64_single_bit(cfg1):
-    # output bit d reads input bit pbox64[d]: set exactly that source bit
-    p = cfg1.pbox64
+def test_apply_pbox64_single_bit():
+    # output bit d reads input bit p[d]: set exactly that source bit
+    p = DILLON_PERMUTATION
     src = p[0]
     state = bytearray(8)
     state[src >> 3] |= 1 << (7 - (src & 7))
@@ -148,8 +145,8 @@ def test_one_round_trace_through_layers(cfg1, aes):
     # zero plaintext: the S-box layer gives eight copies of S(0), the byte
     # shuffle is then a no-op, and the key XOR only touches byte 0
     after_sub = bytes([aes[0]] * 8)
-    assert spn.apply_pbox8(after_sub, cfg1.pbox8) == after_sub
-    diffused = spn.apply_pbox64(after_sub, cfg1.pbox64)
+    assert spn.apply_pbox8(after_sub, PBOX8) == after_sub
+    diffused = spn.apply_pbox64(after_sub, DILLON_PERMUTATION)
     assert diffused.hex() == "4cc33a3e938985eb"
     key = spn.key_schedule(b"\x00" * 8, cfg1)[0]
     assert bytes(a ^ b for a, b in zip(diffused, key)).hex() == "4dc33a3e938985eb"
@@ -192,7 +189,7 @@ def test_scalar_oracle_shares_nothing_with_bulk(cfg1, monkeypatch):
     monkeypatch.setattr(spn, "_lane_tables", bulk)
     assert spn.key_schedule(b"\x00" * 8, cfg1)[0] == bytes([0x01] + [0] * 7)
     assert spn.encrypt_block(b"\x00" * 8, b"\x00" * 8, cfg1).hex() == "4dc33a3e938985eb"
-    p = cfg1.pbox64
+    p = DILLON_PERMUTATION
     src = bytearray(8)
     src[p[0] >> 3] |= 1 << (7 - (p[0] & 7))
     assert spn.apply_pbox64(bytes(src), p) == b"\x80" + b"\x00" * 7
@@ -226,14 +223,10 @@ def test_bulk_with_non_aes_sbox(cfg4):
 
 
 def test_bulk_matches_scalar_with_custom_permutations_and_key_sbox():
+    # the permutations and key S-box are fixed; the bulk tables built from them
+    # at import must agree with the scalar layers and key schedule for any S-box
     rng = np.random.default_rng(62)
-    cfg = spn.SpnConfig(
-        sbox=sk.SBox(8, rng.permutation(256)),
-        rounds=5,
-        pbox8=tuple(int(v) for v in rng.permutation(8)),
-        pbox64=tuple(int(v) for v in rng.permutation(64)),
-        key_sbox=tuple(int(v) for v in rng.permutation(16)),
-    )
+    cfg = spn.SpnConfig(sbox=sk.SBox(8, rng.permutation(256)), rounds=5)
     pts = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
     masters = rng.integers(0, 2 ** 64, size=16, dtype=np.uint64)
     cts = spn.encrypt_blocks(pts, masters, cfg)
@@ -310,16 +303,19 @@ def test_bulk_memory_bound(aes, traced_peak_mb):
 
 
 def test_key_tables_built_once_per_key_sbox(aes, monkeypatch):
+    # the key and inverse-permutation tables are built once, at import; a bulk
+    # call builds only the tables of its S-box
     built = []
     lane_tables = spn._lane_tables
     monkeypatch.setattr(spn, "_lane_tables", lambda *args: built.append(1) or lane_tables(*args))
-    cfg = spn.SpnConfig(sbox=aes, rounds=2, key_sbox=tuple(reversed(KEY_SBOX)))
-    spn._key_tables.cache_clear()
+    cfg = spn.SpnConfig(sbox=aes, rounds=2)
     pairs = spn.generate_pairs(3 * (spn._BLOCK_WORDS // 65) + 1, 5)  # four blocks
     report = spn.avalanche_experiment(cfg, pairs)
-    assert len(built) == 2  # the round tables and the key tables, not one key table per block
+    assert len(built) == 1  # the round tables, not a key table per block or per call
     assert report == reference.avalanche_unblocked(cfg, pairs)
-    assert len(built) == 3  # encrypt_blocks builds its round tables and reuses the key tables
+    assert len(built) == 2  # encrypt_blocks builds its round tables and nothing else
+    spn.decrypt_blocks(pairs[:, 0], pairs[:, 1], cfg)
+    assert len(built) == 3  # the inverse S-box; the inverse permutation is a constant
 
 
 def test_every_input_bit_changes_the_ciphertext(cfg4):
@@ -367,11 +363,15 @@ def test_avalanche_mean_consistency(cfg4):
 
 
 def test_avalanche_requires_seed_or_pairs(cfg4):
-    # The experiment runs on explicit pairs; drawing them takes a seed.
+    # The experiment runs on explicit pairs; drawing them takes a 64-bit seed,
+    # never None, which would draw fresh OS entropy.
     with pytest.raises(TypeError):
         spn.avalanche_experiment(cfg4)
     with pytest.raises(TypeError):
         spn.generate_pairs(10)
+    for seed in (None, -1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            spn.generate_pairs(3, seed)
     with pytest.raises(ValueError, match="trials"):
         spn.generate_pairs(0, 1)
 
@@ -383,6 +383,23 @@ def test_avalanche_pairs_trials_mismatch(cfg4):
         spn.avalanche_experiment(cfg4, np.empty((0, 2), dtype=np.uint64))
     with pytest.raises(ValueError, match="non-empty"):
         spn.avalanche_experiment(cfg4, spn.generate_pairs(10, 0).ravel())
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, cfg: spn.encrypt_blocks(x, np.zeros(1, dtype=np.uint64), cfg),
+    lambda x, cfg: spn.encrypt_blocks(np.zeros(1, dtype=np.uint64), x, cfg),
+    lambda x, cfg: spn.decrypt_blocks(x, np.zeros(1, dtype=np.uint64), cfg),
+    lambda x, cfg: spn.decrypt_blocks(np.zeros(1, dtype=np.uint64), x, cfg),
+    lambda x, cfg: spn.avalanche_experiment(cfg, np.stack([x, x], axis=1)),
+], ids=["encrypt", "encrypt-masters", "decrypt", "decrypt-masters", "avalanche"])
+def test_bulk_rejects_what_the_cast_would_garble(cfg1, call):
+    # a cast to uint64 would truncate floats, read bools as 0/1 and wrap negatives
+    for x, fragment in ((np.array([1.7]), "integers"), (np.array([True]), "integers"),
+                        (np.array([object()]), "integers"), (np.array([-1]), "non-negative"),
+                        (np.array([3, -2], dtype=np.int8), "non-negative")):
+        with pytest.raises(ValueError, match=fragment):
+            call(x, cfg1)
+    assert call(np.array([1], dtype=np.int64), cfg1) is not None  # non-negative signed ints are fine
 
 
 def test_pairs_file_round_trip(tmp_path):
