@@ -1,8 +1,10 @@
 """Command line front end: analyze, gen, search, avalanche, heatmap.
 
-Exit codes: 0 success, 2 input parse error, 3 invalid configuration,
-4 precondition violation.  Every randomized command takes an explicit
---seed; there is no silent entropy default.
+analyze, avalanche and heatmap read an S-box file (sbox, --base); analyze
+and avalanche write a report (--format, --name, -o).  "-" is stdout for
+every text output.  Exit codes: 0 success, 2 unreadable input or output
+path, 3 invalid configuration, 4 precondition violation.  Every randomized
+command takes an explicit --seed; there is no silent entropy default.
 """
 
 from __future__ import annotations
@@ -57,31 +59,35 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _read_sbox(path: str, base: int) -> SBox:
+def _read_sbox(args) -> SBox:
     try:
-        text = Path(path).read_text()
+        text = Path(args.sbox).read_text()
     except OSError as exc:
-        raise SboxParseError(f"cannot read {path}: {exc}") from None
+        raise SboxParseError(f"cannot read {args.sbox}: {exc}") from None
     except UnicodeDecodeError as exc:  # a ValueError, which would read as a configuration error
-        raise SboxParseError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_sbox(text, base=base)
+        raise SboxParseError(f"{args.sbox} is not UTF-8 text: {exc}") from None
+    return parse_sbox(text, base=args.base)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
-def cmd_analyze(args) -> int:
-    sbox = _read_sbox(args.input, args.base)
-    report = full_report(sbox, with_degree=args.with_degree, with_ai=args.with_ai)
-    name = args.name or Path(args.input).stem
+def _write_report(args, header: str, report) -> None:
+    """One MetricReport or AvalancheReport as JSON or as a CSV row under header."""
+    name = args.name or Path(args.sbox).stem
     if args.format == "csv":
-        _write_text(args.out, CSV_HEADER + "\n" + report.csv_row(name) + "\n")
+        _write_text(args.out, header + "\n" + report.csv_row(name) + "\n")
     else:
-        _write_text(args.out, report.to_json(name))
+        _write_text(args.out, json.dumps({"name": name, **report.to_dict()}, indent=2) + "\n")
+
+
+def cmd_analyze(args) -> int:
+    report = full_report(_read_sbox(args), with_degree=args.with_degree, with_ai=args.with_ai)
+    _write_report(args, CSV_HEADER, report)
     return EXIT_OK
 
 
@@ -118,17 +124,15 @@ def cmd_search(args) -> int:
     doc = result.to_dict()
     print(f"best {config.metric} = {doc['best_value']}  mean = {doc['mean_value']}")
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     if args.log_values:
-        with open(args.log_values, "w") as fh:
-            fh.write("index,raw_value\n")
-            fh.writelines(f"{i},{v}\n" for i, v in enumerate(value_log))
+        rows = "".join(f"{i},{v}\n" for i, v in enumerate(value_log))
+        _write_text(args.log_values, "index,raw_value\n" + rows)
     return EXIT_OK
 
 
 def cmd_avalanche(args) -> int:
-    sbox = _read_sbox(args.sbox, args.base)
-    cfg = SpnConfig(sbox=sbox, rounds=args.rounds)
+    cfg = SpnConfig(sbox=_read_sbox(args), rounds=args.rounds)
     if args.pairs:
         if args.seed is not None:
             raise ValueError("--seed cannot be combined with --pairs, which fixes every trial")
@@ -141,18 +145,12 @@ def cmd_avalanche(args) -> int:
         pairs = generate_pairs(DEFAULT_TRIALS if args.trials is None else args.trials, args.seed)
         if args.save_pairs:
             save_pairs(args.save_pairs, pairs)
-    report = avalanche_experiment(cfg, pairs)
-    name = args.name or Path(args.sbox).stem
-    if args.format == "csv":
-        _write_text(args.out, AVALANCHE_CSV_HEADER + "\n" + report.csv_row(name) + "\n")
-    else:
-        _write_text(args.out, json.dumps({"name": name, **report.to_dict()}, indent=2) + "\n")
+    _write_report(args, AVALANCHE_CSV_HEADER, avalanche_experiment(cfg, pairs))
     return EXIT_OK
 
 
 def cmd_heatmap(args) -> int:
-    sbox = _read_sbox(args.sbox, args.base)
-    values = heatmap_values(sbox, args.table)
+    values = heatmap_values(_read_sbox(args), args.table)
     spec = HeatmapSpec(kind=args.table, scale=args.scale)
     rgb, info = render_heatmap(values, spec)
     out = args.out or f"{Path(args.sbox).stem}_{args.table}.ppm"
@@ -170,14 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="sboxkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full metric report for an S-box file")
-    p.add_argument("input")
-    p.add_argument("--base", type=int, choices=(10, 16), default=10)
+    sbox_in = argparse.ArgumentParser(add_help=False)
+    sbox_in.add_argument("sbox")
+    sbox_in.add_argument("--base", type=int, choices=(10, 16), default=10)
+    report_out = argparse.ArgumentParser(add_help=False)
+    report_out.add_argument("--format", choices=("json", "csv"), default="json")
+    report_out.add_argument("--name")
+    report_out.add_argument("-o", "--out", default="-")
+
+    p = sub.add_parser("analyze", parents=[sbox_in, report_out], help="full metric report for an S-box file")
     p.add_argument("--with-degree", action="store_true")
     p.add_argument("--with-ai", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--name")
-    p.add_argument("-o", "--out", default="-")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen", help="emit a power-map S-box")
@@ -196,14 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--cycles", default="none",
-                   help="none, a built-in name (64x4, 16x16, 4x64, 256x1, rijndael), or a comma list")
+                   help=f"none, a built-in name ({', '.join(builtin_cycle_specs())}), or a comma list")
     p.add_argument("-o", "--out")
     p.add_argument("--log-values", help="write every candidate's raw value to this CSV")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("avalanche", help="SPN single-bit diffusion experiment")
-    p.add_argument("sbox")
-    p.add_argument("--base", type=int, choices=(10, 16), default=10)
+    p = sub.add_parser("avalanche", parents=[sbox_in, report_out], help="SPN single-bit diffusion experiment")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--trials", type=int,
                    help=f"pairs to generate (default {DEFAULT_TRIALS}); with --pairs, the count the file must hold")
@@ -211,14 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     pairs = p.add_mutually_exclusive_group()
     pairs.add_argument("--pairs", help="reuse a stored (plaintext, key) pair file")
     pairs.add_argument("--save-pairs", help="store the generated pair set here")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--name")
-    p.add_argument("-o", "--out", default="-")
     p.set_defaults(func=cmd_avalanche)
 
-    p = sub.add_parser("heatmap", help="render a DDT/LAT pixmap plus CSV dump")
-    p.add_argument("sbox")
-    p.add_argument("--base", type=int, choices=(10, 16), default=10)
+    p = sub.add_parser("heatmap", parents=[sbox_in], help="render a DDT/LAT pixmap plus CSV dump")
     p.add_argument("--table", choices=tuple(KINDS), default="lat")
     p.add_argument("--scale", type=int)
     p.add_argument("-o", "--out")
@@ -228,23 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the first matching class wins: SboxParseError and NotBijectiveError are ValueErrors,
+# and so is MonomialConditionError
+_EXIT_CODES = (
+    (SboxParseError, EXIT_PARSE),
+    (NotBijectiveError, EXIT_PRECONDITION),
+    (ValueError, EXIT_CONFIG),
+    (OSError, EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SboxParseError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotBijectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:  # MonomialConditionError too: it is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -33,10 +33,11 @@ class CycleSpec:
     lengths: tuple
 
     def __post_init__(self):
-        lens = tuple(int(v) for v in self.lengths)
-        if not lens or any(v < 1 for v in lens):
+        lens = tuple(self.lengths)
+        # checked before the int() cast, which would truncate 3.9 to 3 and read True as 1
+        if not lens or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 for v in lens):
             raise ValueError("cycle lengths must be positive integers")
-        object.__setattr__(self, "lengths", lens)
+        object.__setattr__(self, "lengths", tuple(int(v) for v in lens))
 
     @property
     def total(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from sboxkit import spn
 from sboxkit.cli import build_parser, main
 from sboxkit.core import FAMILIES
 from sboxkit.heatmap import KINDS, read_matrix_csv, read_ppm
-from sboxkit.metrics import METRICS
-from sboxkit.search import SearchConfig
+from sboxkit.metrics import METRICS, full_report
+from sboxkit.search import SearchConfig, builtin_cycle_specs
 
 
 @pytest.fixture()
@@ -27,9 +28,11 @@ def aes_file(tmp_path, aes):
 # analyze
 
 
-def test_analyze_json(aes_file, capsys):
+def test_analyze_json(aes, aes_file, capsys):
     assert main(["analyze", aes_file]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == full_report(aes).to_json("aes")
+    doc = json.loads(out)
     assert doc["name"] == "aes"
     assert doc["du"] == 4
     assert doc["max_bias"] == 16
@@ -213,6 +216,19 @@ def test_search_value_log(tmp_path, capsys):
     assert f"best nl = {best}" in capsys.readouterr().out
 
 
+def test_search_dash_writes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--metric", "nl", "--tries", "5", "--seed", "8", "--n", "6",
+                 "-o", "-", "--log-values", "-"]) == 0
+    summary, rest = capsys.readouterr().out.split("\n", 1)
+    doc_text, log = rest.split("index,raw_value\n")
+    doc = json.loads(doc_text)
+    assert summary == f"best nl = {doc['best_value']}  mean = {doc['mean_value']}"
+    assert doc["tries"] == 5
+    assert [line.split(",")[0] for line in log.splitlines()] == ["0", "1", "2", "3", "4"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # avalanche
 
@@ -359,15 +375,36 @@ def test_heatmap_bad_input_exits_2(tmp_path, capsys):
 # argument plumbing
 
 
-def _choices(command, dest):
+@pytest.mark.parametrize("command,extra", [
+    ("avalanche", ["--rounds", "2", "--trials", "10", "--seed", "1"]),
+    ("heatmap", ["-o", "x.ppm"]),
+])
+def test_hex_input_matches_decimal(command, extra, aes, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "aes.txt").write_text(sk.format_sbox(aes))
+    (tmp_path / "aes.hex").write_text(" ".join(f"{v:02x}" for v in aes.table))
+    outputs = []
+    for path, base in (("aes.txt", []), ("aes.hex", ["--base", "16"])):
+        assert main([command, path, *base, *extra]) == 0
+        outputs.append((capsys.readouterr().out, [p.read_bytes() for p in sorted(tmp_path.glob("x.*"))]))
+    assert outputs[0] == outputs[1]
+
+
+def _action(command, dest):
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def _choices(command, dest):
+    return tuple(_action(command, dest).choices)
 
 
 def test_choices_come_from_the_defining_modules():
     assert _choices("search", "metric") == tuple(METRICS)
     assert _choices("gen", "family") == FAMILIES
     assert _choices("heatmap", "table") == tuple(KINDS)
+    names = re.search(r"built-in name \((.*?)\)", _action("search", "cycles").help).group(1)
+    assert names.split(", ") == list(builtin_cycle_specs())
     for name, metric in METRICS.items():
         assert SearchConfig(n=8, metric=name, tries=1, seed=0).maximize == metric.maximize
 

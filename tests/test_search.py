@@ -104,6 +104,10 @@ def test_cycle_spec_parse():
         sk.CycleSpec.parse("4,x")
     with pytest.raises(ValueError, match="positive"):
         sk.CycleSpec(())
+    for lengths in ((3.9, 1.2), (4.0, 4), (True, 1), (np.bool_(True), 1), ("4",)):
+        with pytest.raises(ValueError, match="cycle lengths must be positive integers"):
+            sk.CycleSpec(lengths)
+    assert [type(v) for v in sk.CycleSpec((np.int64(4), 4)).lengths] == [int, int]
 
 
 def test_generator_uniformity_smoke():
