@@ -20,20 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SBox
+from .core import SBox, check_int
 
 
-def _bit_vector(values, n: int, what: str) -> np.ndarray:
-    """A read-only uint8 copy of values, checked to be 2^n zeros and ones
-    before the cast, which would wrap 256 to 0 and -1 to 255."""
-    v = np.asarray(values)
+def _bit_vector(obj, field: str, what: str) -> None:
+    """Stores obj.n as an int and obj.<field> as a read-only uint8 copy, checked
+    to be 2^n zeros and ones before the cast, which would wrap 256 to 0 and -1 to 255."""
+    n = check_int(obj.n, "n must be an integer >= 0", 0)
+    v = np.asarray(getattr(obj, field))
     if v.shape != (1 << n,):
         raise ValueError(f"{what} must have 2^{n} entries")
     if not ((v == 0) | (v == 1)).all():
         raise ValueError(f"{what} entries must be 0 or 1")
     b = v.astype(np.uint8)
     b.flags.writeable = False
-    return b
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, field, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +44,7 @@ class TruthTable:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _bit_vector(self.bits, self.n, "truth table"))
+        _bit_vector(self, "bits", "truth table")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +53,7 @@ class AnfCoefficients:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _bit_vector(self.coeffs, self.n, "coefficient vector"))
+        _bit_vector(self, "coeffs", "coefficient vector")
 
 
 def _mobius(vec: np.ndarray) -> np.ndarray:
@@ -71,8 +73,7 @@ def _mobius(vec: np.ndarray) -> np.ndarray:
 
 def component_truth_table(s: SBox, mask: int) -> TruthTable:
     """Truth table of x -> parity(mask & S(x))."""
-    if not 0 <= mask < s.size:
-        raise ValueError(f"mask must lie in [0, {s.size})")
+    mask = check_int(mask, f"mask must be an integer in [0, {s.size})", 0, s.size - 1)
     vals = (s.table & mask).astype(np.uint64)
     return TruthTable(s.n, (np.bitwise_count(vals) & 1).astype(np.uint8))
 
@@ -163,8 +164,7 @@ def algebraic_immunity(t: TruthTable, max_degree: int) -> int | None:
     monotone in d, so the tests start at max_degree and step down while one
     of the two sides still has an annihilator.
     """
-    if not 0 <= max_degree <= t.n:
-        raise ValueError(f"max_degree must lie in [0, {t.n}]")
+    max_degree = check_int(max_degree, f"max_degree must be an integer in [0, {t.n}]", 0, t.n)
     on = t.bits.astype(bool)
     best = None
     for d in range(max_degree, -1, -1):

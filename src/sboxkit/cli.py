@@ -2,9 +2,11 @@
 
 analyze, avalanche and heatmap read an S-box file (sbox, --base); analyze
 and avalanche write a report (--format, --name, -o).  "-" is stdout for
-every text output.  Exit codes: 0 success, 2 unreadable input or output
-path, 3 invalid configuration, 4 precondition violation.  Every randomized
-command takes an explicit --seed; there is no silent entropy default.
+every text output; heatmap -o and --csv and avalanche --save-pairs, which
+write binary or paired files, refuse it.  Exit codes: 0 success, 2 unreadable
+input or output path, 3 invalid configuration, 4 precondition violation.
+Every randomized command takes an explicit --seed; there is no silent
+entropy default.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_avalanche(args) -> int:
+    if args.save_pairs == "-":  # binary: "-" would create a file of that name
+        raise ValueError("--save-pairs must name a file, not '-'")
     cfg = SpnConfig(sbox=_read_sbox(args), rounds=args.rounds)
     if args.pairs:
         if args.seed is not None:
@@ -150,6 +154,8 @@ def cmd_avalanche(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    if "-" in (args.out, args.csv):  # binary and paired: "-" would create a file of that name
+        raise ValueError("heatmap -o and --csv must name files, not '-'")
     values = heatmap_values(_read_sbox(args), args.table)
     spec = HeatmapSpec(kind=args.table, scale=args.scale)
     rgb, info = render_heatmap(values, spec)

@@ -1,7 +1,8 @@
 """S-box containers, GF(2^n) arithmetic, power-map builders, cycle structure.
 
 Field elements are ints whose bit i holds the coefficient of x^i, so field
-addition is plain XOR and no translation layer is needed anywhere.
+addition is plain XOR and no translation layer is needed anywhere.  Integer
+arguments pass through `check_int`, integer tables through `check_int_array`.
 """
 
 from __future__ import annotations
@@ -30,16 +31,31 @@ MIN_N = 2
 MAX_N = 12  # DDT/LAT are O(2^(2n)); 12 caps the largest table at 16M entries
 
 
-def check_width(n: int) -> None:
-    """ValueError unless MIN_N <= n <= MAX_N."""
-    if not MIN_N <= n <= MAX_N:
-        raise ValueError(f"bit width n={n} outside supported range [{MIN_N}, {MAX_N}]")
+def check_int(value, rule: str, lo: int, hi: int | None = None, error: type[ValueError] = ValueError) -> int:
+    """`value` as a plain int if it is a Python or numpy integer in [lo, hi] (hi None: no
+    bound), else error("<rule>, got <value!r>"); bool, float, None and str are refused."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and lo <= value and (hi is None or value <= hi)):
+        raise error(f"{rule}, got {value!r}")
+    return int(value)
 
 
-def check_seed(seed) -> None:
-    """ValueError unless seed is an int in [0, 2^64); None would draw OS entropy."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+def check_width(n) -> int:
+    """n as an int when MIN_N <= n <= MAX_N."""
+    return check_int(n, f"bit width n={n!r} must be an integer in [{MIN_N}, {MAX_N}]", MIN_N, MAX_N)
+
+
+def check_seed(seed) -> int:
+    """seed as an int in [0, 2^64); None, which would draw OS entropy, is refused."""
+    return check_int(seed, "seed must be a 64-bit unsigned integer", 0, 2**64 - 1)
+
+
+def check_int_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; a float or bool dtype, which the cast would garble, is refused."""
+    a = np.asarray(values)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 def read_only(a) -> np.ndarray:
@@ -49,11 +65,12 @@ def read_only(a) -> np.ndarray:
     return v
 
 
-def width_of(count: int, what: str, error: type[ValueError] = ValueError) -> int:
+def width_of(count, what: str, error: type[ValueError] = ValueError) -> int:
     """n for a table of `count` = 2^n entries, MIN_N <= n <= MAX_N; else `error`."""
-    n = count.bit_length() - 1
-    if n < MIN_N or n > MAX_N or count != 1 << n:
-        raise error(f"{what} {count} is not a power of two in [{1 << MIN_N}, {1 << MAX_N}]")
+    rule = f"{what} must be a power of two in [{1 << MIN_N}, {1 << MAX_N}]"
+    n = check_int(count, rule, 1 << MIN_N, 1 << MAX_N, error).bit_length() - 1
+    if count != 1 << n:
+        raise error(f"{rule}, got {count!r}")
     return n
 
 
@@ -69,11 +86,8 @@ class SBox:
     table: np.ndarray
 
     def __post_init__(self):
-        check_width(self.n)
-        tab = np.asarray(self.table)
-        if not np.issubdtype(tab.dtype, np.integer):
-            raise ValueError(f"table entries must be integers, got dtype {tab.dtype}")
-        tab = np.array(tab, dtype=np.int64, copy=True)
+        object.__setattr__(self, "n", check_width(self.n))
+        tab = check_int_array(self.table, "table entries").copy()
         size = 1 << self.n
         if tab.shape != (size,):
             raise ValueError(f"table must have exactly 2^{self.n} = {size} entries, got shape {tab.shape}")
@@ -122,13 +136,9 @@ class GFContext:
     irreducible: int
 
     def __post_init__(self):
-        check_width(self.n)
-        if self.irreducible < 0:
-            raise ValueError(f"modulus -0x{-self.irreducible:x} is negative")
-        if self.irreducible.bit_length() != self.n + 1:
-            raise ValueError(
-                f"modulus 0x{self.irreducible:x} must have degree exactly n={self.n}"
-            )
+        object.__setattr__(self, "n", check_width(self.n))
+        rule = f"modulus must be a non-negative integer of degree exactly n={self.n}"
+        object.__setattr__(self, "irreducible", check_int(self.irreducible, rule, 1 << self.n, (2 << self.n) - 1))
         # a reducible modulus has a factor of degree <= n/2; masks 2.. are x, x+1, ...
         for d in range(2, 1 << (self.n // 2 + 1)):
             if _poly_mod(self.irreducible, d) == 0:
@@ -140,11 +150,8 @@ class GFContext:
 
 
 def default_context(n: int) -> GFContext:
-    """The shipped GF(2^n) context for 2 <= n <= 12 (n=8 is the AES field)."""
-    try:
-        return GFContext(n, IRREDUCIBLE[n])
-    except KeyError:
-        raise ValueError(f"no bundled irreducible polynomial for n={n}") from None
+    """The shipped GF(2^n) context for MIN_N <= n <= MAX_N (n=8 is the AES field)."""
+    return GFContext(n, IRREDUCIBLE[check_width(n)])
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,7 @@ def parse_sbox(text: str, base: int = 10) -> SBox:
     Accepts base 10 or 16 (hex tokens may carry a 0x prefix).  The token
     count must be a power of two 2^n, MIN_N <= n <= MAX_N; bijectivity is not required.
     """
-    if base not in (10, 16):
+    if check_int(base, "base must be 10 or 16", 10, 16, SboxParseError) not in (10, 16):
         raise SboxParseError(f"base must be 10 or 16, got {base}")
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -188,6 +195,7 @@ def parse_sbox(text: str, base: int = 10) -> SBox:
 
 def format_sbox(s: SBox, per_line: int = 16) -> str:
     """Decimal 0-indexed listing, `per_line` entries per row."""
+    per_line = check_int(per_line, "per_line must be an integer >= 1", 1)
     rows = []
     for i in range(0, s.size, per_line):
         rows.append(", ".join(str(int(v)) for v in s.table[i : i + per_line]))
@@ -207,17 +215,16 @@ def inverse_sbox(s: SBox) -> SBox:
 
 
 def hamming_distance(x: int, y: int, n: int) -> int:
-    size = 1 << n
-    if not (0 <= x < size and 0 <= y < size):
-        raise ValueError(f"operands must lie in [0, 2^{n})")
-    return (x ^ y).bit_count()
+    top = (1 << check_int(n, "n must be an integer >= 0", 0)) - 1
+    rule = f"operands must be integers in [0, 2^{n})"
+    return (check_int(x, rule, 0, top) ^ check_int(y, rule, 0, top)).bit_count()
 
 
 def gf_mul(ctx: GFContext, a: int, b: int) -> int:
     """Carry-less product of a and b reduced by ctx.irreducible."""
     size = ctx.size
-    if not (0 <= a < size and 0 <= b < size):
-        raise ValueError(f"field elements must lie in [0, {size})")
+    rule = f"field elements must be integers in [0, {size})"
+    a, b = check_int(a, rule, 0, size - 1), check_int(b, rule, 0, size - 1)
     r = 0
     while b:
         if b & 1:
@@ -241,10 +248,8 @@ def _gf_mul_array(ctx: GFContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gf_pow(ctx: GFContext, x: int, e: int) -> int:
     """Square-and-multiply. x^0 = 1 for every x by convention, 0^e = 0 for e > 0."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    if not 0 <= x < ctx.size:
-        raise ValueError(f"field elements must lie in [0, {ctx.size})")
+    e = check_int(e, "exponent must be a non-negative integer", 0)
+    x = check_int(x, f"field elements must be integers in [0, {ctx.size})", 0, ctx.size - 1)
     result = 1
     base = x
     while e:
@@ -271,10 +276,7 @@ FAMILIES = ("gold", "kasami", "welch", "niho", "dobbertin", "inverse", "raw")
 def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
     n = ctx.n
     if family in ("gold", "kasami"):
-        if i is None:
-            raise MonomialConditionError(f"{family} requires parameter i")
-        if i < 1:
-            raise MonomialConditionError(f"{family} requires i >= 1, got i={i}")
+        i = check_int(i, f"{family} requires parameter i, an integer i >= 1", 1, error=MonomialConditionError)
         if math.gcd(i, n) != 1:
             raise MonomialConditionError(
                 f"{family} requires gcd(i, n) = 1; gcd({i}, {n}) = {math.gcd(i, n)}"
@@ -297,11 +299,7 @@ def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
         k = n // 5
         return (1 << (4 * k)) + (1 << (3 * k)) + (1 << (2 * k)) + (1 << k) - 1
     if family == "raw":
-        if e is None:
-            raise MonomialConditionError("raw requires parameter e")
-        if e < 1:
-            raise MonomialConditionError(f"raw requires exponent e >= 1, got e={e}")
-        return e
+        return check_int(e, "raw requires parameter e, an integer exponent e >= 1", 1, error=MonomialConditionError)
     raise MonomialConditionError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 

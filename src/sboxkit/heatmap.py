@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SBox
+from .core import SBox, check_int, check_int_array
 from .metrics import compute_ddt, compute_lat
 
 MARKER_COLOR = (0, 255, 0)
@@ -35,8 +35,8 @@ class HeatmapSpec:
 
     def __post_init__(self):
         _check_kind(self.kind)
-        if self.scale is not None and self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
+        if self.scale is not None:
+            object.__setattr__(self, "scale", check_int(self.scale, "scale must be >= 1", 1))
 
 
 def heatmap_values(s: SBox, kind: str) -> np.ndarray:
@@ -52,7 +52,7 @@ def render_heatmap(values: np.ndarray, spec: HeatmapSpec):
     the scale and from marker selection; markers overpaint every interior
     cell attaining the extreme absolute value, either sign.
     """
-    vals = np.asarray(values, dtype=np.int64)
+    vals = check_int_array(values, "matrix entries")
     interior = np.abs(vals[1:, 1:])
     max_abs = int(interior.max()) if interior.size else 0
     scale = spec.scale if spec.scale is not None else max_abs
@@ -103,7 +103,7 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, values: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(values, dtype=np.int64), fmt="%d", delimiter=",")
+    np.savetxt(path, check_int_array(values, "matrix entries"), fmt="%d", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:

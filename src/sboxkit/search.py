@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SBox, check_seed, check_width, width_of
+from .core import SBox, check_int, check_seed, check_width, width_of
 from .metrics import METRICS, lookup_metric
 from .util import exact_decimal
 
@@ -33,11 +33,10 @@ class CycleSpec:
     lengths: tuple
 
     def __post_init__(self):
-        lens = tuple(self.lengths)
-        # checked before the int() cast, which would truncate 3.9 to 3 and read True as 1
-        if not lens or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 for v in lens):
-            raise ValueError("cycle lengths must be positive integers")
-        object.__setattr__(self, "lengths", tuple(int(v) for v in lens))
+        lens = tuple(check_int(v, "cycle lengths must be positive integers", 1) for v in self.lengths)
+        if not lens:
+            raise ValueError("cycle lengths must be positive integers, got ()")
+        object.__setattr__(self, "lengths", lens)
 
     @property
     def total(self) -> int:
@@ -72,13 +71,11 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        check_width(self.n)
+        object.__setattr__(self, "n", check_width(self.n))
         lookup_metric(self.metric)
-        if self.tries < 1:
-            raise ValueError("tries must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "tries", check_int(self.tries, "tries must be an integer >= 1", 1))
+        object.__setattr__(self, "workers", check_int(self.workers, "workers must be an integer >= 1", 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.cycle_spec is not None and self.cycle_spec.total != 1 << self.n:
             raise ValueError(
                 f"cycle lengths sum to {self.cycle_spec.total}, need {1 << self.n}"

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import NotBijectiveError, SBox, check_seed, is_bijective, read_only
+from .core import NotBijectiveError, SBox, check_int, check_seed, is_bijective, read_only
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
 from .util import exact_decimal
 
@@ -61,8 +61,7 @@ class SpnConfig:
             raise ValueError("cipher S-box must be 8x8")
         if not is_bijective(self.sbox):
             raise NotBijectiveError("cipher S-box must be bijective")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        object.__setattr__(self, "rounds", check_int(self.rounds, "rounds must be an integer >= 0", 0))
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def block_to_int(block: bytes) -> int:
 
 
 def int_to_block(value: int) -> bytes:
-    return int(value).to_bytes(BLOCK_BYTES, "big")
+    return check_int(value, "block must be an integer in [0, 2^64)", 0, 2**64 - 1).to_bytes(BLOCK_BYTES, "big")
 
 
 def _rotl_bytes(block: bytes, k: int) -> bytes:
@@ -282,10 +281,8 @@ def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig)
 
 def generate_pairs(trials: int, seed: int) -> np.ndarray:
     """(trials, 2) uint64 array of (plaintext, master) pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    trials = check_int(trials, "trials must be an integer >= 1", 1)
+    rng = np.random.default_rng(check_seed(seed))
     pts = rng.integers(0, 2 ** 64, size=trials, dtype=np.uint64)
     keys = rng.integers(0, 2 ** 64, size=trials, dtype=np.uint64)
     return np.stack([pts, keys], axis=1)

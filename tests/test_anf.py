@@ -24,6 +24,10 @@ def test_truth_table_validation():
         tt(3, [0] * 7)
     with pytest.raises(ValueError, match="0 or 1"):
         tt(2, [0, 1, 2, 0])
+    for n in (2.0, True, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            tt(n, [0, 1])
+    assert type(tt(np.int64(2), [0, 1, 1, 0]).n) is int
 
 
 @pytest.mark.parametrize("cls", [anf.TruthTable, anf.AnfCoefficients])
@@ -41,8 +45,9 @@ def test_containers_reject_non_bits_before_the_cast(cls, value):
 def test_component_truth_table(aes):
     t = anf.component_truth_table(aes, 1)
     assert list(t.bits[:4]) == [v & 1 for v in (0x63, 0x7C, 0x77, 0x7B)]
-    with pytest.raises(ValueError, match="mask"):
-        anf.component_truth_table(aes, 256)
+    for mask in (256, True, 1.0):
+        with pytest.raises(ValueError, match="mask"):
+            anf.component_truth_table(aes, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +187,9 @@ def test_immunity_sentinel_when_cap_too_low():
 
 
 def test_immunity_rejects_bad_cap():
-    with pytest.raises(ValueError, match="max_degree"):
-        anf.algebraic_immunity(tt(2, [0, 1, 1, 0]), 3)
+    for cap in (3, True, 1.0):
+        with pytest.raises(ValueError, match="max_degree"):
+            anf.algebraic_immunity(tt(2, [0, 1, 1, 0]), cap)
 
 
 def test_immunity_symmetric_in_complement():

@@ -371,6 +371,19 @@ def test_heatmap_bad_input_exits_2(tmp_path, capsys):
     assert main(["heatmap", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["heatmap", "-o", "-"],
+    ["heatmap", "--csv", "-", "-o", "x.ppm"],
+    ["avalanche", "--rounds", "1", "--trials", "5", "--seed", "1", "--save-pairs", "-"],
+])
+def test_binary_outputs_refuse_stdout(command, aes_file, tmp_path, monkeypatch, capsys):
+    # "-" cannot carry a pixmap, a second CSV or a pair file; taken as a path it would create "-"
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], aes_file, *command[1:]]) == 3
+    assert "not '-'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aes.txt"]
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 

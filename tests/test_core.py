@@ -91,8 +91,9 @@ def test_parse_hex_with_and_without_prefix():
 
 
 def test_parse_rejects_bad_base():
-    with pytest.raises(sk.SboxParseError, match="base"):
-        sk.parse_sbox("0 1 2 3", base=8)
+    for base in (8, 12, 16.0, True):
+        with pytest.raises(sk.SboxParseError, match="base must be 10 or 16"):
+            sk.parse_sbox("0 1 2 3", base=base)
 
 
 def test_parse_rejects_non_power_of_two_count():
@@ -123,6 +124,9 @@ def test_format_parse_round_trip(aes):
 
 def test_format_per_line_override(dillon):
     assert len(sk.format_sbox(dillon, per_line=8).splitlines()) == 8
+    for per_line in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="per_line"):
+            sk.format_sbox(dillon, per_line=per_line)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +167,9 @@ def test_hamming_distance(x, y, n, expected):
 
 
 def test_hamming_distance_range_check():
-    with pytest.raises(ValueError):
-        sk.hamming_distance(16, 0, 4)
+    for x, y, n in ((16, 0, 4), (True, 0, 4), (1.0, 0, 4), (0, 0, 4.0), (0, 0, True)):
+        with pytest.raises(ValueError):
+            sk.hamming_distance(x, y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +196,10 @@ def test_context_rejects_wrong_degree_modulus():
 def test_context_rejects_negative_modulus():
     with pytest.raises(ValueError, match="negative"):
         sk.GFContext(8, -0x11B)
+    for modulus in (283.0, True):  # a float or bool modulus is refused, not read as a mask
+        with pytest.raises(ValueError, match="modulus"):
+            sk.GFContext(8, modulus)
+    assert type(sk.GFContext(np.int64(8), np.int64(0x11B)).irreducible) is int
 
 
 # 0x1bb = 0x13 * 0x19 and 0x129b = 0x43 * 0x49: their only factors have degree n/2
@@ -253,8 +262,9 @@ def test_gf_pow_conventions(gf8):
     assert sk.gf_pow(gf8, 0, 0) == 1
     assert sk.gf_pow(gf8, 0, 5) == 0
     assert sk.gf_pow(gf8, 0xAB, 0) == 1
-    with pytest.raises(ValueError):
-        sk.gf_pow(gf8, 2, -1)
+    for e in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="exponent"):
+            sk.gf_pow(gf8, 2, e)
 
 
 def test_gf_pow_group_order():
@@ -366,6 +376,10 @@ def test_every_family_matches_the_per_element_builder(n):
         ("raw", {}, "requires parameter e"),
         ("raw", {"e": 0}, "e >= 1"),
         ("xyzzy", {}, "unknown family"),
+        ("gold", {"i": True}, "i >= 1"),
+        ("gold", {"i": 1.0}, "i >= 1"),
+        ("raw", {"e": True}, "e >= 1"),
+        ("raw", {"e": 3.0}, "e >= 1"),
     ],
 )
 def test_family_condition_errors(family, kwargs, fragment):

@@ -83,6 +83,10 @@ def test_scale_below_extreme_rejected(aes):
         heatmap.render_heatmap(vals, heatmap.HeatmapSpec(kind="lat", scale=15))
     rgb, info = heatmap.render_heatmap(vals, heatmap.HeatmapSpec(kind="lat", scale=16))
     assert info["scale"] == 16
+    for scale in (True, 2.5):
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            heatmap.HeatmapSpec(kind="lat", scale=scale)
+    assert type(heatmap.HeatmapSpec(kind="lat", scale=np.int64(16)).scale) is int
 
 
 def test_zero_matrix_renders_white_without_markers():
@@ -136,3 +140,10 @@ def test_matrix_csv_round_trip(tmp_path, aes):
     first = path.read_text().splitlines()[0]
     assert first.split(",")[0] == "128"
     assert (heatmap.read_matrix_csv(path) == vals).all()
+    # a non-integer matrix is refused, not truncated (0.7 would render and store as 0)
+    for bad in (np.array([[0, 0], [0, 0.7]]), np.array([[0, 0], [0, 1]], dtype=bool)):
+        with pytest.raises(ValueError, match="integers"):
+            heatmap.render_heatmap(bad, heatmap.HeatmapSpec(kind="lat"))
+        with pytest.raises(ValueError, match="integers"):
+            heatmap.write_matrix_csv(tmp_path / "bad.csv", bad)
+    assert not (tmp_path / "bad.csv").exists()

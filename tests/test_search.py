@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sboxkit as sk
-from sboxkit import cli, search
+from sboxkit import cli, search, spn
 from sboxkit.search import GENERATOR_NAME, SearchConfig, run_search
 
 import reference
@@ -149,11 +149,40 @@ def test_random_permutation_consumes_the_same_stream():
         (dict(seed=1 << 64), "seed"),
         (dict(n=1), "n=1"),
         (dict(cycle_spec=sk.CycleSpec((4,) * 64)), "sum to 256, need 64"),
+        (dict(tries=True), "tries"),
+        (dict(seed=True), "seed"),
+        (dict(seed=None), "seed"),
+        (dict(n=4.0), "n=4.0"),
+        (dict(tries=2.5), "tries"),
+        (dict(workers=1.5), "workers"),
     ],
 )
 def test_search_config_validation(overrides, fragment):
     with pytest.raises(ValueError, match=fragment):
         small_config(**overrides)
+
+
+def test_numpy_integer_arguments_are_stored_as_int(aes):
+    # numpy integers are accepted and stored as int, so every report serialises
+    # exactly as the one built from plain ints
+    i64 = np.int64
+    cfg = small_config(n=i64(6), tries=i64(20), seed=np.uint64(99), workers=np.int32(1))
+    assert all(type(getattr(cfg, f)) is int for f in ("n", "tries", "seed", "workers"))
+
+    def dumps(result):
+        return json.dumps({k: v for k, v in result.to_dict().items() if k != "elapsed"})
+
+    assert dumps(run_search(cfg)) == dumps(run_search(small_config()))
+    rounds = sk.SpnConfig(aes, i64(2)).rounds
+    assert type(rounds) is int
+    pairs = spn.generate_pairs(i64(5), np.uint64(3))
+    assert json.dumps(sk.avalanche_experiment(sk.SpnConfig(aes, i64(2)), pairs).to_dict()) == json.dumps(
+        sk.avalanche_experiment(sk.SpnConfig(aes, 2), spn.generate_pairs(5, 3)).to_dict())
+    box = sk.SBox(i64(8), aes.table)
+    assert type(box.n) is int
+    assert json.dumps(sk.full_report(box).to_dict()) == json.dumps(sk.full_report(aes).to_dict())
+    rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+    assert sk.random_permutation(rng, i64(256)) == sk.random_permutation(oracle, 256)
 
 
 def test_maximize_flag():

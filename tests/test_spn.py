@@ -44,8 +44,9 @@ def test_config_rejects_non_bijective_sbox():
 
 
 def test_config_rejects_negative_rounds(aes):
-    with pytest.raises(ValueError, match="rounds"):
-        spn.SpnConfig(sbox=aes, rounds=-1)
+    for rounds in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="rounds"):
+            spn.SpnConfig(sbox=aes, rounds=rounds)
 
 
 def test_config_rejects_bad_permutations(aes):
@@ -329,8 +330,11 @@ def test_every_input_bit_changes_the_ciphertext(cfg4):
 
 def test_block_int_conversions():
     assert spn.block_to_int(b"\x01" + b"\x00" * 7) == 1 << 56
-    for v in (0, 1, 0x4DC33A3E938985EB, 2 ** 64 - 1):
+    for v in (0, 1, 0x4DC33A3E938985EB, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
         assert spn.block_to_int(spn.int_to_block(v)) == v
+    for v in (-1, 2 ** 64, 2.5, True):  # int() would truncate 2.5 and read True as 1
+        with pytest.raises(ValueError, match="block"):
+            spn.int_to_block(v)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +376,9 @@ def test_avalanche_requires_seed_or_pairs(cfg4):
     for seed in (None, -1, 2 ** 64):
         with pytest.raises(ValueError, match="seed"):
             spn.generate_pairs(3, seed)
-    with pytest.raises(ValueError, match="trials"):
-        spn.generate_pairs(0, 1)
+    for trials in (0, True, 2.5):
+        with pytest.raises(ValueError, match="trials"):
+            spn.generate_pairs(trials, 1)
 
 
 def test_avalanche_pairs_trials_mismatch(cfg4):
