@@ -26,6 +26,12 @@ from .util import exact_decimal
 GENERATOR_NAME = "numpy-pcg64"
 
 
+def cpu_count() -> int:
+    """The CPUs a run may use: os.cpu_count(), or 1 when that is unknown.
+    It bounds both the search's processes and the SPN's block threads."""
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class CycleSpec:
     """A requested multiset of cycle lengths."""
@@ -176,7 +182,7 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
     t0 = time.perf_counter()
     # streams past `tries` would get no candidates; each keeps its index as spawn key
     streams = min(config.workers, config.tries)
-    processes = min(streams, os.cpu_count() or 1)
+    processes = min(streams, cpu_count())
 
     # one job per process over a contiguous, nonempty range of streams, so job order is stream order
     bounds = [streams * k // processes for k in range(processes + 1)]

@@ -23,19 +23,33 @@ Every bulk call runs in blocks of `_BLOCK_WORDS` uint64 state words (32,768
 blocks, or 504 avalanche trials of 65 states) with round keys yielded one
 at a time by `_round_keys`.  Each avalanche block is reduced into an exact
 65-bin histogram of flip counts and per-input-bit sums, so its memory is
-the 16 B per trial of the pairs plus a constant.
+the 16 B per trial of the pairs plus a constant per thread.
+
+`_run_blocks` is the one block loop.  It splits the blocks into contiguous
+ranges of whole blocks, one per thread, on min(CPU count, blocks) threads,
+the calling thread taking the first; numpy's lookups and XORs release the
+GIL, so the ranges run side by side.  The results do not depend on the
+split: encryption and decryption write disjoint slices of their output,
+and the avalanche experiment adds up each range's integer histogram and
+bit sums, whose total is the same in any order.  A thread holds one
+block's working set, 1-2 MB, so a call's memory beside its input and
+output is 1-2 MB per CPU.  Decryption holds every round key of its block
+at once, so its blocks shrink as the rounds grow and the keys stay
+within 1 MB.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import NotBijectiveError, SBox, check_int, check_seed, is_bijective, read_only
+from .core import NotBijectiveError, SBox, check_int, check_int_array, check_seed, is_bijective, read_only
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
+from .search import cpu_count
 from .util import exact_decimal
 
 BLOCK_BYTES = 8
@@ -44,9 +58,12 @@ _BLOCK_WORDS = 1 << 15  # uint64 state words per bulk block: 256 KB, inside L2
 AVALANCHE_CSV_HEADER = "name,rounds,distance"
 
 
-def _check_perm(p, size, what):
+def _check_perm(p, size, what) -> list:
+    """p as a list of ints; a float or bool entry is refused before it can index."""
+    p = check_int_array(p, what).tolist()
     if sorted(p) != list(range(size)):
         raise ValueError(f"{what} must be a permutation of 0..{size - 1}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -125,12 +142,12 @@ def _bit(state: bytes, b: int) -> int:
 
 
 def apply_pbox8(state: bytes, p) -> bytes:
-    _check_perm(p, 8, "pbox8")
+    p = _check_perm(p, 8, "pbox8")
     return bytes(state[p[i]] for i in range(8))
 
 
 def apply_pbox64(state: bytes, p) -> bytes:
-    _check_perm(p, 64, "pbox64")
+    p = _check_perm(p, 64, "pbox64")
     out = bytearray(BLOCK_BYTES)
     for d in range(BLOCK_BITS):
         if _bit(state, p[d]):
@@ -170,9 +187,16 @@ _BYTE_LANES = read_only(np.arange(64).reshape(8, 8))  # bit r of lane i stays at
 def _lane_tables(values, positions) -> np.ndarray:
     """tabs[i][v] = values[v] as block bits: its bit r (MSB first) at block
     bit positions[i][r].  values has 256 bytes, positions shape (8, 8)."""
-    bits = (np.asarray(values)[np.newaxis, :] >> np.arange(7, -1, -1)[:, np.newaxis]) & 1
-    masks = np.uint64(1) << (np.uint64(63) - np.asarray(positions, dtype=np.uint64))
-    return masks @ bits.astype(np.uint64)  # distinct bits per lane: the sum is their OR
+    bits = (np.asarray(values, dtype=np.uint64) >> np.arange(7, -1, -1, dtype=np.uint64)[:, np.newaxis]) & 1
+    shifts = np.uint64(63) - np.asarray(positions, dtype=np.uint64)
+    return (bits << shifts[:, :, np.newaxis]).sum(axis=1)  # distinct bits per lane: the sum is their OR
+
+
+def _inverse(p) -> np.ndarray:
+    """The inverse of the permutation p of 0..len(p)-1."""
+    inv = np.empty(len(p), dtype=np.int64)
+    inv[p] = np.arange(len(p))
+    return inv
 
 
 # memory column of block byte i (byte 0 the most significant) in a uint64's bytes
@@ -195,7 +219,7 @@ def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
 # so ciphertext bit 8i+r came from block bit _BIT_SOURCES[i][r].  Every call
 # shares these tables, so they are read-only.
 _BIT_SOURCES = read_only(np.array([PBOX8[p >> 3] * 8 + (p & 7) for p in DILLON_PERMUTATION]).reshape(8, 8))
-_ROUND_DEST = read_only(np.argsort(_BIT_SOURCES, axis=None).reshape(8, 8))
+_ROUND_DEST = read_only(_inverse(_BIT_SOURCES.ravel()).reshape(8, 8))
 _INV_PERM_TABLES = read_only(_lane_tables(np.arange(256), _BIT_SOURCES))
 # the key S-box on whole bytes: byte (hi, lo) -> KEY_SBOX[hi] << 4 | KEY_SBOX[lo]
 _KEY_TABLES = read_only(_lane_tables([KEY_SBOX[v >> 4] << 4 | KEY_SBOX[v & 0xF] for v in range(256)],
@@ -217,12 +241,55 @@ def _round_keys(masters: np.ndarray, cfg: SpnConfig):
         yield prev
 
 
-def _row_blocks(rows: int, width: int, masters: np.ndarray):
-    """(slice, its masters) per _BLOCK_WORDS words of rows; one master serves all."""
+def _run_blocks(rows: int, width: int, masters: np.ndarray, work) -> list:
+    """[work(blocks) for each thread's range of blocks], in range order.
+
+    The rows of `width` words each run in blocks of _BLOCK_WORDS words.  The
+    blocks are split into min(CPU count, blocks) contiguous ranges, and
+    work(blocks) runs once per range, in its own thread, over an iterator
+    of (slice, its masters) per block; one master serves all rows.  The
+    calling thread takes the first range, so with one range nothing else
+    starts.  If any range raises, the others stop at their next block, and
+    the first exception in range order is raised once every thread is done.
+    """
     step = _BLOCK_WORDS // width
-    for lo in range(0, rows, step):
-        sl = slice(lo, lo + step)
-        yield sl, masters if len(masters) == 1 else masters[sl]
+    count = -(-rows // step)
+    ranges = max(1, min(cpu_count(), count))
+    bounds = [count * k // ranges * step for k in range(ranges + 1)]
+    stop = threading.Event()
+    results = [None] * ranges
+    failures = [None] * ranges
+
+    def blocks(lo, hi):
+        for start in range(lo, hi, step):
+            if stop.is_set():
+                return
+            sl = slice(start, start + step)
+            yield sl, masters if len(masters) == 1 else masters[sl]
+
+    def run(k):
+        try:
+            results[k] = work(blocks(bounds[k], bounds[k + 1]))
+        except BaseException as exc:  # re-raised in the calling thread
+            failures[k] = exc
+            stop.set()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, ranges)]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    except BaseException:  # a thread that could not start
+        stop.set()
+        raise
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _encrypt(states: np.ndarray, masters: np.ndarray, cfg: SpnConfig, tabs: np.ndarray) -> np.ndarray:
@@ -257,21 +324,31 @@ def encrypt_blocks(plaintexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) 
     pts, masters = _check_blocks(plaintexts, masters)
     tabs = _build_round_tables(cfg)
     out = np.empty_like(pts)
-    for sl, mk in _row_blocks(len(pts), 1, masters):
-        out[sl] = _encrypt(pts[sl, np.newaxis], mk, cfg, tabs)[:, 0]
+
+    def work(blocks):
+        for sl, mk in blocks:
+            out[sl] = _encrypt(pts[sl, np.newaxis], mk, cfg, tabs)[:, 0]
+
+    _run_blocks(len(pts), 1, masters, work)
     return out
 
 
 def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
     cts, masters = _check_blocks(ciphertexts, masters)
-    inv_tabs = _lane_tables(np.argsort(cfg.sbox.table), _BYTE_LANES)  # S is a bijection
+    inv_tabs = _lane_tables(_inverse(cfg.sbox.table), _BYTE_LANES)  # S is a bijection
     out = np.empty_like(cts)
-    for sl, mk in _row_blocks(len(cts), 1, masters):
-        st = cts[sl]
-        for k in reversed(list(_round_keys(mk, cfg))):
-            st = _lane_lookup(st ^ k, _INV_PERM_TABLES)  # rebinding frees each state before the next lookup
-            st = _lane_lookup(st, inv_tabs)
-        out[sl] = st
+
+    def work(blocks):
+        for sl, mk in blocks:
+            st = cts[sl]
+            for k in reversed(list(_round_keys(mk, cfg))):
+                st = _lane_lookup(st ^ k, _INV_PERM_TABLES)  # rebinding frees each state before the next lookup
+                st = _lane_lookup(st, inv_tabs)
+            out[sl] = st
+
+    # a row holds all its round keys at once: count four rounds' keys as one word, so
+    # a block's keys stay within four blocks of words (1 MB) however many rounds
+    _run_blocks(len(cts), max(1, -(-cfg.rounds // 4)), masters, work)
     return out
 
 
@@ -316,17 +393,25 @@ def avalanche_experiment(cfg: SpnConfig, pairs: np.ndarray) -> AvalancheReport:
 
     tabs = _build_round_tables(cfg)
     flippers = np.uint64(1) << (np.uint64(63) - np.arange(64, dtype=np.uint64))
-    hist = np.zeros(65, dtype=np.int64)  # trials x 64 flip events by ciphertext distance
-    bit_sums = np.zeros(64, dtype=np.int64)
-    for sl, masters in _row_blocks(trials, 65, pairs[:, 1]):
-        pts = pairs[sl, 0]
-        states = np.empty((len(pts), 65), dtype=np.uint64)
-        states[:, 0] = pts
-        np.bitwise_xor(pts[:, np.newaxis], flippers, out=states[:, 1:])
-        ct = _encrypt(states, masters, cfg, tabs)
-        dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1])
-        hist += np.bincount(dist.ravel(), minlength=65)
-        bit_sums += dist.sum(axis=0, dtype=np.int64)
+
+    def work(blocks):
+        hist = np.zeros(65, dtype=np.int64)  # flip events by ciphertext distance
+        bit_sums = np.zeros(64, dtype=np.int64)
+        for sl, masters in blocks:
+            pts = pairs[sl, 0]
+            states = np.empty((len(pts), 65), dtype=np.uint64)
+            states[:, 0] = pts
+            np.bitwise_xor(pts[:, np.newaxis], flippers, out=states[:, 1:])
+            ct = _encrypt(states, masters, cfg, tabs)
+            dist = np.bitwise_count(ct[:, 1:] ^ ct[:, 0:1])
+            hist += np.bincount(dist.ravel(), minlength=65)
+            bit_sums += dist.sum(axis=0, dtype=np.int64)
+        return hist, bit_sums
+
+    # integer sums: the totals over all trials x 64 flip events do not depend on the split
+    per_range = _run_blocks(trials, 65, pairs[:, 1], work)
+    hist = sum(h for h, _ in per_range)
+    bit_sums = sum(b for _, b in per_range)
 
     events = trials * 64
     mean = Fraction(sum(d * int(c) for d, c in enumerate(hist)), events)

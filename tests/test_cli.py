@@ -166,11 +166,11 @@ def test_gen_writes_file_that_analyze_reads(tmp_path, capsys):
 
 def test_search_deterministic_output_files(tmp_path, capsys):
     args = ["search", "--metric", "du", "--tries", "6", "--seed", "11", "--n", "6"]
-    out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(args + ["-o", out1]) == 0
-    assert main(args + ["-o", out2]) == 0
-    doc1 = json.loads(open(out1).read())
-    doc2 = json.loads(open(out2).read())
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["-o", str(out1)]) == 0
+    assert main(args + ["-o", str(out2)]) == 0
+    doc1 = json.loads(out1.read_text())
+    doc2 = json.loads(out2.read_text())
     doc1.pop("elapsed"), doc2.pop("elapsed")
     assert doc1 == doc2
     assert doc1["generator"] == "numpy-pcg64"

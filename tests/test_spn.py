@@ -1,4 +1,8 @@
+import os
 import struct
+import sys
+import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -59,6 +63,15 @@ def test_config_rejects_bad_permutations(aes):
         spn.apply_pbox8(bytes(8), (0,) * 8)
     with pytest.raises(ValueError, match="pbox64"):
         spn.apply_pbox64(bytes(8), tuple(range(63)) + (0,))
+
+
+def test_layer_helpers_refuse_non_integer_permutations():
+    # a float list sorts equal to range(size) and would fail later indexing bytes
+    for apply, size in ((spn.apply_pbox8, 8), (spn.apply_pbox64, 64)):
+        for p in ([float(i) for i in range(size)], np.arange(size, dtype=np.float64), [True] * size):
+            with pytest.raises(ValueError, match=r"pbox\d+ must be integers"):
+                apply(bytes(8), p)
+    assert spn.apply_pbox8(bytes(range(8)), np.array(PBOX8)) == spn.apply_pbox8(bytes(range(8)), PBOX8)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +314,89 @@ def test_bulk_memory_bound(aes, traced_peak_mb):
     cts = spn.encrypt_blocks(pts, masters, cfg)
     assert traced_peak_mb(lambda: spn.encrypt_blocks(pts, masters, cfg)) < 8
     assert traced_peak_mb(lambda: spn.decrypt_blocks(cts, masters, cfg)) < 8
+
+
+@pytest.mark.parametrize("rounds", [4, 12])
+def test_thread_count_does_not_change_results(aes, rounds, monkeypatch):
+    # the ranges' outputs are disjoint slices and their avalanche sums are integers
+    cfg = spn.SpnConfig(sbox=aes, rounds=rounds)
+    trials = spn._BLOCK_WORDS // 65
+    pairs = spn.generate_pairs(3 * trials + 1, 70)
+    words = spn._BLOCK_WORDS
+    pts, masters = np.random.default_rng(70).integers(0, 2 ** 64, size=(2, 3 * words + 1), dtype=np.uint64)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible: a lost update would show
+    try:
+        for cpus in (1, None, 2, 3, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            reports = [spn.avalanche_experiment(cfg, pairs[:m])
+                       for m in (trials - 1, trials, trials + 1, 3 * trials + 1)]
+            cts = [spn.encrypt_blocks(pts[:m], masters[:m], cfg)
+                   for m in (words - 1, words, words + 1, 3 * words + 1)]
+            backs = [spn.decrypt_blocks(ct, masters[:len(ct)], cfg) for ct in cts]
+            runs[cpus] = reports, [r.to_dict() for r in reports], cts, backs
+    finally:
+        sys.setswitchinterval(interval)
+    reports, docs, cts, backs = runs[1]
+    assert all((back == pts[:len(back)]).all() for back in backs)
+    for cpus, (other_reports, other_docs, other_cts, other_backs) in runs.items():
+        assert other_reports == reports and other_docs == docs, cpus
+        assert all((a == b).all() for a, b in zip(other_cts + other_backs, cts + backs)), cpus
+
+
+def test_threads_never_exceed_cpus_or_blocks(aes, monkeypatch):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    cfg = spn.SpnConfig(sbox=aes, rounds=1)
+    words = spn._BLOCK_WORDS
+    pts = np.arange(3 * words, dtype=np.uint64)
+    for cpus in (None, 1, 2, 3, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for blocks in (0, 1, 2, 3):
+            started.clear()
+            spn.encrypt_blocks(pts[:blocks * words], pts[:1], cfg)
+            # the calling thread runs the first range itself
+            assert len(started) == max(0, min(cpus or 1, blocks) - 1), (cpus, blocks)
+        started.clear()
+        spn.avalanche_experiment(cfg, spn.generate_pairs(2 * (words // 65), 71))  # two blocks
+        assert len(started) == min(cpus or 1, 2) - 1, cpus
+
+
+def test_error_in_a_later_range_stops_every_range(aes, monkeypatch):
+    class Failure(Exception):
+        pass
+
+    caller, threads_before = threading.get_ident(), threading.active_count()
+    caller_blocks = []
+    caller_started = threading.Event()
+    encrypt = spn._encrypt
+
+    def failing_encrypt(states, *args):
+        if threading.get_ident() != caller:
+            caller_started.wait(30)
+            raise Failure("second range")
+        caller_blocks.append(len(states))
+        caller_started.set()
+        # let the second range fail and end first, so the caller's next block boundary sees it
+        deadline = time.monotonic() + 30
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return encrypt(states, *args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spn, "_encrypt", failing_encrypt)
+    pts = np.zeros(6 * spn._BLOCK_WORDS, dtype=np.uint64)  # three blocks per range
+    with pytest.raises(Failure, match="second range"):
+        spn.encrypt_blocks(pts, pts[:1], spn.SpnConfig(sbox=aes, rounds=1))
+    assert caller_blocks == [spn._BLOCK_WORDS]  # the first range stopped after its first block
+    assert threading.active_count() == threads_before
 
 
 def test_key_tables_built_once_per_key_sbox(aes, monkeypatch):
