@@ -8,6 +8,7 @@ arguments pass through `check_int`, integer tables through `check_int_array`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,12 @@ def check_int_array(values, what: str) -> np.ndarray:
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
     return a.astype(np.int64, copy=False)
+
+
+def cpu_count() -> int:
+    """The CPUs a run may use: os.cpu_count(), or 1 when that is unknown.
+    It bounds both the search's processes and the SPN's block threads."""
+    return os.cpu_count() or 1
 
 
 def read_only(a) -> np.ndarray:

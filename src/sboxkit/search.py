@@ -12,24 +12,17 @@ from one draw step, `_draw`.  Means are accumulated as exact integer sums.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import SBox, check_int, check_seed, check_width, width_of
+from .core import SBox, check_int, check_seed, check_width, cpu_count, width_of
 from .metrics import METRICS, lookup_metric
 from .util import exact_decimal
 
 GENERATOR_NAME = "numpy-pcg64"
-
-
-def cpu_count() -> int:
-    """The CPUs a run may use: os.cpu_count(), or 1 when that is unknown.
-    It bounds both the search's processes and the SPN's block threads."""
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,18 @@ at a time by `_round_keys`.  Each avalanche block is reduced into an exact
 65-bin histogram of flip counts and per-input-bit sums, so its memory is
 the 16 B per trial of the pairs plus a constant per thread.
 
-`_run_blocks` is the one block loop.  It splits the blocks into contiguous
-ranges of whole blocks, one per thread, on min(CPU count, blocks) threads,
-the calling thread taking the first; numpy's lookups and XORs release the
-GIL, so the ranges run side by side.  The results do not depend on the
-split: encryption and decryption write disjoint slices of their output,
-and the avalanche experiment adds up each range's integer histogram and
-bit sums, whose total is the same in any order.  A thread holds one
-block's working set, 1-2 MB, so a call's memory beside its input and
-output is 1-2 MB per CPU.  Decryption holds every round key of its block
-at once, so its blocks shrink as the rounds grow and the keys stay
-within 1 MB.
+`_run_blocks` is the one block loop.  It splits the rows evenly into
+contiguous ranges, one per thread, each run in blocks of at most
+`_BLOCK_WORDS` words, the calling thread taking the first; numpy's lookups
+and XORs release the GIL, so the ranges run side by side.  The results do
+not depend on the split: encryption and decryption write disjoint slices
+of their output, and the avalanche experiment adds up each range's integer
+histogram and bit sums, whose total is the same in any order.  A block's
+working set is 1-2 MB, and a call holds at most `_CALL_WORDS` words of
+blocks at once: two blocks of state, so at most two threads whatever the
+CPU count, and at most one block when a block alone holds more.  That is
+decryption's case: it holds every round key of its block, so it runs its
+full blocks one at a time, with the memory of the serial loop.
 """
 
 from __future__ import annotations
@@ -47,14 +48,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import NotBijectiveError, SBox, check_int, check_int_array, check_seed, is_bijective, read_only
+from .core import (NotBijectiveError, SBox, check_int, check_int_array, check_seed, cpu_count, is_bijective,
+                   read_only)
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
-from .search import cpu_count
 from .util import exact_decimal
 
 BLOCK_BYTES = 8
 BLOCK_BITS = 64
 _BLOCK_WORDS = 1 << 15  # uint64 state words per bulk block: 256 KB, inside L2
+_CALL_WORDS = 1 << 16  # words that all of a call's blocks in flight may hold: two blocks of state
 AVALANCHE_CSV_HEADER = "name,rounds,distance"
 
 
@@ -241,11 +243,15 @@ def _round_keys(masters: np.ndarray, cfg: SpnConfig):
         yield prev
 
 
-def _run_blocks(rows: int, width: int, masters: np.ndarray, work) -> list:
-    """[work(blocks) for each thread's range of blocks], in range order.
+def _run_blocks(rows: int, width: int, masters: np.ndarray, work, keys: int = 0) -> list:
+    """[work(blocks) for each thread's range of rows], in range order.
 
-    The rows of `width` words each run in blocks of _BLOCK_WORDS words.  The
-    blocks are split into min(CPU count, blocks) contiguous ranges, and
+    A row holds `width` state words, plus `keys` round keys when its keys
+    are held all at once rather than made one per round; the rows run in
+    blocks of _BLOCK_WORDS state words.  The rows are split evenly into
+    contiguous ranges, one per thread, on at most as many threads as there
+    are CPUs, blocks, and blocks whose words fit in _CALL_WORDS, but at
+    least one, so a call holds at most _CALL_WORDS words or one block.
     work(blocks) runs once per range, in its own thread, over an iterator
     of (slice, its masters) per block; one master serves all rows.  The
     calling thread takes the first range, so with one range nothing else
@@ -254,8 +260,8 @@ def _run_blocks(rows: int, width: int, masters: np.ndarray, work) -> list:
     """
     step = _BLOCK_WORDS // width
     count = -(-rows // step)
-    ranges = max(1, min(cpu_count(), count))
-    bounds = [count * k // ranges * step for k in range(ranges + 1)]
+    ranges = max(1, min(cpu_count(), count, _CALL_WORDS // (step * (width + keys))))
+    bounds = [rows * k // ranges for k in range(ranges + 1)]
     stop = threading.Event()
     results = [None] * ranges
     failures = [None] * ranges
@@ -264,7 +270,7 @@ def _run_blocks(rows: int, width: int, masters: np.ndarray, work) -> list:
         for start in range(lo, hi, step):
             if stop.is_set():
                 return
-            sl = slice(start, start + step)
+            sl = slice(start, min(start + step, hi))
             yield sl, masters if len(masters) == 1 else masters[sl]
 
     def run(k):
@@ -346,9 +352,7 @@ def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig)
                 st = _lane_lookup(st, inv_tabs)
             out[sl] = st
 
-    # a row holds all its round keys at once: count four rounds' keys as one word, so
-    # a block's keys stay within four blocks of words (1 MB) however many rounds
-    _run_blocks(len(cts), max(1, -(-cfg.rounds // 4)), masters, work)
+    _run_blocks(len(cts), 1, masters, work, keys=cfg.rounds)  # a row holds all its round keys at once
     return out
 
 

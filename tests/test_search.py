@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
@@ -290,7 +291,7 @@ def test_search_worker_split_changes_streams():
 def test_search_streams_beyond_processes_keep_the_result(monkeypatch):
     cfg = small_config(tries=30, workers=3)
     pooled = run_search(cfg).to_dict()
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)  # all three streams inline
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # all three streams inline
     inline = run_search(cfg).to_dict()
     del pooled["elapsed"], inline["elapsed"]
     assert inline == pooled
@@ -340,7 +341,7 @@ def inline_pool(monkeypatch):
 def test_pool_size_never_exceeds_cpus(monkeypatch, inline_pool):
     def processes(streams, cpus):
         """Processes run_search uses for `streams` streams on `cpus` CPUs (1: no pool, all inline)."""
-        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         inline_pool.sizes.clear()
         inline_pool.submitted.clear()
         run_search(small_config(n=3, tries=streams, workers=streams))
@@ -358,15 +359,15 @@ def test_pool_size_never_exceeds_cpus(monkeypatch, inline_pool):
 
 def test_search_submits_one_job_per_process(monkeypatch, inline_pool):
     cfg = small_config(n=3, tries=20_000, workers=20_000)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pooled = run_search(cfg).to_dict()
     assert len(inline_pool.submitted) == 2  # never more processes than CPUs
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)  # unknown: no pool, every stream inline
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: no pool, every stream inline
     inline = run_search(cfg).to_dict()
     assert len(inline_pool.submitted) == 2
     del pooled["elapsed"], inline["elapsed"]
     assert inline == pooled
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     run_search(small_config(n=3, tries=30, workers=3))
     assert len(inline_pool.submitted) == 2 + 3  # never more processes than streams
 

@@ -345,7 +345,7 @@ def test_thread_count_does_not_change_results(aes, rounds, monkeypatch):
         assert all((a == b).all() for a, b in zip(other_cts + other_backs, cts + backs)), cpus
 
 
-def test_threads_never_exceed_cpus_or_blocks(aes, monkeypatch):
+def test_threads_never_exceed_cpus_blocks_or_budget(aes, monkeypatch):
     started = []
 
     class Thread(threading.Thread):
@@ -356,6 +356,7 @@ def test_threads_never_exceed_cpus_or_blocks(aes, monkeypatch):
     monkeypatch.setattr(threading, "Thread", Thread)
     cfg = spn.SpnConfig(sbox=aes, rounds=1)
     words = spn._BLOCK_WORDS
+    budget = spn._CALL_WORDS // words  # full blocks of state a call may hold at once
     pts = np.arange(3 * words, dtype=np.uint64)
     for cpus in (None, 1, 2, 3, 8):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -363,10 +364,44 @@ def test_threads_never_exceed_cpus_or_blocks(aes, monkeypatch):
             started.clear()
             spn.encrypt_blocks(pts[:blocks * words], pts[:1], cfg)
             # the calling thread runs the first range itself
-            assert len(started) == max(0, min(cpus or 1, blocks) - 1), (cpus, blocks)
+            assert len(started) == max(0, min(cpus or 1, blocks, budget) - 1), (cpus, blocks)
+            started.clear()
+            # decryption holds every round key of its block, which fills the budget
+            spn.decrypt_blocks(pts[:blocks * words], pts[:1], cfg)
+            assert started == [], (cpus, blocks)
         started.clear()
         spn.avalanche_experiment(cfg, spn.generate_pairs(2 * (words // 65), 71))  # two blocks
-        assert len(started) == min(cpus or 1, 2) - 1, cpus
+        assert len(started) == min(cpus or 1, 2, budget) - 1, cpus
+
+
+def test_rows_split_evenly_in_blocks_of_at_most_block_words(aes, monkeypatch):
+    # whole blocks would split 2.5 blocks as two against a half; even ranges balance the work
+    blocks = {}
+    encrypt = spn._encrypt
+
+    def recording_encrypt(states, *args):
+        blocks.setdefault(threading.get_ident(), []).append(len(states))
+        return encrypt(states, *args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spn, "_encrypt", recording_encrypt)
+    rows = 5 * spn._BLOCK_WORDS // 2 + 1
+    pts = np.arange(rows, dtype=np.uint64)
+    spn.encrypt_blocks(pts, pts[:1], spn.SpnConfig(sbox=aes, rounds=1))
+    assert sorted(sum(sizes) for sizes in blocks.values()) == [rows // 2, rows - rows // 2]
+    assert max(max(sizes) for sizes in blocks.values()) == spn._BLOCK_WORDS
+
+
+def test_memory_bound_does_not_grow_with_cpus(aes, traced_peak_mb, monkeypatch):
+    # the threads share one budget of words, so a host with more CPUs holds no more
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cfg = spn.SpnConfig(sbox=aes, rounds=12)
+    pts, masters = np.random.default_rng(69).integers(0, 2 ** 64, size=(2, 100_000), dtype=np.uint64)
+    cts = spn.encrypt_blocks(pts, masters, cfg)
+    assert traced_peak_mb(lambda: spn.encrypt_blocks(pts, masters, cfg)) < 8
+    assert traced_peak_mb(lambda: spn.decrypt_blocks(cts, masters, cfg)) < 8
+    pairs = spn.generate_pairs(50_000, 67)
+    assert traced_peak_mb(lambda: spn.avalanche_experiment(replace(cfg, rounds=1), pairs)) < 8
 
 
 def test_error_in_a_later_range_stops_every_range(aes, monkeypatch):
