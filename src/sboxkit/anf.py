@@ -20,22 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SBox, check_int
+from .core import SBox, check_int, check_int_array, read_only
 
 
 def _bit_vector(obj, field: str, what: str) -> None:
-    """Stores obj.n as an int and obj.<field> as a read-only uint8 copy, checked
-    to be 2^n zeros and ones before the cast, which would wrap 256 to 0 and -1 to 255."""
+    """Stores obj.n as an int and obj.<field> as a read-only uint8 copy of 2^n zeros and ones."""
     n = check_int(obj.n, "n must be an integer >= 0", 0)
-    v = np.asarray(getattr(obj, field))
+    v = check_int_array(getattr(obj, field), f"{what} entries must be 0 or 1", 0, 1, np.uint8)
     if v.shape != (1 << n,):
         raise ValueError(f"{what} must have 2^{n} entries")
-    if not ((v == 0) | (v == 1)).all():
-        raise ValueError(f"{what} entries must be 0 or 1")
-    b = v.astype(np.uint8)
-    b.flags.writeable = False
     object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, field, b)
+    object.__setattr__(obj, field, read_only(v.copy()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,8 @@
 
 Field elements are ints whose bit i holds the coefficient of x^i, so field
 addition is plain XOR and no translation layer is needed anywhere.  Integer
-arguments pass through `check_int`, integer tables through `check_int_array`.
+arguments pass through `check_int`, and array arguments through `check_int_array`:
+every entry an integer in the caller's [lo, hi], checked before any cast.
 """
 
 from __future__ import annotations
@@ -51,12 +52,27 @@ def check_seed(seed) -> int:
     return check_int(seed, "seed must be a 64-bit unsigned integer", 0, 2**64 - 1)
 
 
-def check_int_array(values, what: str) -> np.ndarray:
-    """values as an int64 array; a float or bool dtype, which the cast would garble, is refused."""
-    a = np.asarray(values)
-    if not np.issubdtype(a.dtype, np.integer):
-        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
-    return a.astype(np.int64, copy=False)
+def check_int_array(values, rule: str, lo: int, hi: int, dtype=np.int64) -> np.ndarray:
+    """values as a `dtype` array if every entry is an integer in [lo, hi], checked before the cast;
+    else ValueError("<rule>, got dtype <d>") for a float, bool, object or str array, or "<rule>, got
+    <entry> at index <i>" for the first bad entry.  An array is scanned only when its dtype can leave
+    [lo, hi] and is not copied when it has `dtype`; anything else, such as a list, is read entry by
+    entry, so Python ints past 2^63 stay exact and a bool among them is refused."""
+    if isinstance(values, np.ndarray):
+        a = values
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"{rule}, got dtype {a.dtype}")
+        info = np.iinfo(a.dtype)
+        scan = a.size and ((info.min < lo and a.min() < lo) or (info.max > hi and a.max() > hi))
+        bad = np.flatnonzero((a < lo) | (a > hi)) if scan else []
+    else:
+        a = np.array(values, dtype=object)
+        bad = [k for k, v in enumerate(a.flat) if not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+               or not lo <= v <= hi]
+    if len(bad):
+        where = bad[0] if a.ndim == 1 else tuple(int(i) for i in np.unravel_index(bad[0], a.shape))
+        raise ValueError(f"{rule}, got {a.flat[bad[0]]} at index {where}")
+    return a.astype(dtype, copy=False)
 
 
 def cpu_count() -> int:
@@ -94,15 +110,11 @@ class SBox:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_width(self.n))
-        tab = check_int_array(self.table, "table entries").copy()
         size = 1 << self.n
+        tab = check_int_array(self.table, f"table entries must be integers in [0, {size})", 0, size - 1)
         if tab.shape != (size,):
             raise ValueError(f"table must have exactly 2^{self.n} = {size} entries, got shape {tab.shape}")
-        if tab.size and (tab.min() < 0 or tab.max() >= size):
-            bad = int(np.argmax((tab < 0) | (tab >= size)))
-            raise ValueError(f"table entry {int(tab[bad])} at index {bad} outside [0, {size})")
-        tab.flags.writeable = False
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "table", read_only(tab.copy()))
 
     @property
     def size(self) -> int:

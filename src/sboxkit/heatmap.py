@@ -45,6 +45,14 @@ def heatmap_values(s: SBox, kind: str) -> np.ndarray:
     return KINDS[kind](s)
 
 
+def _check_matrix(values) -> np.ndarray:
+    """values as a 2-D int64 matrix; a uint64 entry the cast would wrap is refused."""
+    vals = check_int_array(values, "matrix entries must be 64-bit signed integers", -2**63, 2**63 - 1)
+    if vals.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {vals.shape}")
+    return vals
+
+
 def render_heatmap(values: np.ndarray, spec: HeatmapSpec):
     """Returns (rgb array, info dict).
 
@@ -52,7 +60,7 @@ def render_heatmap(values: np.ndarray, spec: HeatmapSpec):
     the scale and from marker selection; markers overpaint every interior
     cell attaining the extreme absolute value, either sign.
     """
-    vals = check_int_array(values, "matrix entries")
+    vals = _check_matrix(values)
     interior = np.abs(vals[1:, 1:])
     max_abs = int(interior.max()) if interior.size else 0
     scale = spec.scale if spec.scale is not None else max_abs
@@ -103,7 +111,7 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, values: np.ndarray) -> None:
-    np.savetxt(path, check_int_array(values, "matrix entries"), fmt="%d", delimiter=",")
+    np.savetxt(path, _check_matrix(values), fmt="%d", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:

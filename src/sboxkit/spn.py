@@ -48,8 +48,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (NotBijectiveError, SBox, check_int, check_int_array, check_seed, cpu_count, is_bijective,
-                   read_only)
+from .core import (NotBijectiveError, SBox, check_int, check_int_array, check_seed, cpu_count, inverse_sbox,
+                   is_bijective, read_only)
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
 from .util import exact_decimal
 
@@ -61,8 +61,8 @@ AVALANCHE_CSV_HEADER = "name,rounds,distance"
 
 
 def _check_perm(p, size, what) -> list:
-    """p as a list of ints; a float or bool entry is refused before it can index."""
-    p = check_int_array(p, what).tolist()
+    """p as a list of ints, each in [0, size) and each once."""
+    p = check_int_array(p, f"{what} must be integers in [0, {size})", 0, size - 1).tolist()
     if sorted(p) != list(range(size)):
         raise ValueError(f"{what} must be a permutation of 0..{size - 1}")
     return p
@@ -194,13 +194,6 @@ def _lane_tables(values, positions) -> np.ndarray:
     return (bits << shifts[:, :, np.newaxis]).sum(axis=1)  # distinct bits per lane: the sum is their OR
 
 
-def _inverse(p) -> np.ndarray:
-    """The inverse of the permutation p of 0..len(p)-1."""
-    inv = np.empty(len(p), dtype=np.int64)
-    inv[p] = np.arange(len(p))
-    return inv
-
-
 # memory column of block byte i (byte 0 the most significant) in a uint64's bytes
 _BYTE_COLUMNS = tuple(range(7, -1, -1)) if np.little_endian else tuple(range(8))
 
@@ -221,7 +214,7 @@ def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
 # so ciphertext bit 8i+r came from block bit _BIT_SOURCES[i][r].  Every call
 # shares these tables, so they are read-only.
 _BIT_SOURCES = read_only(np.array([PBOX8[p >> 3] * 8 + (p & 7) for p in DILLON_PERMUTATION]).reshape(8, 8))
-_ROUND_DEST = read_only(_inverse(_BIT_SOURCES.ravel()).reshape(8, 8))
+_ROUND_DEST = read_only(inverse_sbox(SBox(6, _BIT_SOURCES.ravel())).table.reshape(8, 8))  # 64 positions: 6 bits
 _INV_PERM_TABLES = read_only(_lane_tables(np.arange(256), _BIT_SOURCES))
 # the key S-box on whole bytes: byte (hi, lo) -> KEY_SBOX[hi] << 4 | KEY_SBOX[lo]
 _KEY_TABLES = read_only(_lane_tables([KEY_SBOX[v >> 4] << 4 | KEY_SBOX[v & 0xF] for v in range(256)],
@@ -306,20 +299,9 @@ def _encrypt(states: np.ndarray, masters: np.ndarray, cfg: SpnConfig, tabs: np.n
     return states
 
 
-def _as_words(a, what: str) -> np.ndarray:
-    """a as uint64; what the cast would garble (a float, bool or object dtype,
-    a negative value) is refused first.  uint64 input is not scanned."""
-    a = np.asarray(a)
-    if a.dtype != np.uint64:
-        if not np.issubdtype(a.dtype, np.integer) or (a.size and a.min() < 0):
-            raise ValueError(f"{what} must be non-negative integers, got dtype {a.dtype}")
-        a = a.astype(np.uint64)
-    return a
-
-
 def _check_blocks(blocks, masters):
-    blocks = _as_words(blocks, "blocks")
-    masters = _as_words(masters, "masters")
+    blocks = check_int_array(blocks, "blocks must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
+    masters = check_int_array(masters, "masters must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
     if blocks.ndim != 1 or masters.ndim != 1 or len(masters) not in (1, len(blocks)):
         raise ValueError("blocks must be 1-D, with one master per block or a single master for all")
     return blocks, masters
@@ -341,7 +323,7 @@ def encrypt_blocks(plaintexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) 
 
 def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
     cts, masters = _check_blocks(ciphertexts, masters)
-    inv_tabs = _lane_tables(_inverse(cfg.sbox.table), _BYTE_LANES)  # S is a bijection
+    inv_tabs = _lane_tables(inverse_sbox(cfg.sbox).table, _BYTE_LANES)
     out = np.empty_like(cts)
 
     def work(blocks):
@@ -371,7 +353,8 @@ def generate_pairs(trials: int, seed: int) -> np.ndarray:
 
 def save_pairs(path, pairs: np.ndarray) -> None:
     """16 bytes per trial: plaintext then master, each little-endian uint64."""
-    np.asarray(pairs, "<u8").tofile(path)
+    pairs = check_int_array(pairs, "pairs must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
+    pairs.astype("<u8", copy=False).tofile(path)
 
 
 def load_pairs(path) -> np.ndarray:
@@ -390,7 +373,7 @@ def avalanche_experiment(cfg: SpnConfig, pairs: np.ndarray) -> AvalancheReport:
     `generate_pairs` or `load_pairs`) is what makes cross-S-box distance
     comparisons meaningful.
     """
-    pairs = _as_words(pairs, "pairs")
+    pairs = check_int_array(pairs, "pairs must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
         raise ValueError("pairs must be a non-empty (trials, 2) array")
     trials = len(pairs)
