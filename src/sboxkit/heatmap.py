@@ -46,8 +46,10 @@ def heatmap_values(s: SBox, kind: str) -> np.ndarray:
 
 
 def _check_matrix(values) -> np.ndarray:
-    """values as a 2-D int64 matrix; a uint64 entry the cast would wrap is refused."""
-    vals = check_int_array(values, "matrix entries must be 64-bit signed integers", -2**63, 2**63 - 1)
+    """values as a 2-D int64 matrix.  A uint64 entry the cast would wrap is
+    refused, and so is -2^63, which `np.abs` would leave negative."""
+    top = 2**63 - 1
+    vals = check_int_array(values, "matrix entries must be integers of magnitude below 2^63", -top, top)
     if vals.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {vals.shape}")
     return vals

@@ -6,11 +6,14 @@ pair {x, x xor a} once, so a block holds exactly half the DDT; only
 most 2^18 values (1 MB) at a time, the sign rows of each gathered from a cached
 Hadamard matrix and transformed by two stacks of small float32 products, by
 the Kronecker factorisation H_n = H_hi (x) H_lo; max bias and NL are reduced
-block by block and only `compute_lat` holds the whole table.  Flip counts: one
-stacked float32 product of the one-bit-flip output differences with
-themselves, BIC its upper triangle; SAC, its diagonal, is read off the
-difference bits directly.  Every float32 sum is an integer of magnitude at most
-2^n <= 4096 < 2^24, so float32 holds it exactly in any summation order.
+block by block and only `compute_lat` holds the whole table.  Flip
+histograms: per input bit i, the histogram over d of the x with bit i clear
+and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n from one
+bincount; SAC and BIC are each one float32 product of the histograms with
+cached 0/2 weights of the difference bits and of their pairwise products.
+Every float32 sum is an integer of magnitude at most 2^n <= 4096 < 2^24 (a
+flip sum at most 2^(n-1) <= 2048, doubled), so float32 holds it exactly in
+any summation order.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
@@ -73,12 +76,11 @@ def _walsh_blocks(table: np.ndarray, n: int):
         yield c << k, block
 
 
-def _walsh_stats(blocks, n: int) -> tuple[int, np.ndarray]:
+def _walsh_stats(blocks) -> tuple[int, list]:
     """From (start, block) Walsh blocks, made absolute in place: the max bias,
-    half the extreme over a != 0, b != 0, and per output mask b != 0 the
-    component nonlinearity, 2^(n-1) less half the extreme over every a.  Every
-    Walsh sum is even, so both halvings are exact; the NLs, and any sum of them
-    (< 2^(2n-1) <= 2^23), stay exact in float32."""
+    half the extreme over a != 0, b != 0, and per block the extreme over every a
+    for each output mask b != 0, which `_component_nls` turns into NLs.  Every
+    Walsh sum is even, so the halving is exact."""
     top = 0
     columns = []
     for start, block in blocks:
@@ -89,7 +91,14 @@ def _walsh_stats(blocks, n: int) -> tuple[int, np.ndarray]:
             rest, column = rest[1:], column[1:]
         top = max(top, int(rest.max()))
         columns.append(column)
-    return top // 2, (1 << (n - 1)) - 0.5 * np.concatenate(columns)
+    return top // 2, columns
+
+
+def _component_nls(columns: list, n: int) -> np.ndarray:
+    """Per output mask b != 0 the component nonlinearity, 2^(n-1) less half the
+    extreme of `_walsh_stats`' columns; the NLs, and any sum of them
+    (< 2^(2n-1) <= 2^23), stay exact in float32."""
+    return (1 << (n - 1)) - 0.5 * np.concatenate(columns)
 
 
 @functools.cache
@@ -157,38 +166,46 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
 
 @functools.cache
 def _flip_index(n: int) -> tuple:
-    """(shifts, flip, j, k, pairs) for width n: shifts = 0..n-1 as a column,
-    flip[i, x] = x xor 2^i, and the output-bit pairs j < k in row-major order
-    (0, 1), (0, 2), ..., (n - 2, n - 1), as index arrays and as a tuple."""
-    shifts = np.arange(n, dtype=np.uint16)[:, np.newaxis]
-    flip = np.arange(1 << n) ^ (1 << shifts)
+    """(ends, codes, sac_weights, bic_weights, pairs) for `_flip_hist` and its
+    readers at width n: ends[0, i] the 2^(n-1) x with bit i clear and
+    ends[1, i] those x xor 2^i, shape (2, n, 2^(n-1)); the row codes i << n as a
+    column; per difference d, sac_weights[d, a] = 2 * bit a of d and
+    bic_weights[d, p] = 2 * (bits j and k of d) for the p-th output-bit pair
+    j < k, float32; and the pairs in row-major order (0, 1), (0, 2), ...,
+    (n - 2, n - 1)."""
+    i = np.arange(n)[:, np.newaxis]
+    y = np.arange(1 << (n - 1))
+    low = (y >> i << (i + 1)) | (y & ((1 << i) - 1))  # y with a 0 inserted at bit i
+    bits = 2 * (np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1).astype(np.float32)
     j, k = np.triu_indices(n, 1)
-    pairs = tuple(zip(j.tolist(), k.tolist()))
-    return read_only(shifts), read_only(flip), read_only(j), read_only(k), pairs
+    return (read_only(np.stack([low, low | 1 << i])), read_only(i << n), read_only(bits),
+            read_only(bits[:, j] * bits[:, k] / 2), tuple(zip(j.tolist(), k.tolist())))
 
 
-def _flip_bits(table: np.ndarray, n: int) -> np.ndarray:
-    """bits[i, a, x] = bit a of S(x) xor S(x xor 2^i), uint16, shape (n, n, 2^n)."""
-    shifts, flip = _flip_index(n)[:2]
-    t = table.astype(np.uint16)  # n <= 12 bits
-    diff = t ^ t[flip]  # row i flips input bit i
-    return (diff[:, np.newaxis] >> shifts) & 1
+def _flip_hist(table: np.ndarray, n: int) -> np.ndarray:
+    """hist[i, d] = #{x with bit i clear : S(x) xor S(x xor 2^i) = d}, exactly
+    half of DDT row 2^i, int64, shape (n, 2^n): one bincount of (i << n) | d codes."""
+    ends, codes = _flip_index(n)[:2]
+    low, high = np.asarray(table, dtype=np.intp)[ends]
+    diff = np.bitwise_xor(low, high)
+    diff |= codes
+    return np.bincount(diff.ravel(), minlength=n << n).reshape(n, 1 << n)
 
 
-def _sac_deviations(bits: np.ndarray, n: int) -> np.ndarray:
-    """Raw |flips of output bit j under input bit i - 2^(n-1)| from `_flip_bits`:
-    the number of set difference bits."""
-    return np.abs(bits.sum(axis=2).astype(np.int64) - (1 << (n - 1)))
+def _sac_deviations(hist: np.ndarray, n: int) -> np.ndarray:
+    """Raw |flips of output bit a under input bit i - 2^(n-1)| from `_flip_hist`:
+    the flips are the doubled hist @ bits, exact in float32 as each is <= 2^n."""
+    flips = (hist.astype(np.float32) @ _flip_index(n)[2]).astype(np.int64)
+    return np.abs(flips - (1 << (n - 1)))
 
 
-def _bic_deviations(bits: np.ndarray, n: int):
+def _bic_deviations(hist: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k,
-    from `_flip_bits`.  J[i, a, b] = #{x : bits a and b of the difference are
-    both 1} is one stacked float32 bits @ bits^T, exact as every count is <= 2^n."""
-    j, k, pairs = _flip_index(n)[2:]
-    b = bits.astype(np.float32)
-    joint = (b @ b.transpose(0, 2, 1)).astype(np.int64)
-    return np.abs((1 << n) // 4 - joint[:, j, k]), pairs
+    from `_flip_hist`: the joint counts #{x : bits j and k of the difference are
+    both 1} are the doubled hist @ pair products, exact in float32 likewise."""
+    weights, pairs = _flip_index(n)[3:]
+    joint = (hist.astype(np.float32) @ weights).astype(np.int64)
+    return np.abs((1 << n) // 4 - joint), pairs
 
 
 @dataclass(frozen=True)
@@ -214,12 +231,13 @@ class Metric:
 # in CSV column order
 METRICS = {
     "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0], "DU", "du"),
-    "max_bias": Metric(lambda t, n: _walsh_stats(_walsh_blocks(t, n), n)[0], "MAX BIAS", "max_bias"),
-    "dsac": Metric(lambda t, n: int(_sac_deviations(_flip_bits(t, n), n).max()), "DSAC", "dsac.max_raw",
+    "max_bias": Metric(lambda t, n: _walsh_stats(_walsh_blocks(t, n))[0], "MAX BIAS", "max_bias"),
+    "dsac": Metric(lambda t, n: int(_sac_deviations(_flip_hist(t, n), n).max()), "DSAC", "dsac.max_raw",
                    per_size=True),
-    "dbic": Metric(lambda t, n: int(_bic_deviations(_flip_bits(t, n), n)[0].max()), "DBIC", "dbic.max_raw",
+    "dbic": Metric(lambda t, n: int(_bic_deviations(_flip_hist(t, n), n)[0].max()), "DBIC", "dbic.max_raw",
                    per_size=True),
-    "nl": Metric(lambda t, n: int(_walsh_stats(_walsh_blocks(t, n), n)[1].min()), "NL", "nl", maximize=True),
+    "nl": Metric(lambda t, n: int(_component_nls(_walsh_stats(_walsh_blocks(t, n))[1], n).min()), "NL", "nl",
+                 maximize=True),
 }
 
 CSV_HEADER = ",".join(["name", *(m.column for m in METRICS.values())])
@@ -366,7 +384,7 @@ def compute_lat(s: SBox) -> LAT:
 
 def max_bias(l: LAT) -> int:
     """Half the extreme |Walsh sum| outside row/column zero."""
-    return _walsh_stats([(0, l.sums.copy())], l.n)[0]
+    return _walsh_stats([(0, l.sums.copy())])[0]
 
 
 def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
@@ -377,40 +395,40 @@ def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(_walsh_stats(_walsh_blocks(s.table, s.n), s.n)[1])
+    return _nl_stats(_component_nls(_walsh_stats(_walsh_blocks(s.table, s.n))[1], s.n))
 
 
-def _sac_report(bits: np.ndarray, n: int) -> SacReport:
-    devs = _sac_deviations(bits, n)
+def _sac_report(hist: np.ndarray, n: int) -> SacReport:
+    devs = _sac_deviations(hist, n)
     mx = int(devs.max())
     scale = METRICS["dsac"].value
     return SacReport(devs, mx, scale(mx, n), scale(Fraction(int(devs.sum()), devs.size), n))
 
 
-def _bic_report(bits: np.ndarray, n: int) -> BicReport:
-    devs, pairs = _bic_deviations(bits, n)
+def _bic_report(hist: np.ndarray, n: int) -> BicReport:
+    devs, pairs = _bic_deviations(hist, n)
     mx = int(devs.max())
     return BicReport(devs, pairs, mx, METRICS["dbic"].value(mx, n))
 
 
 def dsac(s: SBox) -> SacReport:
-    return _sac_report(_flip_bits(s.table, s.n), s.n)
+    return _sac_report(_flip_hist(s.table, s.n), s.n)
 
 
 def dbic(s: SBox) -> BicReport:
-    return _bic_report(_flip_bits(s.table, s.n), s.n)
+    return _bic_report(_flip_hist(s.table, s.n), s.n)
 
 
 def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> MetricReport:
-    """Everything at once, one pass of each kernel: DDT, Walsh and flip bits.
+    """Everything at once, one pass of each kernel: DDT, Walsh and flip histograms.
 
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
     """
     du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
-    bias, nls = _walsh_stats(_walsh_blocks(s.table, s.n), s.n)
-    nl_stats = _nl_stats(nls)
-    bits = _flip_bits(s.table, s.n)
+    bias, columns = _walsh_stats(_walsh_blocks(s.table, s.n))
+    nl_stats = _nl_stats(_component_nls(columns, s.n))
+    hist = _flip_hist(s.table, s.n)
     bijective = is_bijective(s)
     degree = ai = ai_scope = None
     if with_degree or with_ai:
@@ -430,8 +448,8 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         nl_component_min=nl_stats.component_min,
         nl_component_max=nl_stats.component_max,
         nl_component_avg=nl_stats.component_avg,
-        dsac=_sac_report(bits, s.n),
-        dbic=_bic_report(bits, s.n),
+        dsac=_sac_report(hist, s.n),
+        dbic=_bic_report(hist, s.n),
         cycles=cycle_decomposition(s) if bijective else None,
         degree=degree,
         ai=ai,

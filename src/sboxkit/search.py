@@ -12,13 +12,14 @@ from one draw step, `_draw`.  Means are accumulated as exact integer sums.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import SBox, check_int, check_seed, check_width, cpu_count, width_of
+from .core import SBox, check_int, check_seed, check_width, cpu_count, read_only, width_of
 from .metrics import METRICS, lookup_metric
 from .util import exact_decimal
 
@@ -116,18 +117,24 @@ def random_permutation(rng: np.random.Generator, size: int) -> SBox:
     return SBox(width_of(size, "size"), _draw(rng, size, None))
 
 
+@functools.cache
+def _ring_successors(lengths: tuple) -> np.ndarray:
+    """Position i's successor in a pool cut into chunks of `lengths`: i + 1,
+    except at a chunk's last position, which points back to the chunk's first."""
+    lens = np.array(lengths)
+    ends = np.cumsum(lens)
+    nxt = np.arange(1, ends[-1] + 1)
+    nxt[ends - 1] = ends - lens
+    return read_only(nxt)
+
+
 def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
     """One shuffled pool supplies every cycle's elements in drawn order, and
-    one gather links each chunk into a ring: position i's successor is i + 1,
-    except at a chunk's last position, which points back to the chunk's first.
-    table[pool] = pool[successor] is then the requested decomposition."""
+    one gather through the cached successor index links each chunk into a
+    ring: table[pool] = pool[successor] is the requested decomposition."""
     pool = rng.permutation(spec.total)
-    lengths = np.array(spec.lengths)
-    ends = np.cumsum(lengths)
-    nxt = np.arange(1, spec.total + 1)
-    nxt[ends - 1] = ends - lengths
     table = np.empty(spec.total, dtype=np.int64)
-    table[pool] = pool[nxt]
+    table[pool] = pool[_ring_successors(spec.lengths)]
     return table
 
 

@@ -20,7 +20,7 @@ AES = sk.SBox(8, np.array(sk.AES_SBOX))
 CFG = spn.SpnConfig(sbox=AES, rounds=2)
 ONE = np.array([3], dtype=np.uint64)
 WORDS = "must be non-negative integers below 2^64"
-MATRIX = "matrix entries must be 64-bit signed integers"
+MATRIX = "matrix entries must be integers of magnitude below 2^63"
 
 
 def _csv(values, tmp_path):
@@ -62,8 +62,8 @@ ENTRIES = {
                                     0, BIG),
     "avalanche_experiment": Entry(lambda x, _: spn.avalanche_experiment(CFG, x), [[1, 2], [100, 0], [7, 7]],
                                   "pairs " + WORDS, 0, BIG),
-    "render_heatmap": Entry(_render, [[4, 0, 1], [0, 2, 0], [3, 0, 2]], MATRIX, -2**63, 2**63 - 1),
-    "write_matrix_csv": Entry(_csv, [[4, 0], [1, 2]], MATRIX, -2**63, 2**63 - 1),
+    "render_heatmap": Entry(_render, [[4, 0, 1], [0, 2, 0], [3, 0, 2]], MATRIX, -(2**63 - 1), 2**63 - 1),
+    "write_matrix_csv": Entry(_csv, [[4, 0], [1, 2]], MATRIX, -(2**63 - 1), 2**63 - 1),
 }
 
 
@@ -116,6 +116,13 @@ def test_heatmap_requires_a_matrix(shape, tmp_path):
     for call in (_render, _csv):
         with pytest.raises(ValueError, match="matrix must be 2-D"):
             call(values, tmp_path)
+
+
+def test_heatmap_reads_its_most_negative_entry_exactly(tmp_path):
+    # the rule's lo stops one above -2^63, whose np.abs wraps in int64 and would hide it from scale and markers
+    values = np.array([[0, 0, 0], [0, 5, 0], [0, 0, -(2**63 - 1)]], dtype=np.int64)
+    assert _render(values, tmp_path)[1:3] == (2**63 - 1, 2**63 - 1)
+    assert _csv(values, tmp_path).splitlines()[-1] == f"0,0,{-(2**63 - 1)}"
 
 
 def test_python_int_lists_past_2_63_are_read_exactly():

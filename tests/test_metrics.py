@@ -331,14 +331,38 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
     bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     for kind, table in _oracle_maps(n).items():
-        flips = metrics._flip_bits(table, n)
-        sac = metrics._sac_deviations(flips, n)
-        bic, got_pairs = metrics._bic_deviations(flips, n)
+        hist = metrics._flip_hist(table, n)
+        sac = metrics._sac_deviations(hist, n)
+        bic, got_pairs = metrics._bic_deviations(hist, n)
         assert sac.dtype == bic.dtype == np.int64, kind
         assert sac.shape == (n, n) and bic.shape == (n, len(pairs)) and got_pairs == pairs, kind
         for i, joint in zip(bits, reference.flip_counts_brute(table.tolist(), n, bits)):
             assert sac[i].tolist() == [abs(joint[a][a] - size // 2) for a in range(n)], (kind, i)
             assert bic[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in pairs], (kind, i)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_flip_hist_is_half_the_ddt_rows_of_one_bit_differences(n):
+    # the flip and DDT kernels count the same pairs {x, x xor 2^i} independently
+    maps = {**_oracle_maps(n), "identity": np.arange(1 << n)}
+    for kind, table in maps.items():
+        hist = metrics._flip_hist(table, n)
+        counts = sk.compute_ddt(sk.SBox(n, table)).counts
+        assert hist.dtype == np.int64 and hist.shape == (n, 1 << n), kind
+        for i in range(n):
+            assert hist[i].tolist() == (counts[1 << i] // 2).tolist(), (kind, i)
+
+
+def test_flip_index_cache_stays_small():
+    # the indices and weights stay cached for the life of the process, read-only
+    n = 12
+    raw_metric_value(np.arange(1 << n), n, "dbic")
+    misses = metrics._flip_index.cache_info().misses
+    cached = metrics._flip_index(n)[:4]
+    assert metrics._flip_index.cache_info().misses == misses  # built by the kernel and kept
+    assert sum(a.nbytes for a in cached) <= 2 << 20
+    for a in cached:
+        assert not a.flags.writeable
 
 
 def test_flip_index_cache_is_keyed_by_n():
@@ -482,13 +506,13 @@ def test_report_json_and_csv_match_recorded_reports():
 
 def test_full_report_makes_one_pass_of_each_kernel(aes, monkeypatch):
     calls = Counter()
-    for kernel in ("_flip_bits", "_ddt_blocks", "_walsh_blocks"):
+    for kernel in ("_flip_hist", "_ddt_blocks", "_walsh_blocks"):
         def counted(*args, _kernel=kernel, _inner=getattr(metrics, kernel), **kwargs):
             calls[_kernel] += 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(metrics, kernel, counted)
     sk.full_report(aes, with_degree=True, with_ai=True)
-    assert calls == {"_flip_bits": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
+    assert calls == {"_flip_hist": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
 
 
 # ---------------------------------------------------------------------------

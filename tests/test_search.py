@@ -399,6 +399,12 @@ def test_walsh_search_json_matches_recorded_runs():
     _assert_recorded_runs("search_walsh_golden.json")
 
 
+def test_flip_search_json_matches_recorded_runs():
+    """Unconstrained `dsac`/`dbic` runs recorded from the stacked flip-bit
+    kernel: n = 2, 3, 5, 8, 10, 12 at seeds 1, 2 x workers 1, 2."""
+    _assert_recorded_runs("search_flip_golden.json")
+
+
 def test_cycle_search_json_matches_recorded_runs():
     """Cycle-constrained `dsac`/`dbic` runs recorded from the per-cycle ring
     builder: the five built-in specs at workers 1, 2, 3, and specs with fixed
