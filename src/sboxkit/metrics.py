@@ -1,7 +1,10 @@
 """Difference, linear and avalanche-criterion metrics from three kernels.
 
-DDT blocks: rows of the DDT a block at a time, a bincount each, counting each
-pair {x, x xor a} once, so a block holds exactly half the DDT; only
+DDT blocks: with v(x) = (x << n) | S(x), each pair x < y is counted once at
+its code v(x) xor v(y) = ((x xor y) << n) | (S(x) xor S(y)), so the blocks
+hold exactly half the DDT.  x runs in chunks of w consecutive values and each
+block of w rows is one bincount of at most 2^15 pair codes into at most 2^16
+bins (512 KB): one block up to n = 8, 64 rows at n = 10 and 16 at n = 12; only
 `compute_ddt` holds the whole table.  Walsh blocks: columns of the LAT at
 most 2^18 values (1 MB) at a time, the sign rows of each gathered from a cached
 Hadamard matrix and transformed by two stacks of small float32 products, by
@@ -36,7 +39,7 @@ from . import anf
 from .core import CycleStructure, SBox, cycle_decomposition, is_bijective, read_only
 from .util import exact_decimal
 
-_DDT_BLOCK = 256  # input differences per bincount
+_PAIR_BUDGET = 1 << 15  # pairs per DDT block: 2^16 bins, 512 KB
 
 
 @functools.cache
@@ -102,52 +105,45 @@ def _component_nls(columns: list, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _ddt_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, codes) for `_ddt_blocks` at width n: xor[i, y] = i xor y over the
-    lanes, and the row codes i << n as a (rows, 1, 1) column."""
-    lane = np.arange(min(_DDT_BLOCK, (1 << n) >> 1), dtype=np.intp)
-    codes = np.arange(min(_DDT_BLOCK, 1 << n), dtype=np.intp) << n
-    return read_only(np.bitwise_xor.outer(lane, lane)), read_only(codes[:, np.newaxis, np.newaxis])
+def _pair_index(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shifted, tri) for `_ddt_blocks` at width n and chunk width w: the
+    x << n in the code dtype (uint16 up to n = 8, uint32 above), and the flat
+    positions i w + j, i < j, of the upper triangle of a w x w table."""
+    shifted = np.arange(1 << n, dtype=np.uint16 if n <= 8 else np.uint32) << n
+    i = np.arange(w)
+    return read_only(shifted), read_only(np.flatnonzero(np.less.outer(i, i)))
 
 
 def _ddt_blocks(table: np.ndarray, n: int):
     """Yield (start, block), block[i, b] = DDT[start + i, b] / 2, one bincount of
-    (i << n) | dy codes per block of min(256, 2^n) rows.
+    at most 2^(n-1) w pair codes into w 2^n bins per block of w rows.
 
-    x and x xor a give the same difference, so each pair is counted once: from
-    the x whose bit h(a), the highest set bit of a, is clear.  That is exact for
-    any map, and row 0 (dy = 0 for half the x) reads 2^(n-1).  Over those x,
-    written y with bit h removed, S(x) = u[y] and S(x xor a) = w[y xor j]: u and
-    w are the bit-h-clear and bit-h-set halves of the table, and j = a xor 2^h.
-    Block 0 takes one group of rows per h < min(n, 8), j < 2^h.  A later block
-    shares h = h(start) >= 8, so j = c + i with c = start xor 2^h a multiple of
-    256 and i < 256; w is read from its rows shifted by c, so either way only
-    the low min(8, n-1) bits of y meet j, through one cached XOR index.
+    With v(x) = (x << n) | S(x), v(x) xor v(y) is the (a, b) code of the pair
+    {x, y}, a = x xor y.  Each pair is counted once, from x < y, so a block is
+    exactly half the DDT for any map, and row 0 reads 2^(n-1).  x runs in chunks
+    of w = min(2^n, _PAIR_BUDGET / 2^(n-1)) consecutive values, so a < w exactly
+    when x and y share a chunk: block 0 is the upper triangle of each chunk's
+    w x w XOR table.  Block s >= 1 is the full XOR of each chunk c, c < c xor s,
+    with chunk c xor s, less (s w) << n.  A block holds at most 2^16 bins
+    (512 KB): one block up to n = 8, 64 rows at n = 10 and 16 at n = 12.
     """
     size = 1 << n
-    half = size >> 1
-    xor, codes = _ddt_index(n)
-    lanes = len(xor)
-    rows = len(codes)
-    t = np.asarray(table, dtype=np.intp)
-    buf = np.empty((rows, lanes, half // lanes), dtype=np.intp)  # y = y_hi * lanes + y_lo
-    for start in range(0, size, rows):
-        if start == 0:
-            buf[0] = 0
-            groups = [(h, 1 << h, 1 << h) for h in range(min(n, 8))]  # (h, first row, row count)
-        else:
-            groups = [(start.bit_length() - 1, 0, rows)]
-        for h, first, count in groups:
-            split = t.reshape(-1, 2, 1 << h)
-            u = split[:, 0].reshape(-1, lanes).T
-            w = split[:, 1].reshape(-1, lanes)
-            if start:
-                w = w[np.arange(len(w)) ^ ((start ^ 1 << h) // lanes)]
-            out = buf[first : first + count]
-            np.take(w.T, xor[:count], axis=0, out=out, mode="wrap")
-            np.bitwise_xor(out, u, out=out)
-        np.bitwise_or(buf, codes, out=buf)
-        yield start, np.bincount(buf.ravel(), minlength=rows * size).reshape(rows, size)
+    w = min(size, _PAIR_BUDGET >> (n - 1))
+    shifted, tri = _pair_index(n, w)
+    chunks = (shifted | np.asarray(table).astype(shifted.dtype)).reshape(-1, w)
+    codes = np.empty((size // w, w, w), dtype=shifted.dtype)
+    np.bitwise_xor(chunks[:, :, np.newaxis], chunks[:, np.newaxis, :], out=codes)
+    block = np.bincount(np.take(codes.reshape(len(chunks), -1), tri, axis=1).ravel(), minlength=w << n)
+    block[0] = size >> 1
+    yield 0, block.reshape(w, size)
+    codes = codes[: len(codes) >> 1]
+    for s in range(1, size // w):
+        h = s.bit_length() - 1
+        split = chunks.reshape(-1, 2, 1 << h, w)  # bit h of the chunk number clear / set
+        low = split[:, 0] ^ ((s * w) << n)
+        high = split[:, 1][:, np.arange(1 << h) ^ (s ^ 1 << h)]  # chunk c xor s beside chunk c
+        np.bitwise_xor(low[..., np.newaxis], high[..., np.newaxis, :], out=codes.reshape(low.shape + (w,)))
+        yield s * w, np.bincount(codes.ravel(), minlength=w << n).reshape(w, size)
 
 
 def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:

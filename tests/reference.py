@@ -95,12 +95,12 @@ def ddt_brute(table, n):
 def ddt_bincount(table, n):
     """`ddt_brute` in one bincount: the code (a << n) | S(x) xor S(x xor a) of
     every ordered pair (a, x), where the library counts each pair {x, x xor a}
-    once, a block of rows at a time."""
+    once, a block of rows at a time; an int64 array."""
     t = np.asarray(table, dtype=np.int64)
     x = np.arange(1 << n)
     a = x[:, np.newaxis]
     codes = (a << n) | (t[x] ^ t[x ^ a])
-    return np.bincount(codes.ravel(), minlength=1 << (2 * n)).reshape(1 << n, 1 << n).tolist()
+    return np.bincount(codes.ravel(), minlength=1 << (2 * n)).reshape(1 << n, 1 << n)
 
 
 def flip_counts_brute(table, n, bits):

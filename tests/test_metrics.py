@@ -73,7 +73,7 @@ def test_ddt_matches_brute_force_every_width(n):
 def test_bincount_ddt_oracle_matches_counter_oracle(n):
     # criterion 9 reads the bincount oracle over many maps; the Counter loops vouch for it
     for kind, table in _oracle_maps(n).items():
-        assert reference.ddt_bincount(table, n) == reference.ddt_brute(table.tolist(), n), kind
+        assert reference.ddt_bincount(table, n).tolist() == reference.ddt_brute(table.tolist(), n), kind
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -129,13 +129,46 @@ def test_half_pair_kernel_matches_brute_ddt(case):
     assert report.du_count == np.count_nonzero(rows == du)
 
 
+def _chunk_width(n):
+    """The chunk width w of `_ddt_blocks` at width n under the current pair budget."""
+    return min(1 << n, metrics._PAIR_BUDGET >> (n - 1))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ddt_blocks_match_oracle_at_every_chunk_width(n, monkeypatch):
+    # the default budget builds one block at n <= 8, so this is the only test there
+    # of the blocks that pair two chunks; _oracle_maps holds a constant map
+    size = 1 << n
+    try:
+        for kind, table in {**_oracle_maps(n), "identity": np.arange(size)}.items():
+            expected = reference.ddt_bincount(table, n)
+            for k in range(n + 1):
+                monkeypatch.setattr(metrics, "_PAIR_BUDGET", 1 << (k + n - 1))
+                assert _chunk_width(n) == 1 << k
+                starts = []
+                for start, block in metrics._ddt_blocks(table, n):
+                    starts.append(start)
+                    assert block.shape == (1 << k, size), (kind, k, start)
+                    block *= 2  # in place: at n = 12 one block can hold the whole 128 MB table
+                    assert np.array_equal(block, expected[start : start + (1 << k)]), (kind, k, start)
+                assert starts == list(range(0, size, 1 << k)), (kind, k)
+    finally:
+        metrics._pair_index.cache_clear()  # the widest triangles are large
+
+
+def test_blocked_du_memory_is_bounded(traced_peak_mb):
+    # one block of 2^16 int64 bins and its 2^15 codes at a time, not rows of 8 MB
+    table = np.random.default_rng(12).permutation(4096)
+    assert traced_peak_mb(lambda: metrics._du_stats(metrics._ddt_blocks(table, 12))) < 4
+
+
 @pytest.mark.parametrize("n, limit", [(8, 1 << 20), (12, 4 << 20)])
 def test_ddt_index_cache_stays_small(n, limit):
-    # the indices stay cached for the life of the process
+    # the shifted x values and the triangle index stay cached for the life of the process
     raw_metric_value(np.arange(1 << n), n, "du")
-    misses = metrics._ddt_index.cache_info().misses
-    index = metrics._ddt_index(n)
-    assert metrics._ddt_index.cache_info().misses == misses  # built by the kernel and kept
+    misses = metrics._pair_index.cache_info().misses
+    index = metrics._pair_index(n, _chunk_width(n))
+    assert metrics._pair_index.cache_info().misses == misses  # built by the kernel and kept
     assert sum(a.nbytes for a in index) <= limit
 
 
@@ -390,8 +423,8 @@ def test_cached_arrays_are_read_only(n):
     for name in METRICS:
         raw_metric_value(table, n, name)
     cached = [metrics._hadamard(k) for k in range(min(n, 8) + 1)]
-    cached += [*metrics._ddt_index(n), *metrics._flip_index(n)[:4], spn._BYTE_LANES, spn._BIT_SOURCES,
-               spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_TABLES]
+    cached += [*metrics._pair_index(n, _chunk_width(n)), *metrics._flip_index(n)[:4], spn._BYTE_LANES,
+               spn._BIT_SOURCES, spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_TABLES]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
