@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import sboxkit as sk
+from sboxkit import heatmap
+
+import reference
 
 # scoreboard lines recorded by the acceptance tests; replayed after capture
 acceptance_log = []
@@ -27,6 +30,21 @@ def traced_peak_mb():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture(scope="session")
+def csv_rows_match_savetxt():
+    def check(path, values, directory) -> None:
+        """The CSV at path holds one line per row of values, and its first rows,
+        last rows and the rows across the first row-block boundary are the
+        bytes `reference.savetxt_csv` writes for those rows alone."""
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(values)
+        step = heatmap._CSV_BLOCK // values.shape[1]  # rows per block
+        for rows in (slice(0, 2), slice(step - 1, step + 1), slice(-2, None)):
+            reference.savetxt_csv(directory / "rows.csv", values[rows])
+            assert b"".join(lines[rows]) == (directory / "rows.csv").read_bytes(), rows
+    return check
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,11 @@ the points of weight <= d instead, one degree at a time from the top.
 per cycle, where the library links every ring with a single gather.
 `monomial_table` is the earlier power-map builder, one scalar `gf_pow` per
 field element, where the library multiplies whole arrays.  `ddt_bincount`
-counts every ordered pair in one whole-table bincount, checked against the
-Counter loops of `ddt_brute`.
+counts every ordered pair with one bincount per block of rows, checked
+against the Counter loops of `ddt_brute`.  `savetxt_csv` and `render_masked`
+are the earlier heatmap output paths: `np.savetxt`, where the library writes
+row blocks of byte fields, and a palette painted through boolean masks,
+where the library takes each channel from one fade array with `np.maximum`.
 """
 
 from collections import Counter
@@ -32,8 +35,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from sboxkit import spn
+from sboxkit import heatmap, spn
 from sboxkit.core import gf_pow
+
+
+def oracle_maps(n):
+    """The maps the oracles are checked on at width n: a random permutation,
+    a random non-bijective map and a constant map."""
+    size = 1 << n
+    rng = np.random.default_rng(100 + n)
+    return {
+        "permutation": rng.permutation(size),
+        "random": rng.integers(0, size, size=size),
+        "constant": np.full(size, size - 1),
+    }
 
 
 def parity(v: int) -> int:
@@ -93,14 +108,21 @@ def ddt_brute(table, n):
 
 
 def ddt_bincount(table, n):
-    """`ddt_brute` in one bincount: the code (a << n) | S(x) xor S(x xor a) of
-    every ordered pair (a, x), where the library counts each pair {x, x xor a}
-    once, a block of rows at a time; an int64 array."""
-    t = np.asarray(table, dtype=np.int64)
-    x = np.arange(1 << n)
-    a = x[:, np.newaxis]
-    codes = (a << n) | (t[x] ^ t[x ^ a])
-    return np.bincount(codes.ravel(), minlength=1 << (2 * n)).reshape(1 << n, 1 << n)
+    """`ddt_brute` by bincounts: the int32 code (a << n) | S(x) xor S(x xor a)
+    of every ordered pair (a, x), a block of 256 input differences at a time,
+    each counted into its rows of one int64 result.  The library instead
+    counts each pair {x, x xor a} once."""
+    size, rows = 1 << n, 256
+    t = np.asarray(table, dtype=np.int32)
+    x = np.arange(size, dtype=np.int32)
+    counts = np.empty((size, size), dtype=np.int64)
+    for start in range(0, size, rows):
+        a = x[start : start + rows, np.newaxis]
+        codes = t[x ^ a]
+        codes ^= t
+        codes |= (a - start) << n  # codes relative to the block's first row
+        counts[start : start + len(a)] = np.bincount(codes.ravel(), minlength=len(a) << n).reshape(-1, size)
+    return counts
 
 
 def flip_counts_brute(table, n, bits):
@@ -312,3 +334,42 @@ def avalanche_scalar(cfg, pairs):
 def monomial_table(ctx, e):
     """x -> x^e over ctx, one scalar `gf_pow` per element."""
     return np.array([gf_pow(ctx, x, e) for x in range(ctx.size)], dtype=np.int64)
+
+
+def savetxt_csv(path, values):
+    """The matrix as `%d` entries, `,` between them, one row per line, by `np.savetxt`."""
+    np.savetxt(path, np.asarray(values, dtype=np.int64), fmt="%d", delimiter=",")
+
+
+def render_masked(values, spec):
+    """`heatmap.render_heatmap`'s (rgb, info), each palette side and the markers
+    painted through boolean masks over an int64 |value| copy."""
+    vals = np.asarray(values, dtype=np.int64)
+    interior = np.abs(vals[1:, 1:])
+    max_abs = int(interior.max()) if interior.size else 0
+    scale = spec.scale if spec.scale is not None else max_abs
+    if scale < max_abs:
+        raise ValueError(f"scale {scale} is below the matrix extreme {max_abs}")
+    scale = max(scale, 1)
+
+    t = np.clip(vals / scale, -1.0, 1.0)
+    fade = np.round(255 * (1 - np.abs(t))).astype(np.uint8)
+    rgb = np.full(vals.shape + (3,), 255, dtype=np.uint8)
+    pos = t > 0
+    neg = t < 0
+    rgb[pos, 1] = fade[pos]
+    rgb[pos, 2] = fade[pos]
+    rgb[neg, 0] = fade[neg]
+    rgb[neg, 1] = fade[neg]
+
+    markers = np.zeros(vals.shape, dtype=bool)
+    if max_abs > 0:
+        markers[1:, 1:] = np.abs(vals[1:, 1:]) == max_abs
+        rgb[markers] = heatmap.MARKER_COLOR
+    info = {
+        "scale": scale,
+        "max_abs": max_abs,
+        "marker_count": int(markers.sum()),
+        "markers": markers,
+    }
+    return rgb, info

@@ -349,6 +349,17 @@ def test_heatmap_default_paths(aes_file, tmp_path, monkeypatch, capsys):
     assert "markers 255" in capsys.readouterr().out
 
 
+def test_heatmap_round_trip_at_n12(tmp_path, capsys, csv_rows_match_savetxt):
+    # the field inverse x^(2^12 - 2); the "inverse" family is the odd-n exponent 2^(2t) - 1
+    sbox, ppm, csv = tmp_path / "inverse12.txt", tmp_path / "lat.ppm", tmp_path / "lat.csv"
+    assert main(["gen", "raw", "--n", "12", "--e", str((1 << 12) - 2), "-o", str(sbox)]) == 0
+    assert main(["heatmap", str(sbox), "--table", "lat", "-o", str(ppm), "--csv", str(csv)]) == 0
+    assert "4096x4096" in capsys.readouterr().out
+    assert ppm.stat().st_size == len(b"P6\n4096 4096\n255\n") + 3 * 2**24
+    values = sk.compute_lat(sk.build_monomial_sbox(sk.default_context(12), "raw", e=(1 << 12) - 2)).sums // 2
+    csv_rows_match_savetxt(csv, values, tmp_path)
+
+
 def test_heatmap_scale_too_small_exits_3(aes_file, tmp_path, capsys):
     rc = main(["heatmap", aes_file, "--scale", "10", "-o", str(tmp_path / "x.ppm")])
     assert rc == 3

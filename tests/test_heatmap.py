@@ -1,8 +1,14 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import sboxkit as sk
 from sboxkit import heatmap
+
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,8 @@ def test_ppm_round_trip(tmp_path, aes):
     assert blob.startswith(b"P6\n256 256\n255\n")
     assert len(blob) == 15 + 256 * 256 * 3
     assert (heatmap.read_ppm(path) == rgb).all()
+    heatmap.write_ppm(path, rgb[::2, ::-1])  # a strided view is written in row order
+    assert (heatmap.read_ppm(path) == rgb[::2, ::-1]).all()
 
 
 def test_write_ppm_validates_input(tmp_path):
@@ -147,3 +155,129 @@ def test_matrix_csv_round_trip(tmp_path, aes):
         with pytest.raises(ValueError, match="integers"):
             heatmap.write_matrix_csv(tmp_path / "bad.csv", bad)
     assert not (tmp_path / "bad.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# recorded bytes
+
+
+def _golden_cases():
+    """name -> (S-box, kind, scale) for every case of tests/data/heatmap_golden.json."""
+    aes = sk.SBox(8, np.array(sk.AES_SBOX))
+    weak = sk.random_permutation(np.random.default_rng(5), 256)  # demo 05's random S-box
+    shared = max(int(np.abs(heatmap.heatmap_values(b, "lat")[1:, 1:]).max()) for b in (aes, weak))
+    random5 = sk.random_permutation(np.random.default_rng(25), 32)
+    inverse10 = sk.build_monomial_sbox(sk.default_context(10), "raw", e=(1 << 10) - 2)
+    return {
+        "aes_ddt": (aes, "ddt", None),
+        "aes_lat": (aes, "lat", None),
+        "aes_lat_scale36": (aes, "lat", 36),
+        "identity8_lat": (sk.SBox(8, np.arange(256)), "lat", None),
+        "demo05_random_lat_shared": (weak, "lat", shared),
+        "random5_ddt": (random5, "ddt", None),
+        "random5_lat": (random5, "lat", None),
+        "inverse10_ddt": (inverse10, "ddt", None),
+    }
+
+
+def _golden_digest(box, kind, scale, directory):
+    """The sha256 of the PPM and CSV files a heatmap writes, and its info numbers."""
+    values = heatmap.heatmap_values(box, kind)
+    rgb, info = heatmap.render_heatmap(values, heatmap.HeatmapSpec(kind=kind, scale=scale))
+    heatmap.write_ppm(directory / "h.ppm", rgb)
+    heatmap.write_matrix_csv(directory / "h.csv", values)
+    return {
+        "ppm_sha256": hashlib.sha256((directory / "h.ppm").read_bytes()).hexdigest(),
+        "csv_sha256": hashlib.sha256((directory / "h.csv").read_bytes()).hexdigest(),
+        **{key: info[key] for key in ("scale", "max_abs", "marker_count")},
+    }
+
+
+def test_heatmap_files_match_recorded_bytes(tmp_path):
+    # recorded with the np.savetxt writer and the masked render, which
+    # tests/reference.py keeps as savetxt_csv and render_masked
+    recorded = json.loads((Path(__file__).parent / "data" / "heatmap_golden.json").read_text())
+    cases = _golden_cases()
+    assert list(recorded) == list(cases)
+    for name, case in cases.items():
+        assert _golden_digest(*case, tmp_path) == recorded[name], name
+
+
+# ---------------------------------------------------------------------------
+# the earlier output paths as oracles: reference.savetxt_csv and render_masked
+
+TOP = 2**63 - 1
+_rng = np.random.default_rng(2025)
+CSV_EDGES = {
+    "1x1": np.array([[-7]]),
+    "1xk": np.arange(-3, 4)[np.newaxis],
+    "kx1": np.arange(-3, 4)[:, np.newaxis],
+    "0xk": np.zeros((0, 5), dtype=np.int64),
+    "kx0": np.zeros((5, 0), dtype=np.int64),
+    "257x256": _rng.integers(-1000, 1000, size=(257, 256)),  # two blocks, the second one row
+    "1x70000": _rng.integers(-99, 100, size=(1, 70_000)),  # a row wider than a block
+    "all negative": -_rng.integers(1, 10**6, size=(40, 30)),
+    # each edge is its block's largest magnitude, so it sets the field width
+    **{f"edge {v}": np.array([[v, -v, v - 1], [0, 1 - v, -1]]) for v in (9, 10, 99, 100, 10**18, TOP)},
+}
+
+
+def _file_bytes(path, values, writer):
+    writer(path, values)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", CSV_EDGES)
+def test_matrix_csv_matches_savetxt_on_edges(tmp_path, name):
+    values = CSV_EDGES[name]
+    new = _file_bytes(tmp_path / "new.csv", values, heatmap.write_matrix_csv)
+    assert new == _file_bytes(tmp_path / "old.csv", values, reference.savetxt_csv)
+
+
+def _maps(n):
+    return {**reference.oracle_maps(n), "identity": np.arange(1 << n)}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_matrix_csv_matches_savetxt_on_tables(tmp_path, n):
+    for name, table in _maps(n).items():
+        for kind in heatmap.KINDS:
+            values = heatmap.heatmap_values(sk.SBox(n, table), kind)
+            new = _file_bytes(tmp_path / "new.csv", values, heatmap.write_matrix_csv)
+            assert new == _file_bytes(tmp_path / "old.csv", values, reference.savetxt_csv), (name, kind)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_matrix_csv_rows_match_savetxt_at_large_n(tmp_path, n, csv_rows_match_savetxt):
+    # the permutation only: its DDT's first block is wider than the rest
+    table = reference.oracle_maps(n)["permutation"]
+    for kind in heatmap.KINDS:
+        values = heatmap.heatmap_values(sk.SBox(n, table), kind)
+        heatmap.write_matrix_csv(tmp_path / "m.csv", values)
+        csv_rows_match_savetxt(tmp_path / "m.csv", values, tmp_path)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_render_matches_masked_oracle(n):
+    for name, table in _maps(n).items():
+        for kind in heatmap.KINDS:
+            values = heatmap.heatmap_values(sk.SBox(n, table), kind)
+            default = heatmap.render_heatmap(values, heatmap.HeatmapSpec(kind=kind))[1]["scale"]
+            for scale in (None, 2 * default):
+                spec = heatmap.HeatmapSpec(kind=kind, scale=scale)
+                rgb, info = heatmap.render_heatmap(values, spec)
+                old_rgb, old_info = reference.render_masked(values, spec)
+                assert rgb.dtype == np.uint8 and rgb.tobytes() == old_rgb.tobytes(), (name, kind, scale)
+                assert np.array_equal(info.pop("markers"), old_info.pop("markers")), (name, kind, scale)
+                assert info == old_info, (name, kind, scale)
+
+
+def test_output_memory_is_bounded_at_n12(tmp_path, traced_peak_mb):
+    values = heatmap.heatmap_values(sk.random_permutation(np.random.default_rng(12), 4096), "lat")
+    # one 128 MB float64 fade, then uint8 planes; the masked render peaked at 512 MB
+    assert traced_peak_mb(lambda: heatmap.render_heatmap(values, heatmap.HeatmapSpec(kind="lat"))) < 192
+    # one row block at a time: the whole text would be over 50 MB
+    assert traced_peak_mb(lambda: heatmap.write_matrix_csv(tmp_path / "lat.csv", values)) < 8
+    rgb, _ = heatmap.render_heatmap(values, heatmap.HeatmapSpec(kind="lat"))
+    # the pixels go to the file as they are, not through a 48 MB bytes copy
+    assert traced_peak_mb(lambda: heatmap.write_ppm(tmp_path / "lat.ppm", rgb)) < 8

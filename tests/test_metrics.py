@@ -23,17 +23,6 @@ import reference
 # DDT
 
 
-def _oracle_maps(n):
-    """A random permutation, a random non-bijective map and a constant map."""
-    size = 1 << n
-    rng = np.random.default_rng(100 + n)
-    return {
-        "permutation": rng.permutation(size),
-        "random": rng.integers(0, size, size=size),
-        "constant": np.full(size, size - 1),
-    }
-
-
 def test_ddt_identity(identity8):
     d = sk.compute_ddt(identity8)
     a = np.arange(256)
@@ -63,7 +52,7 @@ def test_ddt_matches_brute_force_random_6bit():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ddt_matches_brute_force_every_width(n):
-    for kind, table in _oracle_maps(n).items():
+    for kind, table in reference.oracle_maps(n).items():
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
         assert counts.dtype == np.int64 and not counts.flags.writeable
         assert counts.tolist() == reference.ddt_brute(table.tolist(), n), kind
@@ -72,7 +61,7 @@ def test_ddt_matches_brute_force_every_width(n):
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_bincount_ddt_oracle_matches_counter_oracle(n):
     # criterion 9 reads the bincount oracle over many maps; the Counter loops vouch for it
-    for kind, table in _oracle_maps(n).items():
+    for kind, table in reference.oracle_maps(n).items():
         assert reference.ddt_bincount(table, n).tolist() == reference.ddt_brute(table.tolist(), n), kind
 
 
@@ -81,7 +70,7 @@ def test_ddt_row_spot_probes_large_widths(n):
     size = 1 << n
     rng = np.random.default_rng(n)
     rows = [0, 1, 255, 256, size - 1] + [int(a) for a in rng.integers(0, size, size=4)]
-    for kind, table in _oracle_maps(n).items():
+    for kind, table in reference.oracle_maps(n).items():
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
         values = table.tolist()
         for a in rows:
@@ -90,7 +79,7 @@ def test_ddt_row_spot_probes_large_widths(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_blocked_du_matches_full_table(n):
-    for kind, table in _oracle_maps(n).items():
+    for kind, table in reference.oracle_maps(n).items():
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
         top = int(counts[1:].max())
         expected = (top, int(np.count_nonzero(counts[1:] == top)))
@@ -137,10 +126,10 @@ def _chunk_width(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_ddt_blocks_match_oracle_at_every_chunk_width(n, monkeypatch):
     # the default budget builds one block at n <= 8, so this is the only test there
-    # of the blocks that pair two chunks; _oracle_maps holds a constant map
+    # of the blocks that pair two chunks; reference.oracle_maps holds a constant map
     size = 1 << n
     try:
-        for kind, table in {**_oracle_maps(n), "identity": np.arange(size)}.items():
+        for kind, table in {**reference.oracle_maps(n), "identity": np.arange(size)}.items():
             expected = reference.ddt_bincount(table, n)
             for k in range(n + 1):
                 monkeypatch.setattr(metrics, "_PAIR_BUDGET", 1 << (k + n - 1))
@@ -228,7 +217,7 @@ def test_lat_spot_probes_aes(aes):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_lat_matches_butterfly_oracle_every_width(n):
-    for kind, table in _oracle_maps(n).items():
+    for kind, table in reference.oracle_maps(n).items():
         sums = sk.compute_lat(sk.SBox(n, table)).sums
         assert np.array_equal(sums, reference.walsh_butterfly(table, n)), kind
         if kind == "constant":
@@ -241,7 +230,7 @@ def test_lat_matches_butterfly_oracle_every_width(n):
 def test_walsh_reductions_match_butterfly_oracle_every_width(n):
     # a non-bijective map has a nonzero a = 0 row, so swapping the row and
     # column exclusions changes walsh_max or the component maxima
-    maps = {**_oracle_maps(n), "identity": np.arange(1 << n)}
+    maps = {**reference.oracle_maps(n), "identity": np.arange(1 << n)}
     half = 1 << (n - 1)
     for kind, table in maps.items():
         walsh_max, column_max = reference.walsh_stats_brute(table, n)
@@ -274,7 +263,7 @@ def test_lat_spot_probes_width_12():
     rng = np.random.default_rng(12)
     probes = [(0, 0), (0, 4095), (4095, 4095)]
     probes += [(int(a), int(b)) for a, b in rng.integers(0, 4096, size=(6, 2))]
-    for kind, table in _oracle_maps(12).items():
+    for kind, table in reference.oracle_maps(12).items():
         sums = sk.compute_lat(sk.SBox(12, table)).sums
         for a, b in probes:
             assert sums[a, b] == reference.lat_entry(table, 12, a, b), (kind, a, b)
@@ -363,7 +352,7 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
     size = 1 << n
     bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
-    for kind, table in _oracle_maps(n).items():
+    for kind, table in reference.oracle_maps(n).items():
         hist = metrics._flip_hist(table, n)
         sac = metrics._sac_deviations(hist, n)
         bic, got_pairs = metrics._bic_deviations(hist, n)
@@ -377,7 +366,7 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_flip_hist_is_half_the_ddt_rows_of_one_bit_differences(n):
     # the flip and DDT kernels count the same pairs {x, x xor 2^i} independently
-    maps = {**_oracle_maps(n), "identity": np.arange(1 << n)}
+    maps = {**reference.oracle_maps(n), "identity": np.arange(1 << n)}
     for kind, table in maps.items():
         hist = metrics._flip_hist(table, n)
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
@@ -530,7 +519,7 @@ def test_report_json_and_csv_match_recorded_reports():
     ]
     for doc in recorded:
         n, kind = doc["n"], doc["kind"]
-        table = _oracle_maps(n)[kind] if kind != "identity" else np.arange(1 << n)
+        table = reference.oracle_maps(n)[kind] if kind != "identity" else np.arange(1 << n)
         rep = sk.full_report(sk.SBox(n, table), with_degree=True, with_ai=n <= 8)
         name = f"{kind}{n}"
         assert rep.to_json(name) == doc["json"], name
@@ -555,7 +544,7 @@ def test_full_report_makes_one_pass_of_each_kernel(aes, monkeypatch):
 def test_raw_metric_values_agree_with_reports(monkeypatch):
     # the report field, the CSV column and a one-try search all read one raw value
     for n in range(2, 13):
-        for kind, table in {**_oracle_maps(n), "identity": np.arange(1 << n)}.items():
+        for kind, table in {**reference.oracle_maps(n), "identity": np.arange(1 << n)}.items():
             s = sk.SBox(n, table)
             # the one-try search below draws this map
             monkeypatch.setattr(search, "_draw", lambda *args, t=s.table: np.array(t))
