@@ -303,7 +303,10 @@ def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
         return (1 << i) + 1 if family == "gold" else (1 << (2 * i)) - (1 << i) + 1
     if family in ("welch", "niho", "inverse"):
         if n % 2 == 0:
-            raise MonomialConditionError(f"{family} requires odd n = 2t + 1, got n={n}")
+            hint = ""
+            if family == "inverse":
+                hint = f"; the field inverse x^(2^n - 2) is raw with e = {ctx.size - 2} (gen raw --e {ctx.size - 2})"
+            raise MonomialConditionError(f"{family} requires odd n = 2t + 1, got n={n}{hint}")
         t = (n - 1) // 2
         if family == "welch":
             return (1 << t) + 3

@@ -11,17 +11,22 @@ Hadamard matrix and transformed by two stacks of small float32 products, by
 the Kronecker factorisation H_n = H_hi (x) H_lo; max bias and NL are reduced
 block by block and only `compute_lat` holds the whole table.  Flip
 histograms: per input bit i, the histogram over d of the x with bit i clear
-and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n from one
-bincount; SAC and BIC are each one float32 product of the histograms with
-cached 0/2 weights of the difference bits and of their pairwise products.
-Every float32 sum is an integer of magnitude at most 2^n <= 4096 < 2^24 (a
-flip sum at most 2^(n-1) <= 2048, doubled), so float32 holds it exactly in
-any summation order.
+and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n of every
+table in a stack of candidates from one bincount; SAC and BIC are each one
+float32 product of the histograms with cached 0/2 weights of the difference
+bits and of their pairwise products.  Every float32 sum is an integer of
+magnitude at most 2^n <= 4096 < 2^24 (a flip sum at most 2^(n-1) <= 2048,
+doubled), so float32 holds it exactly in any summation order.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
 Fractions) and its `MetricReport` field and CSV column.  `CSV_HEADER`,
 `MetricReport.csv_row`, the SAC/BIC reports, `run_search` and the CLI read it.
+A raw kernel scores a (B, 2^n) stack of candidate tables at once, one int64
+value per row: the flip metrics in one histogram of the whole stack, the DDT
+and Walsh metrics one row at a time.  `run_search` hands them blocks of
+`block_height(n)` candidates, the most whose flip codes fit the DDT block's
+budget of 2^15 pairs (2^16 bins, 512 KB): 32 at n = 8, 1 at n = 12.
 """
 
 from __future__ import annotations
@@ -160,12 +165,19 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
     return 2 * top, count
 
 
+def _flip_rows(n: int, count: int) -> np.ndarray:
+    """rows[i, 0, b] = (b n + i) << n, the row codes of `_flip_hist` for a stack
+    of `count` tables, shape (n, 1, count)."""
+    return (np.arange(count * n).reshape(count, n).T << n)[:, np.newaxis]
+
+
 @functools.cache
 def _flip_index(n: int) -> tuple:
-    """(ends, codes, sac_weights, bic_weights, pairs) for `_flip_hist` and its
+    """(ends, rows, sac_weights, bic_weights, pairs) for `_flip_hist` and its
     readers at width n: ends[0, i] the 2^(n-1) x with bit i clear and
-    ends[1, i] those x xor 2^i, shape (2, n, 2^(n-1)); the row codes i << n as a
-    column; per difference d, sac_weights[d, a] = 2 * bit a of d and
+    ends[1, i] those x xor 2^i, shape (2, n, 2^(n-1)); the `_flip_rows` of a
+    search block of `block_height(n)` tables; per difference d,
+    sac_weights[d, a] = 2 * bit a of d and
     bic_weights[d, p] = 2 * (bits j and k of d) for the p-th output-bit pair
     j < k, float32; and the pairs in row-major order (0, 1), (0, 2), ...,
     (n - 2, n - 1)."""
@@ -174,31 +186,55 @@ def _flip_index(n: int) -> tuple:
     low = (y >> i << (i + 1)) | (y & ((1 << i) - 1))  # y with a 0 inserted at bit i
     bits = 2 * (np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1).astype(np.float32)
     j, k = np.triu_indices(n, 1)
-    return (read_only(np.stack([low, low | 1 << i])), read_only(i << n), read_only(bits),
+    return (read_only(np.stack([low, low | 1 << i])), read_only(_flip_rows(n, block_height(n))), read_only(bits),
             read_only(bits[:, j] * bits[:, k] / 2), tuple(zip(j.tolist(), k.tolist())))
 
 
-def _flip_hist(table: np.ndarray, n: int) -> np.ndarray:
-    """hist[i, d] = #{x with bit i clear : S(x) xor S(x xor 2^i) = d}, exactly
-    half of DDT row 2^i, int64, shape (n, 2^n): one bincount of (i << n) | d codes."""
-    ends, codes = _flip_index(n)[:2]
-    low, high = np.asarray(table, dtype=np.intp)[ends]
-    diff = np.bitwise_xor(low, high)
-    diff |= codes
-    return np.bincount(diff.ravel(), minlength=n << n).reshape(n, 1 << n)
+def block_height(n: int) -> int:
+    """Candidates per search block at width n: the most B with B n 2^(n-1) flip
+    pairs within `_PAIR_BUDGET`, so `_flip_hist` bins at most 2^16 codes (512 KB)."""
+    return max(1, _PAIR_BUDGET // (n << (n - 1)))
+
+
+def _flip_hist(tables: np.ndarray, n: int) -> np.ndarray:
+    """hist[b, i, d] = #{x with bit i clear : S_b(x) xor S_b(x xor 2^i) = d} for
+    the rows S_b of a (B, 2^n) stack, exactly half of row 2^i of S_b's DDT, int64,
+    shape (B, n, 2^n): one bincount of the codes ((b n + i) << n) | d.
+
+    The pair ends are gathered as uint16 (uint32 above n = 8) with the tables
+    along the last axis, and the row number b n + i is shifted whole: OR-ing
+    b n 2^n into (i << n) | d would collide unless n is a power of two.  The
+    codes are intp, which bincount reads without a copy, and the gathers are
+    freed before the bins are made.  A 32-table block at n = 8 then holds at
+    most 800 KB at once, and the allocator reuses its pages; gathering both
+    ends at once into int32 codes held 1 MB and faulted in about 240 fresh
+    pages on every block."""
+    ends, rows = _flip_index(n)[:2]
+    stack = np.asarray(tables).astype(np.uint16 if n <= 8 else np.uint32)
+    count = len(stack)
+    if count > rows.shape[-1]:  # taller than a search block
+        rows = _flip_rows(n, count)
+    pairs = np.take(stack.T, ends, axis=0)  # pairs[e, i, x, b] = S_b(ends[e, i, x])
+    diff = np.bitwise_xor(pairs[0], pairs[1], out=pairs[0])
+    codes = np.bitwise_or(diff, rows[..., :count])
+    del pairs, diff
+    return np.bincount(codes.ravel(), minlength=count * n << n).reshape(count, n, 1 << n)
 
 
 def _sac_deviations(hist: np.ndarray, n: int) -> np.ndarray:
-    """Raw |flips of output bit a under input bit i - 2^(n-1)| from `_flip_hist`:
-    the flips are the doubled hist @ bits, exact in float32 as each is <= 2^n."""
+    """Raw |flips of output bit a under input bit i - 2^(n-1)| from `_flip_hist`,
+    for one table or a stack: the flips are the doubled hist @ bits, exact in
+    float32 as each is <= 2^n, one small product per table, which BLAS runs on
+    one thread."""
     flips = (hist.astype(np.float32) @ _flip_index(n)[2]).astype(np.int64)
     return np.abs(flips - (1 << (n - 1)))
 
 
 def _bic_deviations(hist: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k,
-    from `_flip_hist`: the joint counts #{x : bits j and k of the difference are
-    both 1} are the doubled hist @ pair products, exact in float32 likewise."""
+    from `_flip_hist`, for one table or a stack: the joint counts
+    #{x : bits j and k of the difference are both 1} are the doubled
+    hist @ pair products, exact in float32 likewise."""
     weights, pairs = _flip_index(n)[3:]
     joint = (hist.astype(np.float32) @ weights).astype(np.int64)
     return np.abs((1 << n) // 4 - joint), pairs
@@ -206,10 +242,11 @@ def _bic_deviations(hist: np.ndarray, n: int):
 
 @dataclass(frozen=True)
 class Metric:
-    """`raw(table, n)` is the integer kernel search compares; `field` is the
-    `MetricReport` attribute holding that raw value; `column` its CSV heading."""
+    """`raw(tables, n)` is the integer kernel search compares, one int64 value
+    per row of a (B, 2^n) stack of tables; `field` is the `MetricReport`
+    attribute holding that raw value; `column` its CSV heading."""
 
-    raw: Callable[[np.ndarray, int], int]
+    raw: Callable[[np.ndarray, int], np.ndarray]
     column: str
     field: str
     maximize: bool = False
@@ -219,21 +256,26 @@ class Metric:
         """The reported value of `raw` (an int or a Fraction) at width n."""
         return Fraction(raw, 1 << n) if self.per_size else raw
 
-    def best(self, values):
-        """The best of `values`, the first of equal ones winning."""
-        return (max if self.maximize else min)(values)
+    def best(self, values) -> int:
+        """The index of the best of `values`, the first of equal ones winning."""
+        return int((np.argmax if self.maximize else np.argmin)(values))
+
+
+def _per_row(kernel):
+    """A stack kernel from a one-table kernel: its value for each row, int64."""
+    return lambda tables, n: np.array([kernel(t, n) for t in tables], dtype=np.int64)
 
 
 # in CSV column order
 METRICS = {
-    "du": Metric(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0], "DU", "du"),
-    "max_bias": Metric(lambda t, n: _walsh_stats(_walsh_blocks(t, n))[0], "MAX BIAS", "max_bias"),
-    "dsac": Metric(lambda t, n: int(_sac_deviations(_flip_hist(t, n), n).max()), "DSAC", "dsac.max_raw",
+    "du": Metric(_per_row(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0]), "DU", "du"),
+    "max_bias": Metric(_per_row(lambda t, n: _walsh_stats(_walsh_blocks(t, n))[0]), "MAX BIAS", "max_bias"),
+    "dsac": Metric(lambda t, n: _sac_deviations(_flip_hist(t, n), n).max(axis=(1, 2)), "DSAC", "dsac.max_raw",
                    per_size=True),
-    "dbic": Metric(lambda t, n: int(_bic_deviations(_flip_hist(t, n), n)[0].max()), "DBIC", "dbic.max_raw",
-                   per_size=True),
-    "nl": Metric(lambda t, n: int(_component_nls(_walsh_stats(_walsh_blocks(t, n))[1], n).min()), "NL", "nl",
-                 maximize=True),
+    "dbic": Metric(lambda t, n: _bic_deviations(_flip_hist(t, n), n)[0].max(axis=(1, 2)), "DBIC",
+                   "dbic.max_raw", per_size=True),
+    "nl": Metric(_per_row(lambda t, n: _component_nls(_walsh_stats(_walsh_blocks(t, n))[1], n).min()), "NL",
+                 "nl", maximize=True),
 }
 
 CSV_HEADER = ",".join(["name", *(m.column for m in METRICS.values())])
@@ -247,7 +289,8 @@ def lookup_metric(name: str) -> Metric:
 
 
 def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
-    return lookup_metric(metric).raw(table, n)
+    """The raw value of one table: row 0 of the metric's kernel on a one-row stack."""
+    return int(lookup_metric(metric).raw(np.asarray(table)[np.newaxis], n)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,9 +397,15 @@ class MetricReport:
 
 
 def compute_ddt(s: SBox) -> DDT:
-    """counts[a][b] = #{x : S(x) xor S(x xor a) = b}, twice the half counts."""
-    counts = np.empty((s.size, s.size), dtype=np.int64)
-    for start, block in _ddt_blocks(s.table, s.n):
+    """counts[a][b] = #{x : S(x) xor S(x xor a) = b}, twice the half counts.
+
+    Up to n = 8 the one block is the whole table, doubled in place; above, the
+    doubled blocks fill one new table."""
+    blocks = _ddt_blocks(s.table, s.n)
+    _, first = next(blocks)
+    counts = first if len(first) == s.size else np.empty((s.size, s.size), dtype=np.int64)
+    np.multiply(first, 2, out=counts[: len(first)])
+    for start, block in blocks:
         np.multiply(block, 2, out=counts[start : start + len(block)])
     return DDT(s.n, counts)
 
@@ -408,11 +457,11 @@ def _bic_report(hist: np.ndarray, n: int) -> BicReport:
 
 
 def dsac(s: SBox) -> SacReport:
-    return _sac_report(_flip_hist(s.table, s.n), s.n)
+    return _sac_report(_flip_hist(s.table[np.newaxis], s.n)[0], s.n)
 
 
 def dbic(s: SBox) -> BicReport:
-    return _bic_report(_flip_hist(s.table, s.n), s.n)
+    return _bic_report(_flip_hist(s.table[np.newaxis], s.n)[0], s.n)
 
 
 def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> MetricReport:
@@ -424,7 +473,7 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
     bias, columns = _walsh_stats(_walsh_blocks(s.table, s.n))
     nl_stats = _nl_stats(_component_nls(columns, s.n))
-    hist = _flip_hist(s.table, s.n)
+    hist = _flip_hist(s.table[np.newaxis], s.n)[0]
     bijective = is_bijective(s)
     degree = ai = ai_scope = None
     if with_degree or with_ai:

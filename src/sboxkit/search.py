@@ -7,7 +7,12 @@ SeedSequence.spawn would give, so a run is reproducible for a fixed
 (seed, workers) pair without any coordination between workers.  Each
 process of a pool no larger than the CPU count runs one contiguous range of
 streams.  Every candidate, in a search or from the public generators, comes
-from one draw step, `_draw`.  Means are accumulated as exact integer sums.
+from one draw step, `_draw`, which draws a stack of candidates at once: the
+same tables, in the same order, as one draw at a time.  A search draws and
+scores its candidates in blocks of `metrics.block_height(n)` (32 at n = 8),
+so the flip metrics cost one histogram per block; it keeps only an exact
+integer sum of the raw values and the first best table, so its memory does not
+grow with `tries` unless a value log is asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import SBox, check_int, check_seed, check_width, cpu_count, read_only, width_of
-from .metrics import METRICS, lookup_metric
+from .metrics import METRICS, block_height, lookup_metric
 from .util import exact_decimal
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -114,7 +119,7 @@ class SearchResult:
 
 def random_permutation(rng: np.random.Generator, size: int) -> SBox:
     """Uniform random permutation of [0, size) from the given stream."""
-    return SBox(width_of(size, "size"), _draw(rng, size, None))
+    return SBox(width_of(size, "size"), _draw(rng, size, None, 1)[0])
 
 
 @functools.cache
@@ -128,46 +133,58 @@ def _ring_successors(lengths: tuple) -> np.ndarray:
     return read_only(nxt)
 
 
-def _ring_table(rng: np.random.Generator, spec: CycleSpec) -> np.ndarray:
-    """One shuffled pool supplies every cycle's elements in drawn order, and
-    one gather through the cached successor index links each chunk into a
-    ring: table[pool] = pool[successor] is the requested decomposition."""
-    pool = rng.permutation(spec.total)
-    table = np.empty(spec.total, dtype=np.int64)
-    table[pool] = pool[_ring_successors(spec.lengths)]
-    return table
+def _draw(rng: np.random.Generator, size: int, spec: CycleSpec | None, count: int) -> np.ndarray:
+    """The one draw step: a (count, size) int64 stack of fresh uniform
+    permutations of [0, size), or, when a spec is set, of permutations of
+    exactly spec's cycle type.  Each row is shuffled in turn, so the stack holds
+    the tables of `count` one-row draws, in order, and leaves rng in the same
+    state.
 
-
-def _draw(rng: np.random.Generator, size: int, spec: CycleSpec | None) -> np.ndarray:
-    """The one draw step: a fresh uniform permutation of [0, size), or one of
-    exactly spec's cycle type when a spec is set."""
-    return rng.permutation(size) if spec is None else _ring_table(rng, spec)
+    For a spec each row is a shuffled pool that supplies every cycle's elements
+    in drawn order, and one gather through the cached successor index links
+    each chunk into a ring: table[pool] = pool[successor]."""
+    pools = np.empty((count, size), dtype=np.int64)
+    pools[:] = np.arange(size)
+    rng.permuted(pools, axis=1, out=pools)
+    if spec is None:
+        return pools
+    tables = np.empty_like(pools)
+    tables[np.arange(count)[:, np.newaxis], pools] = pools[:, _ring_successors(spec.lengths)]
+    return tables
 
 
 def random_permutation_with_cycles(rng: np.random.Generator, spec: CycleSpec) -> SBox:
     """Random permutation whose cycle type matches spec exactly."""
-    return SBox(width_of(spec.total, "cycle length total"), _draw(rng, spec.total, spec))
+    return SBox(width_of(spec.total, "cycle length total"), _draw(rng, spec.total, spec, 1)[0])
 
 
-def _run_streams(ws, streams, config):
+def _run_streams(ws, streams, config, keep_values=False):
     """Evaluate the candidates of streams `ws` (a contiguous range of the
-    run's `streams`); returns their raw values in enumeration order and the
-    table of the first best one.  The tries are dealt out over all
-    `streams`, the first ones taking one extra."""
+    run's `streams`), drawn and scored a block at a time; returns the exact
+    sum of their raw values, the first best raw value, its table, and, when
+    `keep_values`, every raw value in enumeration order (else None).  The tries
+    are dealt out over all `streams`, the first ones taking one extra."""
     n = config.n
     metric = lookup_metric(config.metric)
+    height = block_height(n)
     base, extra = divmod(config.tries, streams)
-    values = []
+    total = 0
     best_raw = best_table = None
+    values = [] if keep_values else None
     for w in ws:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(w,)))
-        for _ in range(base + (w < extra)):
-            table = _draw(rng, 1 << n, config.cycle_spec)
-            raw = metric.raw(table, n)
-            if not values or metric.best((best_raw, raw)) != best_raw:  # strictly better
-                best_raw, best_table = raw, table
-            values.append(raw)
-    return values, best_table
+        left = base + (w < extra)
+        while left:
+            tables = _draw(rng, 1 << n, config.cycle_spec, min(left, height))
+            left -= len(tables)
+            raws = metric.raw(tables, n)
+            i = metric.best(raws)
+            if best_table is None or metric.best((best_raw, raws[i])):  # strictly better
+                best_raw, best_table = int(raws[i]), tables[i].copy()
+            total += int(raws.sum())
+            if keep_values:
+                values += raws.tolist()
+    return total, best_raw, best_table, values
 
 
 def run_search(config: SearchConfig, value_log: list | None = None) -> SearchResult:
@@ -186,7 +203,7 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
 
     # one job per process over a contiguous, nonempty range of streams, so job order is stream order
     bounds = [streams * k // processes for k in range(processes + 1)]
-    jobs = [(range(lo, hi), streams, config) for lo, hi in zip(bounds, bounds[1:])]
+    jobs = [(range(lo, hi), streams, config, value_log is not None) for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:
         outcomes = [_run_streams(*job) for job in jobs]
     else:
@@ -197,16 +214,15 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
             outcomes = [f.result() for f in futures]
 
     metric = lookup_metric(config.metric)
-    values = [v for job_values, _ in outcomes for v in job_values]
-    best_raw = metric.best(values)
-    best_table = next(table for job_values, table in outcomes if best_raw in job_values)
+    # jobs are in stream order, so the first job holding the best value holds the first best candidate
+    _, best_raw, best_table, _ = outcomes[metric.best([outcome[1] for outcome in outcomes])]
     if value_log is not None:
-        value_log.extend(values)
+        value_log.extend(v for *_, job_values in outcomes for v in job_values)
     return SearchResult(
         config=config,
         best_sbox=SBox(config.n, best_table),
         best_value=metric.value(best_raw, config.n),
-        mean_value=metric.value(Fraction(sum(values), config.tries), config.n),
+        mean_value=metric.value(Fraction(sum(outcome[0] for outcome in outcomes), config.tries), config.n),
         generator_name=GENERATOR_NAME,
         elapsed=time.perf_counter() - t0,
     )

@@ -124,6 +124,19 @@ def test_gen_condition_failure_exits_3(capsys):
     assert "odd n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [2, 8, 12])
+def test_gen_inverse_at_even_n_names_the_raw_exponent(n, capsys):
+    # the inverse family is odd-n only; the field inverse at even n is one raw exponent
+    assert main(["gen", "inverse", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"inverse requires odd n = 2t + 1, got n={n}; the field inverse x^(2^n - 2) is raw with " \
+           f"e = {(1 << n) - 2} (gen raw --e {(1 << n) - 2})" in captured.err
+    assert main(["gen", "raw", "--n", str(n), "--e", str((1 << n) - 2)]) == 0
+    table = sk.parse_sbox(capsys.readouterr().out).table
+    assert (table[table] == np.arange(1 << n)).all()  # the field inverse is an involution
+
+
 def test_gen_missing_parameter_exits_3(capsys):
     assert main(["gen", "gold", "--n", "8"]) == 3
     assert "requires parameter i" in capsys.readouterr().err

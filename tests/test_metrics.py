@@ -52,10 +52,17 @@ def test_ddt_matches_brute_force_random_6bit():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ddt_matches_brute_force_every_width(n):
-    for kind, table in reference.oracle_maps(n).items():
+    for kind, table in {**reference.oracle_maps(n), "identity": np.arange(1 << n)}.items():
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
         assert counts.dtype == np.int64 and not counts.flags.writeable
         assert counts.tolist() == reference.ddt_brute(table.tolist(), n), kind
+        assert not np.shares_memory(counts, sk.compute_ddt(sk.SBox(n, table)).counts), kind
+
+
+def test_ddt_up_to_width_8_is_its_one_block(traced_peak_mb):
+    # the one block is doubled in place and returned, not copied into a second 512 KB table
+    s = sk.SBox(8, np.random.default_rng(8).permutation(256))
+    assert traced_peak_mb(lambda: sk.compute_ddt(s)) < 1
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -353,7 +360,7 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
     bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     for kind, table in reference.oracle_maps(n).items():
-        hist = metrics._flip_hist(table, n)
+        hist = metrics._flip_hist(table[np.newaxis], n)[0]
         sac = metrics._sac_deviations(hist, n)
         bic, got_pairs = metrics._bic_deviations(hist, n)
         assert sac.dtype == bic.dtype == np.int64, kind
@@ -368,11 +375,40 @@ def test_flip_hist_is_half_the_ddt_rows_of_one_bit_differences(n):
     # the flip and DDT kernels count the same pairs {x, x xor 2^i} independently
     maps = {**reference.oracle_maps(n), "identity": np.arange(1 << n)}
     for kind, table in maps.items():
-        hist = metrics._flip_hist(table, n)
+        hist = metrics._flip_hist(table[np.newaxis], n)[0]
         counts = sk.compute_ddt(sk.SBox(n, table)).counts
         assert hist.dtype == np.int64 and hist.shape == (n, 1 << n), kind
         for i in range(n):
             assert hist[i].tolist() == (counts[1 << i] // 2).tolist(), (kind, i)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_kernels_match_one_table_results(n):
+    # rows cycle through the oracle maps and the identity, so a stack of any height
+    # repeats four per-table results; unless n is a power of two, the flip codes of
+    # two rows would collide if the row number were OR-ed in rather than shifted whole
+    maps = [*reference.oracle_maps(n).values(), np.arange(1 << n)]
+    hists = [metrics._flip_hist(t[np.newaxis], n)[0] for t in maps]  # checked against the DDT above
+    reports = [sk.full_report(sk.SBox(n, t)) for t in maps]
+    block = metrics.block_height(n)  # candidates per search block
+    for height in sorted({1, 2, block, block + 1}):
+        stack = np.stack([maps[k % 4] for k in range(height)])
+        hist = metrics._flip_hist(stack, n)
+        assert hist.dtype == np.int64 and hist.shape == (height, n, 1 << n), height
+        for k in range(height):
+            assert (hist[k] == hists[k % 4]).all(), (height, k)
+        for name, metric in METRICS.items():
+            raws = metric.raw(stack, n)
+            assert raws.dtype == np.int64 and raws.shape == (height,), (name, height)
+            assert raws.tolist() == [attrgetter(metric.field)(reports[k % 4]) for k in range(height)], (name, height)
+
+
+def test_flip_block_memory_bound(traced_peak_mb):
+    # a search block's temporaries stay near its 512 KB of bins: at 1 MB, the
+    # allocator faulted in fresh pages on every block
+    stack = search._draw(np.random.default_rng(8), 256, None, metrics.block_height(8))
+    for name in ("dsac", "dbic"):
+        assert traced_peak_mb(lambda: METRICS[name].raw(stack, 8)) < 0.85, name
 
 
 def test_flip_index_cache_stays_small():
@@ -547,7 +583,7 @@ def test_raw_metric_values_agree_with_reports(monkeypatch):
         for kind, table in {**reference.oracle_maps(n), "identity": np.arange(1 << n)}.items():
             s = sk.SBox(n, table)
             # the one-try search below draws this map
-            monkeypatch.setattr(search, "_draw", lambda *args, t=s.table: np.array(t))
+            monkeypatch.setattr(search, "_draw", lambda *args, t=s.table: np.array([t]))
             rep = sk.full_report(s)
             row = dict(zip(CSV_HEADER.split(","), rep.csv_row(kind).split(",")))
             for name, metric in METRICS.items():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sboxkit as sk
-from sboxkit import cli, search, spn
+from sboxkit import cli, metrics, search, spn
 from sboxkit.search import GENERATOR_NAME, SearchConfig, run_search
 
 import reference
@@ -77,7 +77,7 @@ def cycle_specs(draw):
 @given(cycle_specs(), st.integers(0, 2 ** 64 - 1))
 def test_ring_table_matches_per_cycle_oracle(spec, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    table = search._ring_table(rng, spec)
+    table = search._draw(rng, spec.total, spec, 1)[0]
     assert table.dtype == np.int64
     assert table.tolist() == reference.ring_table_loop(oracle_rng, spec).tolist()
     assert rng.integers(2 ** 63) == oracle_rng.integers(2 ** 63)  # the same draws were consumed
@@ -90,7 +90,27 @@ def test_ring_table_identity_and_single_cycle_edges():
         size = 1 << n
         for spec in (sk.CycleSpec((1,) * size), sk.CycleSpec((size,)), sk.CycleSpec((1, size - 1))):
             rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-            assert search._ring_table(rng, spec).tolist() == reference.ring_table_loop(oracle_rng, spec).tolist()
+            table = search._draw(rng, size, spec, 1)[0]
+            assert table.tolist() == reference.ring_table_loop(oracle_rng, spec).tolist()
+
+
+@pytest.mark.parametrize("count", [1, 2, 31, 32, 33])
+def test_block_draw_equals_sequential_draws(count):
+    # a block draw must be the same tables as `count` one-table draws, and leave
+    # the generator where they leave it; a numpy change to Generator.permuted or
+    # Generator.permutation fails here before it changes any search result
+    for n in range(2, 13):
+        size = 1 << n
+        rng, oracle_rng = np.random.default_rng(size + count), np.random.default_rng(size + count)
+        stack = search._draw(rng, size, None, count)
+        assert stack.dtype == np.int64 and stack.shape == (count, size), n
+        assert stack.tolist() == [oracle_rng.permutation(size).tolist() for _ in range(count)], n
+        assert rng.integers(2 ** 63) == oracle_rng.integers(2 ** 63), n
+    for name, spec in sk.builtin_cycle_specs().items():
+        rng, oracle_rng = np.random.default_rng(count), np.random.default_rng(count)
+        stack = search._draw(rng, spec.total, spec, count)
+        assert stack.tolist() == [reference.ring_table_loop(oracle_rng, spec).tolist() for _ in range(count)], name
+        assert rng.integers(2 ** 63) == oracle_rng.integers(2 ** 63), name
 
 
 def test_cycle_generation_rejects_bad_total():
@@ -242,24 +262,59 @@ def test_search_honors_cycle_spec():
 
 def force_draws(monkeypatch, *sboxes):
     """The run's first draws (stream 0 at workers=1) return these tables
-    without consuming generator draws; later ones come from the generator."""
+    without consuming generator draws; later ones come from the generator.  A
+    block draw takes as many forced tables as it asks for and fills the rest
+    of the block from the generator."""
     forced = [np.array(s.table) for s in sboxes]
     draw = search._draw
-    monkeypatch.setattr(search, "_draw", lambda *args: forced.pop(0) if forced else draw(*args))
+
+    def forced_draw(rng, size, spec, count):
+        head = [forced.pop(0) for _ in range(min(count, len(forced)))]
+        tail = draw(rng, size, spec, count - len(head)) if count > len(head) else np.empty((0, size), np.int64)
+        return np.concatenate([np.reshape(head, (-1, size)), tail])
+
+    monkeypatch.setattr(search, "_draw", forced_draw)
 
 
-def test_search_tie_break_keeps_first_candidate(aes, monkeypatch):
-    relabeled = sk.SBox(8, np.array([aes[x ^ 0x5A] ^ 0xC3 for x in range(256)]))
-    cfg = SearchConfig(n=8, metric="du", tries=2, seed=0)
-    with monkeypatch.context() as m:
-        force_draws(m, aes, relabeled)
-        fwd = run_search(cfg)
-    with monkeypatch.context() as m:
-        force_draws(m, relabeled, aes)
-        rev = run_search(cfg)
-    assert fwd.best_value == rev.best_value == 4  # both forced tables tie
-    assert fwd.best_sbox == aes
-    assert rev.best_sbox == relabeled
+def tied_pair(aes):
+    """AES and an affine-equivalent copy: both have DU 4, which no random 8-bit
+    permutation of the run reaches."""
+    return aes, sk.SBox(8, np.array([aes[x ^ 0x5A] ^ 0xC3 for x in range(256)]))
+
+
+def test_search_tie_break_keeps_first_candidate(aes, identity8, monkeypatch):
+    # the tied pair sits at positions (0, 1), (B - 1, B) and (B, B + 1), with
+    # B = block_height(8) candidates per block; the identity (DU 256) pads ahead
+    height = metrics.block_height(8)
+    one, two = tied_pair(aes)
+    for first in (0, height - 1, height):
+        pad = [identity8] * first
+        cfg = SearchConfig(n=8, metric="du", tries=first + 3, seed=0)
+        with monkeypatch.context() as m:
+            force_draws(m, *pad, one, two)
+            fwd = run_search(cfg)
+        with monkeypatch.context() as m:
+            force_draws(m, *pad, two, one)
+            rev = run_search(cfg)
+        assert fwd.best_value == rev.best_value == 4, first  # both forced tables tie
+        assert fwd.best_sbox == one, first
+        assert rev.best_sbox == two, first
+
+
+def test_search_tie_break_across_workers_keeps_first_stream(aes, identity8, monkeypatch, inline_pool):
+    # two processes, one stream each: stream 0's last candidate ties stream 1's first
+    height = metrics.block_height(8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = tied_pair(aes)
+    cfg = SearchConfig(n=8, metric="du", tries=2 * (height + 1), seed=0, workers=2)
+    for a, b in ((one, two), (two, one)):
+        with monkeypatch.context() as m:
+            force_draws(m, *[identity8] * height, a, b)
+            result = run_search(cfg)
+        assert len(inline_pool.submitted) == 2
+        inline_pool.submitted.clear()
+        assert result.best_value == 4
+        assert result.best_sbox == a
 
 
 def test_search_injected_optimum_wins(aes, monkeypatch):
@@ -295,6 +350,14 @@ def test_search_streams_beyond_processes_keep_the_result(monkeypatch):
     inline = run_search(cfg).to_dict()
     del pooled["elapsed"], inline["elapsed"]
     assert inline == pooled
+
+
+def test_search_memory_does_not_grow_with_tries(traced_peak_mb):
+    # a search keeps a running sum and the best table, not every raw value
+    run_search(small_config(n=5, metric="dsac", tries=1000))  # builds the cached indices
+    small, large = (traced_peak_mb(lambda: run_search(small_config(n=5, metric="dsac", tries=tries)))
+                    for tries in (10_000, 100_000))
+    assert large - small < 100 / 1024
 
 
 def test_search_spawns_no_more_streams_than_tries(traced_peak_mb):
