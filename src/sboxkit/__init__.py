@@ -13,13 +13,12 @@ from .core import (
     format_sbox,
     gf_mul,
     gf_pow,
-    hamming_distance,
     inverse_sbox,
     is_bijective,
     parse_sbox,
     trace,
 )
-from .data import AES_SBOX, DILLON_PERMUTATION, IRREDUCIBLE, KEY_SBOX, PBOX8, reference_sbox
+from .data import AES_SBOX, DILLON_PERMUTATION, IRREDUCIBLE, KEY_SBOX, PBOX8
 from .metrics import (
     DDT,
     LAT,
@@ -38,13 +37,10 @@ from .metrics import (
     nonlinearity,
 )
 from .anf import (
-    AnfCoefficients,
     TruthTable,
     algebraic_degree,
     algebraic_immunity,
     component_truth_table,
-    evaluate_anf,
-    mobius_transform,
     sbox_algebraic_immunity,
 )
 from .search import (

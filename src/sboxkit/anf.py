@@ -23,32 +23,18 @@ import numpy as np
 from .core import SBox, check_int, check_int_array, read_only
 
 
-def _bit_vector(obj, field: str, what: str) -> None:
-    """Stores obj.n as an int and obj.<field> as a read-only uint8 copy of 2^n zeros and ones."""
-    n = check_int(obj.n, "n must be an integer >= 0", 0)
-    v = check_int_array(getattr(obj, field), f"{what} entries must be 0 or 1", 0, 1, np.uint8)
-    if v.shape != (1 << n,):
-        raise ValueError(f"{what} must have 2^{n} entries")
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, field, read_only(v.copy()))
-
-
 @dataclass(frozen=True, eq=False)
 class TruthTable:
     n: int
     bits: np.ndarray
 
     def __post_init__(self):
-        _bit_vector(self, "bits", "truth table")
-
-
-@dataclass(frozen=True, eq=False)
-class AnfCoefficients:
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        _bit_vector(self, "coeffs", "coefficient vector")
+        n = check_int(self.n, "n must be an integer >= 0", 0)
+        bits = check_int_array(self.bits, "truth table entries must be 0 or 1", 0, 1, np.uint8)
+        if bits.shape != (1 << n,):
+            raise ValueError(f"truth table must have 2^{n} entries")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", read_only(bits.copy()))
 
 
 def _mobius(vec: np.ndarray) -> np.ndarray:
@@ -73,49 +59,14 @@ def component_truth_table(s: SBox, mask: int) -> TruthTable:
     return TruthTable(s.n, (np.bitwise_count(vals) & 1).astype(np.uint8))
 
 
-def mobius_transform(t: TruthTable) -> AnfCoefficients:
-    """Truth table -> ANF coefficients. Applying it twice returns the input."""
-    return AnfCoefficients(t.n, _mobius(t.bits))
-
-
-def evaluate_anf(a: AnfCoefficients) -> TruthTable:
-    """ANF coefficients -> truth table (the same butterfly, other direction)."""
-    return TruthTable(a.n, _mobius(a.coeffs))
-
-
-def anf_monomials(a: AnfCoefficients) -> list[int]:
-    """Masks of the monomials present, ordered numerically."""
-    return [int(m) for m in np.flatnonzero(a.coeffs)]
-
-
-def _coordinate_anfs(s: SBox) -> np.ndarray:
-    """Row j = the ANF coefficients of coordinate j, x -> bit j of S(x)."""
-    return _mobius((s.table >> np.arange(s.n)[:, np.newaxis]) & 1)
-
-
 def algebraic_degree(s: SBox) -> int:
     """Max monomial size over the ANFs of all 2^n - 1 nonzero components.
 
     The zero function has degree 0.  The ANF is linear, so deg(b.S) <= max_j
     deg(S_j), and the coordinates S_j are components: the same maximum.
     """
-    coeffs = _coordinate_anfs(s)
+    coeffs = _mobius((s.table >> np.arange(s.n)[:, np.newaxis]) & 1)  # row j: coordinate j's ANF
     return int(np.bitwise_count(np.flatnonzero(coeffs.any(axis=0))).max(initial=0))
-
-
-def dump_anf(s: SBox) -> str:
-    """One line per nonzero component: '<component mask>: <monomial masks>', hex.
-
-    The ANF is linear, so component b's is the XOR of the coordinate ANFs of
-    b's set bits: the components are built by doubling over the coordinates.
-    """
-    comps = np.zeros((1, s.size), dtype=np.uint8)
-    for coord in _coordinate_anfs(s):
-        comps = np.concatenate([comps, comps ^ coord])  # row b | 2^j = row b xor coordinate j
-    hexes = [f"{m:x}" for m in range(s.size)]
-    lines = [f"{hexes[b]}: " + " ".join([hexes[m] for m in np.flatnonzero(c).tolist()])
-             for b, c in enumerate(comps[1:], 1)]
-    return "\n".join(lines) + "\n"
 
 
 def _has_annihilator(on: np.ndarray, d: int) -> bool:

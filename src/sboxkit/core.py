@@ -212,12 +212,9 @@ def parse_sbox(text: str, base: int = 10) -> SBox:
     return SBox(n, np.array(values, dtype=np.int64))
 
 
-def format_sbox(s: SBox, per_line: int = 16) -> str:
-    """Decimal 0-indexed listing, `per_line` entries per row."""
-    per_line = check_int(per_line, "per_line must be an integer >= 1", 1)
-    rows = []
-    for i in range(0, s.size, per_line):
-        rows.append(", ".join(str(int(v)) for v in s.table[i : i + per_line]))
+def format_sbox(s: SBox) -> str:
+    """Decimal 0-indexed listing, 16 entries per row."""
+    rows = [", ".join(str(int(v)) for v in s.table[i : i + 16]) for i in range(0, s.size, 16)]
     return "\n".join(rows) + "\n"
 
 
@@ -231,12 +228,6 @@ def inverse_sbox(s: SBox) -> SBox:
     inv = np.empty(s.size, dtype=np.int64)
     inv[s.table] = np.arange(s.size)
     return SBox(s.n, inv)
-
-
-def hamming_distance(x: int, y: int, n: int) -> int:
-    top = (1 << check_int(n, "n must be an integer >= 0", 0)) - 1
-    rule = f"operands must be integers in [0, 2^{n})"
-    return (check_int(x, rule, 0, top) ^ check_int(y, rule, 0, top)).bit_count()
 
 
 def gf_mul(ctx: GFContext, a: int, b: int) -> int:

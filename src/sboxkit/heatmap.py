@@ -100,16 +100,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         rgb.tofile(fh)
 
 
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P6"):
-        raise ValueError("not a binary PPM file")
-    parts = blob.split(b"\n", 3)
-    w, h = (int(v) for v in parts[1].split())
-    return np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w, 3)
-
-
 def _csv_bytes(block: np.ndarray) -> np.ndarray:
     """An int64 row block's text: a [sign][digits][separator] uint8 field per entry, as wide as
     the block's largest magnitude, less its 0 bytes (a plus sign, unused leading places)."""
@@ -134,7 +124,3 @@ def write_matrix_csv(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         for start in range(0, rows, step):
             fh.write(_csv_bytes(vals[start : start + step]) if cols else b"\n" * min(step, rows - start))
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=np.int64)

@@ -289,8 +289,10 @@ def lookup_metric(name: str) -> Metric:
 
 
 def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
-    """The raw value of one table: row 0 of the metric's kernel on a one-row stack."""
-    return int(lookup_metric(metric).raw(np.asarray(table)[np.newaxis], n)[0])
+    """The raw value of one table, checked as SBox checks it: row 0 of the metric's kernel on a
+    one-row stack."""
+    s = SBox(n, table)
+    return int(lookup_metric(metric).raw(s.table[np.newaxis], s.n)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,11 +144,15 @@ def _bit(state: bytes, b: int) -> int:
 
 
 def apply_pbox8(state: bytes, p) -> bytes:
+    if len(state) != BLOCK_BYTES:
+        raise ValueError("state must be 8 bytes")
     p = _check_perm(p, 8, "pbox8")
     return bytes(state[p[i]] for i in range(8))
 
 
 def apply_pbox64(state: bytes, p) -> bytes:
+    if len(state) != BLOCK_BYTES:
+        raise ValueError("state must be 8 bytes")
     p = _check_perm(p, 64, "pbox64")
     out = bytearray(BLOCK_BYTES)
     for d in range(BLOCK_BITS):

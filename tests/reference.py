@@ -24,7 +24,8 @@ per cycle, where the library links every ring with a single gather.
 `monomial_table` is the earlier power-map builder, one scalar `gf_pow` per
 field element, where the library multiplies whole arrays.  `ddt_bincount`
 counts every ordered pair with one bincount per block of rows, checked
-against the Counter loops of `ddt_brute`.  `savetxt_csv` and `render_masked`
+against the Counter loops of `ddt_brute`.  `read_ppm` reads
+back the binary PPM the library writes.  `savetxt_csv` and `render_masked`
 are the earlier heatmap output paths: `np.savetxt`, where the library writes
 row blocks of byte fields, and a palette painted through boolean masks,
 where the library takes each channel from one fade array with `np.maximum`.
@@ -334,6 +335,17 @@ def avalanche_scalar(cfg, pairs):
 def monomial_table(ctx, e):
     """x -> x^e over ctx, one scalar `gf_pow` per element."""
     return np.array([gf_pow(ctx, x, e) for x in range(ctx.size)], dtype=np.int64)
+
+
+def read_ppm(path):
+    """A binary (P6) PPM file as an (h, w, 3) uint8 array."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(b"P6"):
+        raise ValueError("not a binary PPM file")
+    parts = blob.split(b"\n", 3)
+    w, h = (int(v) for v in parts[1].split())
+    return np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w, 3)
 
 
 def savetxt_csv(path, values):

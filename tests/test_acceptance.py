@@ -45,7 +45,7 @@ def _record(line):
 # Published metric rows (DU, MAX BIAS, DSAC max, DBIC max, NL) for three
 # named winners of the original search runs.  Their 256-entry tables were
 # published only in an external listing (8x8_S-boxes.txt) that is not
-# redistributed here; load_reference_sbox falls back to a user-supplied
+# redistributed here; load_reference_sbox reads them from a user-supplied
 # directory.
 REFERENCE_ROWS = {
     "DSAC_Random": (10, 34, Fraction(1, 16), Fraction(11, 128), 94),
@@ -61,13 +61,6 @@ REFERENCE_SEARCHES = {
 }
 
 
-def _bundled_table(name):
-    try:
-        return sk.reference_sbox(name)
-    except KeyError:
-        return None
-
-
 def reference_table_path(name):
     """$SBOXKIT_REFERENCE_DIR/<name>.txt if that file exists, else None."""
     root = os.environ.get("SBOXKIT_REFERENCE_DIR")
@@ -75,11 +68,6 @@ def reference_table_path(name):
         return None
     path = Path(root) / f"{name}.txt"
     return path if path.is_file() else None
-
-
-def reference_table_found(name):
-    """Whether the named table is bundled or supplied; reads no file."""
-    return _bundled_table(name) is not None or reference_table_path(name) is not None
 
 
 def missing_tables_message(missing):
@@ -92,16 +80,13 @@ def missing_tables_message(missing):
 
 
 def load_reference_sbox(name):
-    """Bundled table, else $SBOXKIT_REFERENCE_DIR/<name>.txt, else None.
+    """The table in $SBOXKIT_REFERENCE_DIR/<name>.txt, else None.
 
     A supplied file holds the 256 entries of an 8-bit table, separated by
     whitespace or commas, in decimal or in hex (with or without 0x).  For a
     permutation the two cannot be confused: its hex listing has a token with
     a letter in it, which decimal parsing rejects.
     """
-    table = _bundled_table(name)
-    if table is not None:
-        return sk.SBox(8, np.array(table))
     path = reference_table_path(name)
     if path is None:
         return None
@@ -191,7 +176,7 @@ def test_criterion_04_power_map_apn_exponents():
 
 def test_criterion_05_reference_tables_reproduce_published_rows():
     with criterion(5, "named search-winner tables reproduce their metric rows"):
-        if not any(reference_table_found(name) for name in REFERENCE_ROWS):
+        if not any(reference_table_path(name) for name in REFERENCE_ROWS):
             pytest.skip(missing_tables_message(list(REFERENCE_ROWS)))
         missing = []
         for name, row in REFERENCE_ROWS.items():
@@ -236,7 +221,7 @@ def test_criterion_08_avalanche_saturation_aes(aes):
 
 def test_criterion_08_avalanche_ordering_reference_tables():
     sources = ", ".join(
-        f"{name}: {'published' if reference_table_found(name) else 'seeded search'}"
+        f"{name}: {'published' if reference_table_path(name) else 'seeded search'}"
         for name in REFERENCE_SEARCHES
     )
     with criterion(8, f"diffusion saturates for the search winners ({sources})"):
@@ -274,9 +259,7 @@ def test_criterion_10_invariant_suites(aes):
             assert (l[1:, 0] == 0).all()
             for _ in range(3):
                 bits = rng.integers(0, 2, size=256).astype(np.uint8)
-                t = anf.TruthTable(8, bits)
-                back = anf.evaluate_anf(anf.mobius_transform(t))
-                assert np.array_equal(back.bits, bits)
+                assert np.array_equal(anf._mobius(anf._mobius(bits)), bits)
         cfg = spn.SpnConfig(sbox=aes, rounds=12)
         pts = rng.integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
         masters = rng.integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
@@ -312,12 +295,12 @@ def test_criterion_11_heatmap_markers_and_csv(aes, tmp_path):
 
         ppm = tmp_path / "aes_lat.ppm"
         heatmap.write_ppm(ppm, rgb)
-        green = (heatmap.read_ppm(ppm) == np.array(heatmap.MARKER_COLOR, dtype=np.uint8)).all(axis=2)
+        green = (reference.read_ppm(ppm) == np.array(heatmap.MARKER_COLOR, dtype=np.uint8)).all(axis=2)
         assert (green == expected).all()
 
         csv = tmp_path / "aes_lat.csv"
         heatmap.write_matrix_csv(csv, vals)
-        assert (heatmap.read_matrix_csv(csv) == vals).all()
+        assert (np.loadtxt(csv, delimiter=",", dtype=np.int64) == vals).all()
 
 
 def test_reference_tables_load_from_supplied_directory(tmp_path, monkeypatch):
@@ -334,13 +317,11 @@ def test_reference_tables_load_from_supplied_directory(tmp_path, monkeypatch):
     monkeypatch.delenv("SBOXKIT_REFERENCE_DIR", raising=False)
     for name in tables:
         assert reference_table_path(name) is None
-        assert not reference_table_found(name)
         assert load_reference_sbox(name) is None
 
     monkeypatch.setenv("SBOXKIT_REFERENCE_DIR", str(tmp_path))
     for name, table in tables.items():
         assert reference_table_path(name) == tmp_path / f"{name}.txt"
-        assert reference_table_found(name)
         assert load_reference_sbox(name).table.tolist() == table.tolist()
 
     (tmp_path / "NL_64_4.txt").write_text(" ".join(map(str, range(16))))

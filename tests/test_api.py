@@ -1,0 +1,44 @@
+"""The public API: the names `import sboxkit` exports, and the ones it no longer has."""
+
+import inspect
+
+import sboxkit as sk
+from sboxkit import anf, core, data, heatmap
+
+PUBLIC = {
+    "AES_SBOX", "AvalancheReport", "BicReport", "CycleSpec", "CycleStructure", "DDT", "DILLON_PERMUTATION",
+    "GFContext", "IRREDUCIBLE", "KEY_SBOX", "LAT", "MetricReport", "MonomialConditionError", "NonlinearityStats",
+    "NotBijectiveError", "PBOX8", "SBox", "SacReport", "SboxParseError", "SearchConfig", "SearchResult",
+    "SpnConfig", "TruthTable", "algebraic_degree", "algebraic_immunity", "apply_pbox64", "apply_pbox8",
+    "avalanche_experiment", "build_monomial_sbox", "builtin_cycle_specs", "component_truth_table", "compute_ddt",
+    "compute_lat", "cycle_decomposition", "dbic", "decrypt_block", "decrypt_blocks", "default_context",
+    "differential_uniformity", "dsac", "du_max_count", "encrypt_block", "encrypt_blocks", "format_sbox",
+    "full_report", "gf_mul", "gf_pow", "inverse_sbox", "is_bijective", "key_schedule", "load_pairs", "max_bias",
+    "nonlinearity", "parse_sbox", "random_permutation", "random_permutation_with_cycles", "run_search",
+    "save_pairs", "sbox_algebraic_immunity", "trace",
+}
+
+# names that only the package's own tests called, each gone from the module that held it
+REMOVED = {
+    anf: ("AnfCoefficients", "anf_monomials", "dump_anf", "evaluate_anf", "mobius_transform", "_bit_vector",
+          "_coordinate_anfs"),
+    core: ("hamming_distance",),
+    data: ("NAMED_SBOXES", "reference_sbox"),
+    heatmap: ("read_matrix_csv", "read_ppm"),
+}
+
+
+def test_public_names_are_pinned():
+    names = {n for n in dir(sk) if not n.startswith("_") and not inspect.ismodule(getattr(sk, n))}
+    assert names == PUBLIC, (sorted(names - PUBLIC), sorted(PUBLIC - names))
+
+
+def test_removed_names_stay_removed():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(sk, name), name
+
+
+def test_format_sbox_takes_only_the_sbox():
+    assert list(inspect.signature(sk.format_sbox).parameters) == ["s"]

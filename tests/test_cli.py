@@ -12,9 +12,11 @@ import sboxkit as sk
 from sboxkit import spn
 from sboxkit.cli import build_parser, main
 from sboxkit.core import FAMILIES
-from sboxkit.heatmap import KINDS, read_matrix_csv, read_ppm
+from sboxkit.heatmap import KINDS
 from sboxkit.metrics import METRICS, full_report
 from sboxkit.search import SearchConfig, builtin_cycle_specs
+
+import reference
 
 
 @pytest.fixture()
@@ -348,9 +350,9 @@ def test_heatmap_outputs(aes_file, tmp_path, capsys):
     assert main(["heatmap", aes_file, "--table", "lat", "-o", ppm, "--csv", csv]) == 0
     summary = capsys.readouterr().out
     assert "256x256" in summary and "extreme 16" in summary
-    rgb = read_ppm(ppm)
+    rgb = reference.read_ppm(ppm)
     assert rgb.shape == (256, 256, 3)
-    vals = read_matrix_csv(csv)
+    vals = np.loadtxt(csv, delimiter=",", dtype=np.int64)
     assert (vals == sk.compute_lat(sk.SBox(8, np.array(sk.AES_SBOX))).sums // 2).all()
 
 

@@ -122,13 +122,6 @@ def test_format_parse_round_trip(aes):
     assert sk.parse_sbox(text) == aes
 
 
-def test_format_per_line_override(dillon):
-    assert len(sk.format_sbox(dillon, per_line=8).splitlines()) == 8
-    for per_line in (0, -1, 2.5):
-        with pytest.raises(ValueError, match="per_line"):
-            sk.format_sbox(dillon, per_line=per_line)
-
-
 # ---------------------------------------------------------------------------
 # bijectivity and inversion
 
@@ -149,27 +142,6 @@ def test_inverse_round_trip(aes):
 def test_inverse_requires_bijection():
     with pytest.raises(sk.NotBijectiveError):
         sk.inverse_sbox(sk.SBox(4, np.zeros(16, dtype=np.int64)))
-
-
-@pytest.mark.parametrize(
-    "x,y,n,expected",
-    [
-        (0, 0, 8, 0),
-        (0xFF, 0, 8, 8),
-        (0b1010, 0b0110, 4, 2),
-        (1, 2, 2, 2),
-        (4095, 0, 12, 12),
-    ],
-)
-def test_hamming_distance(x, y, n, expected):
-    assert sk.hamming_distance(x, y, n) == expected
-    assert sk.hamming_distance(y, x, n) == expected
-
-
-def test_hamming_distance_range_check():
-    for x, y, n in ((16, 0, 4), (True, 0, 4), (1.0, 0, 4), (0, 0, 4.0), (0, 0, True)):
-        with pytest.raises(ValueError):
-            sk.hamming_distance(x, y, n)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,9 @@ def test_ppm_round_trip(tmp_path, aes):
     blob = path.read_bytes()
     assert blob.startswith(b"P6\n256 256\n255\n")
     assert len(blob) == 15 + 256 * 256 * 3
-    assert (heatmap.read_ppm(path) == rgb).all()
+    assert (reference.read_ppm(path) == rgb).all()
     heatmap.write_ppm(path, rgb[::2, ::-1])  # a strided view is written in row order
-    assert (heatmap.read_ppm(path) == rgb[::2, ::-1]).all()
+    assert (reference.read_ppm(path) == rgb[::2, ::-1]).all()
 
 
 def test_write_ppm_validates_input(tmp_path):
@@ -138,7 +138,7 @@ def test_read_ppm_rejects_other_formats(tmp_path):
     path = tmp_path / "x.ppm"
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError, match="PPM"):
-        heatmap.read_ppm(path)
+        reference.read_ppm(path)
 
 
 def test_matrix_csv_round_trip(tmp_path, aes):
@@ -147,7 +147,7 @@ def test_matrix_csv_round_trip(tmp_path, aes):
     heatmap.write_matrix_csv(path, vals)
     first = path.read_text().splitlines()[0]
     assert first.split(",")[0] == "128"
-    assert (heatmap.read_matrix_csv(path) == vals).all()
+    assert (np.loadtxt(path, delimiter=",", dtype=np.int64) == vals).all()
     # a non-integer matrix is refused, not truncated (0.7 would render and store as 0)
     for bad in (np.array([[0, 0], [0, 0.7]]), np.array([[0, 0], [0, 1]], dtype=bool)):
         with pytest.raises(ValueError, match="integers"):

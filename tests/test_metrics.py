@@ -607,6 +607,21 @@ def test_raw_metric_rejects_unknown():
         raw_metric_value(np.arange(16), 4, "entropy")
 
 
+@pytest.mark.parametrize("name", list(METRICS))
+def test_raw_metric_checks_its_table_as_sbox_does(name):
+    # unchecked, an entry out of [0, 2^n) is scored (du 2 and max_bias 2 for [0, 9, 2, 3], nl 0
+    # for [0, 1, 2, -1]) and a table of the wrong length fails inside numpy
+    for table, n, match in (([0, 9, 2, 3], 2, r"in \[0, 4\), got 9 at index 1"),
+                            ([0, 1, 2, -1], 2, r"in \[0, 4\), got -1 at index 3"),
+                            (np.array([0.0, 1, 2, 3]), 2, "got dtype float64"),
+                            ([0, 1, 2], 2, "exactly 2\\^2 = 4 entries"),
+                            (np.zeros(32, dtype=np.int64), 4, "exactly 2\\^4 = 16 entries"),
+                            (np.arange(2), 1, "bit width n=1"),
+                            (np.arange(4), 2.0, "bit width n=2.0")):
+        with pytest.raises(ValueError, match=match):
+            raw_metric_value(table, n, name)
+
+
 # ---------------------------------------------------------------------------
 # exact decimal rendering
 

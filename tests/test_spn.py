@@ -146,6 +146,16 @@ def test_apply_pbox64_single_bit():
     assert sum(v.bit_count() for v in out) == 1
 
 
+@pytest.mark.parametrize("length", [7, 9])
+def test_layer_helpers_refuse_a_state_not_8_bytes(length):
+    # unchecked, a 9-byte state is cut to its first 8 bytes and a 7-byte one raises IndexError
+    state = bytes(range(length))
+    with pytest.raises(ValueError, match="state must be 8 bytes"):
+        spn.apply_pbox8(state, PBOX8)
+    with pytest.raises(ValueError, match="state must be 8 bytes"):
+        spn.apply_pbox64(state, DILLON_PERMUTATION)
+
+
 # ---------------------------------------------------------------------------
 # block encryption
 
