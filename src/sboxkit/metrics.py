@@ -8,15 +8,17 @@ bins (512 KB): one block up to n = 8, 64 rows at n = 10 and 16 at n = 12; only
 `compute_ddt` holds the whole table.  Walsh blocks: columns of the LAT at
 most 2^18 values (1 MB) at a time, the sign rows of each gathered from a cached
 Hadamard matrix and transformed by two stacks of small float32 products, by
-the Kronecker factorisation H_n = H_hi (x) H_lo; max bias and NL are reduced
-block by block and only `compute_lat` holds the whole table.  Flip
-histograms: per input bit i, the histogram over d of the x with bit i clear
-and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n of every
-table in a stack of candidates from one bincount; SAC and BIC are each one
-float32 product of the histograms with cached 0/2 weights of the difference
-bits and of their pairwise products.  Every float32 sum is an integer of
-magnitude at most 2^n <= 4096 < 2^24 (a flip sum at most 2^(n-1) <= 2048,
-doubled), so float32 holds it exactly in any summation order.
+the Kronecker factorisation H_n = H_hi (x) H_lo; `_walsh_stats` reduces the
+max bias and the component NLs together, block by block, and only
+`compute_lat` holds the whole table.  Flip histograms: per input bit i, the
+histogram over d of the x with bit i clear and S(x) xor S(x xor 2^i) = d,
+exactly half of DDT row 2^i, all n of every table in a stack of any height
+from one bincount, whose row codes `_flip_hist` builds for the stack it is
+given; SAC and BIC are each one float32 product of the histograms with
+cached 0/2 weights of the difference bits and of their pairwise products.
+Every float32 sum is an integer of magnitude at most 2^n <= 4096 < 2^24 (a
+flip sum at most 2^(n-1) <= 2048, doubled), so float32 holds it exactly in
+any summation order.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
@@ -84,11 +86,12 @@ def _walsh_blocks(table: np.ndarray, n: int):
         yield c << k, block
 
 
-def _walsh_stats(blocks) -> tuple[int, list]:
+def _walsh_stats(blocks, n: int) -> tuple[int, np.ndarray]:
     """From (start, block) Walsh blocks, made absolute in place: the max bias,
-    half the extreme over a != 0, b != 0, and per block the extreme over every a
-    for each output mask b != 0, which `_component_nls` turns into NLs.  Every
-    Walsh sum is even, so the halving is exact."""
+    half the extreme over a != 0, b != 0, and per output mask b != 0 the
+    component nonlinearity, 2^(n-1) less half the extreme over every a.  Every
+    Walsh sum is even, so the halving is exact; the NLs, and any sum of them
+    (< 2^(2n-1) <= 2^23), stay exact in float32."""
     top = 0
     columns = []
     for start, block in blocks:
@@ -99,14 +102,7 @@ def _walsh_stats(blocks) -> tuple[int, list]:
             rest, column = rest[1:], column[1:]
         top = max(top, int(rest.max()))
         columns.append(column)
-    return top // 2, columns
-
-
-def _component_nls(columns: list, n: int) -> np.ndarray:
-    """Per output mask b != 0 the component nonlinearity, 2^(n-1) less half the
-    extreme of `_walsh_stats`' columns; the NLs, and any sum of them
-    (< 2^(2n-1) <= 2^23), stay exact in float32."""
-    return (1 << (n - 1)) - 0.5 * np.concatenate(columns)
+    return top // 2, (1 << (n - 1)) - 0.5 * np.concatenate(columns)
 
 
 @functools.cache
@@ -165,18 +161,11 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
     return 2 * top, count
 
 
-def _flip_rows(n: int, count: int) -> np.ndarray:
-    """rows[i, 0, b] = (b n + i) << n, the row codes of `_flip_hist` for a stack
-    of `count` tables, shape (n, 1, count)."""
-    return (np.arange(count * n).reshape(count, n).T << n)[:, np.newaxis]
-
-
 @functools.cache
 def _flip_index(n: int) -> tuple:
-    """(ends, rows, sac_weights, bic_weights, pairs) for `_flip_hist` and its
-    readers at width n: ends[0, i] the 2^(n-1) x with bit i clear and
-    ends[1, i] those x xor 2^i, shape (2, n, 2^(n-1)); the `_flip_rows` of a
-    search block of `block_height(n)` tables; per difference d,
+    """(ends, sac_weights, bic_weights, pairs) for `_flip_hist` and its readers
+    at width n: ends[0, i] the 2^(n-1) x with bit i clear and ends[1, i] those
+    x xor 2^i, shape (2, n, 2^(n-1)); per difference d,
     sac_weights[d, a] = 2 * bit a of d and
     bic_weights[d, p] = 2 * (bits j and k of d) for the p-th output-bit pair
     j < k, float32; and the pairs in row-major order (0, 1), (0, 2), ...,
@@ -186,8 +175,8 @@ def _flip_index(n: int) -> tuple:
     low = (y >> i << (i + 1)) | (y & ((1 << i) - 1))  # y with a 0 inserted at bit i
     bits = 2 * (np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1).astype(np.float32)
     j, k = np.triu_indices(n, 1)
-    return (read_only(np.stack([low, low | 1 << i])), read_only(_flip_rows(n, block_height(n))), read_only(bits),
-            read_only(bits[:, j] * bits[:, k] / 2), tuple(zip(j.tolist(), k.tolist())))
+    return (read_only(np.stack([low, low | 1 << i])), read_only(bits), read_only(bits[:, j] * bits[:, k] / 2),
+            tuple(zip(j.tolist(), k.tolist())))
 
 
 def block_height(n: int) -> int:
@@ -209,14 +198,12 @@ def _flip_hist(tables: np.ndarray, n: int) -> np.ndarray:
     most 800 KB at once, and the allocator reuses its pages; gathering both
     ends at once into int32 codes held 1 MB and faulted in about 240 fresh
     pages on every block."""
-    ends, rows = _flip_index(n)[:2]
     stack = np.asarray(tables).astype(np.uint16 if n <= 8 else np.uint32)
     count = len(stack)
-    if count > rows.shape[-1]:  # taller than a search block
-        rows = _flip_rows(n, count)
-    pairs = np.take(stack.T, ends, axis=0)  # pairs[e, i, x, b] = S_b(ends[e, i, x])
+    rows = np.arange(count * n).reshape(count, n).T[:, np.newaxis] << n  # rows[i, 0, b] = (b n + i) << n
+    pairs = np.take(stack.T, _flip_index(n)[0], axis=0)  # pairs[e, i, x, b] = S_b(ends[e, i, x])
     diff = np.bitwise_xor(pairs[0], pairs[1], out=pairs[0])
-    codes = np.bitwise_or(diff, rows[..., :count])
+    codes = np.bitwise_or(diff, rows)
     del pairs, diff
     return np.bincount(codes.ravel(), minlength=count * n << n).reshape(count, n, 1 << n)
 
@@ -226,7 +213,7 @@ def _sac_deviations(hist: np.ndarray, n: int) -> np.ndarray:
     for one table or a stack: the flips are the doubled hist @ bits, exact in
     float32 as each is <= 2^n, one small product per table, which BLAS runs on
     one thread."""
-    flips = (hist.astype(np.float32) @ _flip_index(n)[2]).astype(np.int64)
+    flips = (hist.astype(np.float32) @ _flip_index(n)[1]).astype(np.int64)
     return np.abs(flips - (1 << (n - 1)))
 
 
@@ -235,7 +222,7 @@ def _bic_deviations(hist: np.ndarray, n: int):
     from `_flip_hist`, for one table or a stack: the joint counts
     #{x : bits j and k of the difference are both 1} are the doubled
     hist @ pair products, exact in float32 likewise."""
-    weights, pairs = _flip_index(n)[3:]
+    weights, pairs = _flip_index(n)[2:]
     joint = (hist.astype(np.float32) @ weights).astype(np.int64)
     return np.abs((1 << n) // 4 - joint), pairs
 
@@ -269,13 +256,12 @@ def _per_row(kernel):
 # in CSV column order
 METRICS = {
     "du": Metric(_per_row(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0]), "DU", "du"),
-    "max_bias": Metric(_per_row(lambda t, n: _walsh_stats(_walsh_blocks(t, n))[0]), "MAX BIAS", "max_bias"),
+    "max_bias": Metric(_per_row(lambda t, n: _walsh_stats(_walsh_blocks(t, n), n)[0]), "MAX BIAS", "max_bias"),
     "dsac": Metric(lambda t, n: _sac_deviations(_flip_hist(t, n), n).max(axis=(1, 2)), "DSAC", "dsac.max_raw",
                    per_size=True),
     "dbic": Metric(lambda t, n: _bic_deviations(_flip_hist(t, n), n)[0].max(axis=(1, 2)), "DBIC",
                    "dbic.max_raw", per_size=True),
-    "nl": Metric(_per_row(lambda t, n: _component_nls(_walsh_stats(_walsh_blocks(t, n))[1], n).min()), "NL",
-                 "nl", maximize=True),
+    "nl": Metric(_per_row(lambda t, n: _walsh_stats(_walsh_blocks(t, n), n)[1].min()), "NL", "nl", maximize=True),
 }
 
 CSV_HEADER = ",".join(["name", *(m.column for m in METRICS.values())])
@@ -431,7 +417,7 @@ def compute_lat(s: SBox) -> LAT:
 
 def max_bias(l: LAT) -> int:
     """Half the extreme |Walsh sum| outside row/column zero."""
-    return _walsh_stats([(0, l.sums.copy())])[0]
+    return _walsh_stats([(0, l.sums.copy())], l.n)[0]
 
 
 def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
@@ -442,7 +428,7 @@ def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(_component_nls(_walsh_stats(_walsh_blocks(s.table, s.n))[1], s.n))
+    return _nl_stats(_walsh_stats(_walsh_blocks(s.table, s.n), s.n)[1])
 
 
 def _sac_report(hist: np.ndarray, n: int) -> SacReport:
@@ -473,17 +459,12 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     table metrics and are never wanted in bulk search loops.
     """
     du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
-    bias, columns = _walsh_stats(_walsh_blocks(s.table, s.n))
-    nl_stats = _nl_stats(_component_nls(columns, s.n))
+    bias, nls = _walsh_stats(_walsh_blocks(s.table, s.n), s.n)
+    nl_stats = _nl_stats(nls)
     hist = _flip_hist(s.table[np.newaxis], s.n)[0]
     bijective = is_bijective(s)
-    degree = ai = ai_scope = None
-    if with_degree or with_ai:
-        if with_degree:
-            degree = anf.algebraic_degree(s)
-        if with_ai:
-            ai = anf.sbox_algebraic_immunity(s)
-            ai_scope = "coordinates"
+    degree = anf.algebraic_degree(s) if with_degree else None
+    ai = anf.sbox_algebraic_immunity(s) if with_ai else None
     return MetricReport(
         n=s.n,
         bijective=bijective,
@@ -500,5 +481,5 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         cycles=cycle_decomposition(s) if bijective else None,
         degree=degree,
         ai=ai,
-        ai_scope=ai_scope,
+        ai_scope="coordinates" if with_ai else None,
     )

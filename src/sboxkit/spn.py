@@ -14,10 +14,14 @@ and a XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
 nibble S-box) is such a lane table, built by `_lane_tables` and applied by
 `_lane_lookup`; only the S-box varies, so the key and inverse-permutation
 tables are module constants.  `decrypt_block` is `decrypt_blocks` on one element.
+`apply_pbox8`/`apply_pbox64` check their permutation, then run the layer step
+(`_shuffle_bytes`/`_permute_bits`) that `encrypt_block` runs on the bundled
+constants unchecked.  `_check_bytes` and `_check_words` are the 8-byte and uint64 rules.
 
 The avalanche experiment has one input, a (trials, 2) array of (plaintext,
 master) pairs: `generate_pairs(trials, seed)` draws one and `save_pairs` /
 `load_pairs` store it, so every S-box compared runs on the same trials.
+The file keeps no shape, so `_check_pairs` refuses any other for both.
 
 Every bulk call runs in blocks of `_BLOCK_WORDS` uint64 state words (32,768
 blocks, or 504 avalanche trials of 65 states) with round keys yielded one
@@ -54,10 +58,18 @@ from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
 from .util import exact_decimal
 
 BLOCK_BYTES = 8
-BLOCK_BITS = 64
 _BLOCK_WORDS = 1 << 15  # uint64 state words per bulk block: 256 KB, inside L2
 _CALL_WORDS = 1 << 16  # words that all of a call's blocks in flight may hold: two blocks of state
 AVALANCHE_CSV_HEADER = "name,rounds,distance"
+
+
+def _check_bytes(block: bytes, what: str) -> None:
+    if len(block) != BLOCK_BYTES:
+        raise ValueError(f"{what} must be 8 bytes")
+
+
+def _check_words(values, what: str) -> np.ndarray:
+    return check_int_array(values, f"{what} must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
 
 
 def _check_perm(p, size, what) -> list:
@@ -114,72 +126,58 @@ def int_to_block(value: int) -> bytes:
     return check_int(value, "block must be an integer in [0, 2^64)", 0, 2**64 - 1).to_bytes(BLOCK_BYTES, "big")
 
 
-def _rotl_bytes(block: bytes, k: int) -> bytes:
-    return bytes(block[(i + k) % BLOCK_BYTES] for i in range(BLOCK_BYTES))
-
-
 def key_schedule(master: bytes, cfg: SpnConfig) -> tuple:
     """(k_1, .., k_rounds) for cfg.rounds, each 8 bytes.  k_0 = master; each
     next key: rotate bytes left once, push every nibble through the key S-box
     (high nibble first), XOR the round index into byte 0, then XOR the
     previous key rotated left three bytes."""
-    if len(master) != BLOCK_BYTES:
-        raise ValueError("master key must be 8 bytes")
+    _check_bytes(master, "master key")
     ks = KEY_SBOX
     keys = []
     prev = bytes(master)
     for r in range(1, cfg.rounds + 1):
-        t = bytearray(_rotl_bytes(prev, 1))
-        for i in range(BLOCK_BYTES):
-            t[i] = (ks[t[i] >> 4] << 4) | ks[t[i] & 0xF]
+        t = bytearray((ks[v >> 4] << 4) | ks[v & 0xF] for v in prev[1:] + prev[:1])
         t[0] ^= r & 0xFF
-        rot3 = _rotl_bytes(prev, 3)
-        prev = bytes(a ^ b for a, b in zip(t, rot3))
+        prev = bytes(a ^ b for a, b in zip(t, prev[3:] + prev[:3]))
         keys.append(prev)
     return tuple(keys)
 
 
-def _bit(state: bytes, b: int) -> int:
-    return (state[b >> 3] >> (7 - (b & 7))) & 1
+def _shuffle_bytes(state: bytes, p) -> bytes:
+    """Output byte i is state byte p[i], for a checked 8-entry permutation p."""
+    return bytes(state[i] for i in p)
+
+
+def _permute_bits(state: bytes, p) -> bytes:
+    """Output bit d is state bit p[d], bit 0 the most significant, for a checked 64-entry permutation p."""
+    bits = f"{int.from_bytes(state, 'big'):064b}"
+    return int("".join(bits[i] for i in p), 2).to_bytes(BLOCK_BYTES, "big")
 
 
 def apply_pbox8(state: bytes, p) -> bytes:
-    if len(state) != BLOCK_BYTES:
-        raise ValueError("state must be 8 bytes")
-    p = _check_perm(p, 8, "pbox8")
-    return bytes(state[p[i]] for i in range(8))
+    _check_bytes(state, "state")
+    return _shuffle_bytes(state, _check_perm(p, 8, "pbox8"))
 
 
 def apply_pbox64(state: bytes, p) -> bytes:
-    if len(state) != BLOCK_BYTES:
-        raise ValueError("state must be 8 bytes")
-    p = _check_perm(p, 64, "pbox64")
-    out = bytearray(BLOCK_BYTES)
-    for d in range(BLOCK_BITS):
-        if _bit(state, p[d]):
-            out[d >> 3] |= 1 << (7 - (d & 7))
-    return bytes(out)
+    _check_bytes(state, "state")
+    return _permute_bits(state, _check_perm(p, 64, "pbox64"))
 
 
 def encrypt_block(plaintext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
-    if len(plaintext) != BLOCK_BYTES:
-        raise ValueError("plaintext must be 8 bytes")
+    _check_bytes(plaintext, "plaintext")
     keys = key_schedule(master, cfg)
-    tab = cfg.sbox.table
+    tab = cfg.sbox.table.tolist()
     state = bytes(plaintext)
     for r in range(cfg.rounds):
-        state = bytes(int(tab[b]) for b in state)
-        state = apply_pbox8(state, PBOX8)
-        state = apply_pbox64(state, DILLON_PERMUTATION)
+        state = _permute_bits(_shuffle_bytes(bytes(tab[b] for b in state), PBOX8), DILLON_PERMUTATION)
         state = bytes(a ^ b for a, b in zip(state, keys[r]))
     return state
 
 
 def decrypt_block(ciphertext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
-    if len(ciphertext) != BLOCK_BYTES:
-        raise ValueError("ciphertext must be 8 bytes")
-    if len(master) != BLOCK_BYTES:
-        raise ValueError("master key must be 8 bytes")
+    _check_bytes(ciphertext, "ciphertext")
+    _check_bytes(master, "master key")
     return int_to_block(decrypt_blocks([block_to_int(ciphertext)], [block_to_int(master)], cfg)[0])
 
 
@@ -304,8 +302,7 @@ def _encrypt(states: np.ndarray, masters: np.ndarray, cfg: SpnConfig, tabs: np.n
 
 
 def _check_blocks(blocks, masters):
-    blocks = check_int_array(blocks, "blocks must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
-    masters = check_int_array(masters, "masters must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
+    blocks, masters = _check_words(blocks, "blocks"), _check_words(masters, "masters")
     if blocks.ndim != 1 or masters.ndim != 1 or len(masters) not in (1, len(blocks)):
         raise ValueError("blocks must be 1-D, with one master per block or a single master for all")
     return blocks, masters
@@ -355,10 +352,16 @@ def generate_pairs(trials: int, seed: int) -> np.ndarray:
     return np.stack([pts, keys], axis=1)
 
 
+def _check_pairs(pairs) -> np.ndarray:
+    pairs = _check_words(pairs, "pairs")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
+        raise ValueError("pairs must be a non-empty (trials, 2) array")
+    return pairs
+
+
 def save_pairs(path, pairs: np.ndarray) -> None:
     """16 bytes per trial: plaintext then master, each little-endian uint64."""
-    pairs = check_int_array(pairs, "pairs must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
-    pairs.astype("<u8", copy=False).tofile(path)
+    _check_pairs(pairs).astype("<u8", copy=False).tofile(path)
 
 
 def load_pairs(path) -> np.ndarray:
@@ -377,9 +380,7 @@ def avalanche_experiment(cfg: SpnConfig, pairs: np.ndarray) -> AvalancheReport:
     `generate_pairs` or `load_pairs`) is what makes cross-S-box distance
     comparisons meaningful.
     """
-    pairs = check_int_array(pairs, "pairs must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
-        raise ValueError("pairs must be a non-empty (trials, 2) array")
+    pairs = _check_pairs(pairs)
     trials = len(pairs)
 
     tabs = _build_round_tables(cfg)

@@ -410,6 +410,23 @@ def test_binary_outputs_refuse_stdout(command, aes_file, tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["aes.txt"]
 
 
+@pytest.mark.parametrize("command", [
+    ["heatmap", "-o", "out.csv"],  # the default --csv is -o with a .csv suffix: out.csv again
+    ["heatmap", "-o", "a.ppm", "--csv", "a.ppm"],
+    ["heatmap", "-o", "a.ppm", "--csv", "./a.ppm"],
+    ["avalanche", "--rounds", "1", "--trials", "5", "--seed", "1", "--save-pairs", "F", "-o", "F"],
+    ["avalanche", "--rounds", "1", "--trials", "5", "--seed", "1", "--save-pairs", "./F", "-o", "F"],
+    ["search", "--metric", "nl", "--tries", "5", "--seed", "1", "--n", "4", "-o", "F", "--log-values", "F"],
+    ["search", "--metric", "nl", "--tries", "5", "--seed", "1", "--n", "4", "-o", "F", "--log-values", "./F"],
+])
+def test_outputs_of_one_command_must_be_different_files(command, aes_file, tmp_path, monkeypatch, capsys):
+    # the second write would silently replace the first, so nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(command if command[0] == "search" else [command[0], aes_file, *command[1:]]) == 3
+    assert "name the same file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["aes.txt"]
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import sys
 import threading
@@ -222,6 +223,23 @@ def test_scalar_oracle_shares_nothing_with_bulk(cfg1, monkeypatch):
         assert spn.apply_pbox64(spn.apply_pbox64(state, p), inv) == state
     with pytest.raises(AssertionError, match="bulk path"):
         spn.encrypt_blocks(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64), cfg1)
+
+
+def test_reference_cipher_checks_the_fixed_permutations_zero_times(aes, monkeypatch):
+    # the round applies the checked module constants directly; only the public layer helpers check
+    calls = []
+    check = spn._check_perm
+
+    def counted(*args):
+        calls.append(args[1:])
+        return check(*args)
+
+    monkeypatch.setattr(spn, "_check_perm", counted)
+    spn.encrypt_block(bytes(range(8)), bytes(range(8, 16)), spn.SpnConfig(sbox=aes, rounds=12))
+    assert calls == []
+    spn.apply_pbox8(bytes(8), PBOX8)
+    spn.apply_pbox64(bytes(8), DILLON_PERMUTATION)
+    assert calls == [(8, "pbox8"), (64, "pbox64")]
 
 
 @pytest.mark.parametrize("rounds", [1, 4, 12])
@@ -565,6 +583,16 @@ def test_load_pairs_rejects_truncated_file(tmp_path):
     path.write_bytes(b"\x00" * 17)
     with pytest.raises(ValueError, match="multiple of 16"):
         spn.load_pairs(path)
+
+
+def test_save_pairs_refuses_a_shape_other_than_trials_by_2(tmp_path):
+    # the file keeps no shape, so a transposed (2, trials) array would reload as other pairs
+    pairs = spn.generate_pairs(4, 1)
+    path = tmp_path / "pairs.bin"
+    for bad in (pairs.T, pairs.ravel(), np.zeros((4, 3), dtype=np.uint64), np.empty((0, 2), dtype=np.uint64)):
+        with pytest.raises(ValueError, match=re.escape("pairs must be a non-empty (trials, 2) array")):
+            spn.save_pairs(path, bad)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 4, 12])
