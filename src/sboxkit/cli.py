@@ -4,8 +4,8 @@ analyze, avalanche and heatmap read an S-box file (sbox, --base); analyze
 and avalanche write a report (--format, --name, -o).  "-" is stdout for
 every text output; heatmap -o and --csv and avalanche --save-pairs, which
 write binary or paired files, refuse it, and no two outputs of one command
-may name the same file.  Exit codes: 0 success, 2 unreadable
-input or output path, 3 invalid configuration, 4 precondition violation.
+may name the same file.  Exit codes: 0 success, 2 unreadable input or
+output path, 3 invalid configuration, 4 precondition violation.
 Every randomized command takes an explicit --seed; there is no silent
 entropy default.
 """

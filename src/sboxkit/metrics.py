@@ -464,7 +464,7 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     hist = _flip_hist(s.table[np.newaxis], s.n)[0]
     bijective = is_bijective(s)
     degree = anf.algebraic_degree(s) if with_degree else None
-    ai = anf.sbox_algebraic_immunity(s) if with_ai else None
+    ai, ai_scope = (anf.sbox_algebraic_immunity(s), "coordinates") if with_ai else (None, None)
     return MetricReport(
         n=s.n,
         bijective=bijective,
@@ -481,5 +481,5 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         cycles=cycle_decomposition(s) if bijective else None,
         degree=degree,
         ai=ai,
-        ai_scope="coordinates" if with_ai else None,
+        ai_scope=ai_scope,
     )
