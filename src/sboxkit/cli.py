@@ -4,16 +4,14 @@ analyze, avalanche and heatmap read an S-box file (sbox, --base); analyze
 and avalanche write a report (--format, --name, -o).  "-" is stdout for
 every text output; heatmap -o and --csv and avalanche --save-pairs, which
 write binary or paired files, refuse it, and no two outputs of one command
-may name the same file.  Exit codes: 0 success, 2 unreadable input or
-output path, 3 invalid configuration, 4 precondition violation.
-Every randomized command takes an explicit --seed; there is no silent
-entropy default.
+may name the same file.  Exit codes: 0 success, 2 unreadable input or output
+path, 3 invalid configuration, 4 precondition violation.  Every randomized
+command takes an explicit --seed; there is no silent entropy default.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -80,15 +78,14 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _check_outputs(outputs: dict, files: tuple = (), dash_error: str = "") -> None:
-    """Refuse, before anything is written, "-" for an option in `files` (a binary or paired output: it would
-    create a file of that name) and two outputs, option -> path or None, that resolve to the same file."""
-    if any(outputs[option] == "-" for option in files):
+def _check_outputs(binary: dict, text: dict, dash_error: str = "") -> None:
+    """Refuse, before anything is written, "-" for a binary or paired output (it would create a file of that
+    name) and the command's two outputs, option -> path or None, resolving to the same file."""
+    if "-" in binary.values():
         raise ValueError(dash_error)
-    named = [(option, Path(path).resolve()) for option, path in outputs.items() if path not in (None, "-")]
-    for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
-        if path_a == path_b:
-            raise ValueError(f"{a} and {b} name the same file: {outputs[b]}")
+    (a, path_a), (b, path_b) = {**binary, **text}.items()
+    if not {path_a, path_b} & {None, "-"} and Path(path_a).resolve() == Path(path_b).resolve():
+        raise ValueError(f"{a} and {b} name the same file: {path_b}")
 
 
 def _write_report(args, header: str, report) -> None:
@@ -126,7 +123,7 @@ def _parse_cycles(text: str) -> CycleSpec | None:
 
 
 def cmd_search(args) -> int:
-    _check_outputs({"-o": args.out, "--log-values": args.log_values})
+    _check_outputs({}, {"-o": args.out, "--log-values": args.log_values})
     config = SearchConfig(
         n=args.n,
         metric=args.metric,
@@ -148,8 +145,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_avalanche(args) -> int:
-    _check_outputs({"--save-pairs": args.save_pairs, "-o": args.out}, ("--save-pairs",),
-                   "--save-pairs must name a file, not '-'")
+    _check_outputs({"--save-pairs": args.save_pairs}, {"-o": args.out}, "--save-pairs must name a file, not '-'")
     cfg = SpnConfig(sbox=_read_sbox(args), rounds=args.rounds)
     if args.pairs:
         if args.seed is not None:
@@ -170,7 +166,7 @@ def cmd_avalanche(args) -> int:
 def cmd_heatmap(args) -> int:
     out = args.out or f"{Path(args.sbox).stem}_{args.table}.ppm"
     csv_path = args.csv or str(Path(out).with_suffix(".csv"))
-    _check_outputs({"-o": out, "--csv": csv_path}, ("-o", "--csv"), "heatmap -o and --csv must name files, not '-'")
+    _check_outputs({"-o": out, "--csv": csv_path}, {}, "heatmap -o and --csv must name files, not '-'")
     values = heatmap_values(_read_sbox(args), args.table)
     spec = HeatmapSpec(kind=args.table, scale=args.scale)
     rgb, info = render_heatmap(values, spec)

@@ -8,17 +8,15 @@ bins (512 KB): one block up to n = 8, 64 rows at n = 10 and 16 at n = 12; only
 `compute_ddt` holds the whole table.  Walsh blocks: columns of the LAT at
 most 2^18 values (1 MB) at a time, the sign rows of each gathered from a cached
 Hadamard matrix and transformed by two stacks of small float32 products, by
-the Kronecker factorisation H_n = H_hi (x) H_lo; `_walsh_stats` reduces the
-max bias and the component NLs together, block by block, and only
-`compute_lat` holds the whole table.  Flip histograms: per input bit i, the
-histogram over d of the x with bit i clear and S(x) xor S(x xor 2^i) = d,
-exactly half of DDT row 2^i, all n of every table in a stack of any height
-from one bincount, whose row codes `_flip_hist` builds for the stack it is
-given; SAC and BIC are each one float32 product of the histograms with
-cached 0/2 weights of the difference bits and of their pairwise products.
-Every float32 sum is an integer of magnitude at most 2^n <= 4096 < 2^24 (a
-flip sum at most 2^(n-1) <= 2048, doubled), so float32 holds it exactly in
-any summation order.
+the Kronecker factorisation H_n = H_hi (x) H_lo; `_walsh_stats` reduces max
+bias and NLs together, block by block, and only `compute_lat` holds the whole
+table.  Flip histograms: per input bit i, the histogram over d of the x with
+bit i clear and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n
+of every table in a stack of any height from one `_flip_hist` bincount; SAC
+and BIC are each one float32 product of the histograms with cached 0/2 weights
+of the difference bits and of their pairwise products.  Every float32 sum is
+an integer of magnitude at most 2^n <= 4096 < 2^24 (a flip sum at most
+2^(n-1) <= 2048, doubled), so float32 holds it exactly in any summation order.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
@@ -463,8 +461,13 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     nl_stats = _nl_stats(nls)
     hist = _flip_hist(s.table[np.newaxis], s.n)[0]
     bijective = is_bijective(s)
-    degree = anf.algebraic_degree(s) if with_degree else None
-    ai, ai_scope = (anf.sbox_algebraic_immunity(s), "coordinates") if with_ai else (None, None)
+    degree = ai = ai_scope = None
+    if with_degree or with_ai:
+        if with_degree:
+            degree = anf.algebraic_degree(s)
+        if with_ai:
+            ai = anf.sbox_algebraic_immunity(s)
+            ai_scope = "coordinates"
     return MetricReport(
         n=s.n,
         bijective=bijective,

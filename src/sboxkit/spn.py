@@ -14,14 +14,13 @@ and a XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
 nibble S-box) is such a lane table, built by `_lane_tables` and applied by
 `_lane_lookup`; only the S-box varies, so the key and inverse-permutation
 tables are module constants.  `decrypt_block` is `decrypt_blocks` on one element.
-`apply_pbox8`/`apply_pbox64` check their permutation, then run the layer step
-(`_shuffle_bytes`/`_permute_bits`) that `encrypt_block` runs on the bundled
-constants unchecked.  `_check_bytes` and `_check_words` are the 8-byte and uint64 rules.
+`encrypt_block` runs `_shuffle_bytes` and `_permute_bits` on the bundled
+constants; `apply_pbox8`/`apply_pbox64` check p first.  `_check_bytes`,
+`_check_words` and `_check_pairs` hold the 8-byte, uint64 and pair rules.
 
 The avalanche experiment has one input, a (trials, 2) array of (plaintext,
 master) pairs: `generate_pairs(trials, seed)` draws one and `save_pairs` /
 `load_pairs` store it, so every S-box compared runs on the same trials.
-The file keeps no shape, so `_check_pairs` refuses any other for both.
 
 Every bulk call runs in blocks of `_BLOCK_WORDS` uint64 state words (32,768
 blocks, or 504 avalanche trials of 65 states) with round keys yielded one
@@ -126,6 +125,10 @@ def int_to_block(value: int) -> bytes:
     return check_int(value, "block must be an integer in [0, 2^64)", 0, 2**64 - 1).to_bytes(BLOCK_BYTES, "big")
 
 
+def _rotl_bytes(block: bytes, k: int) -> bytes:
+    return bytes(block[(i + k) % BLOCK_BYTES] for i in range(BLOCK_BYTES))
+
+
 def key_schedule(master: bytes, cfg: SpnConfig) -> tuple:
     """(k_1, .., k_rounds) for cfg.rounds, each 8 bytes.  k_0 = master; each
     next key: rotate bytes left once, push every nibble through the key S-box
@@ -136,9 +139,12 @@ def key_schedule(master: bytes, cfg: SpnConfig) -> tuple:
     keys = []
     prev = bytes(master)
     for r in range(1, cfg.rounds + 1):
-        t = bytearray((ks[v >> 4] << 4) | ks[v & 0xF] for v in prev[1:] + prev[:1])
+        t = bytearray(_rotl_bytes(prev, 1))
+        for i in range(BLOCK_BYTES):
+            t[i] = (ks[t[i] >> 4] << 4) | ks[t[i] & 0xF]
         t[0] ^= r & 0xFF
-        prev = bytes(a ^ b for a, b in zip(t, prev[3:] + prev[:3]))
+        rot3 = _rotl_bytes(prev, 3)
+        prev = bytes(a ^ b for a, b in zip(t, rot3))
         keys.append(prev)
     return tuple(keys)
 
@@ -166,12 +172,11 @@ def apply_pbox64(state: bytes, p) -> bytes:
 
 def encrypt_block(plaintext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
     _check_bytes(plaintext, "plaintext")
-    keys = key_schedule(master, cfg)
     tab = cfg.sbox.table.tolist()
     state = bytes(plaintext)
-    for r in range(cfg.rounds):
+    for key in key_schedule(master, cfg):
         state = _permute_bits(_shuffle_bytes(bytes(tab[b] for b in state), PBOX8), DILLON_PERMUTATION)
-        state = bytes(a ^ b for a, b in zip(state, keys[r]))
+        state = bytes(a ^ b for a, b in zip(state, key))
     return state
 
 
@@ -360,7 +365,7 @@ def _check_pairs(pairs) -> np.ndarray:
 
 
 def save_pairs(path, pairs: np.ndarray) -> None:
-    """16 bytes per trial: plaintext then master, each little-endian uint64."""
+    """16 bytes per trial: plaintext then master, each little-endian uint64; the file keeps no shape."""
     _check_pairs(pairs).astype("<u8", copy=False).tofile(path)
 
 
