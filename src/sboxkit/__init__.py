@@ -36,13 +36,7 @@ from .metrics import (
     max_bias,
     nonlinearity,
 )
-from .anf import (
-    TruthTable,
-    algebraic_degree,
-    algebraic_immunity,
-    component_truth_table,
-    sbox_algebraic_immunity,
-)
+from .anf import algebraic_degree, sbox_algebraic_immunity
 from .search import (
     CycleSpec,
     SearchConfig,

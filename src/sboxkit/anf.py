@@ -10,31 +10,15 @@ Lucas's theorem on sum_{j <= k} C(N, j) = C(N - 1, k) mod 2).  The unknowns
 are g's values at the weight-<=d points off the support, each support point
 above weight d is one constraint, and g exists iff A restricted to those has
 rank below the number of unknowns.  Having an annihilator is monotone in d,
-so the tests step down from the cap, and each next component of an S-box is
-tested only below the lowest immunity found so far.
+so the tests step down from the cap.  An S-box's immunity is the minimum over
+its n coordinate functions, each tested only below the lowest found so far.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SBox, check_int, check_int_array, read_only
-
-
-@dataclass(frozen=True, eq=False)
-class TruthTable:
-    n: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        n = check_int(self.n, "n must be an integer >= 0", 0)
-        bits = check_int_array(self.bits, "truth table entries must be 0 or 1", 0, 1, np.uint8)
-        if bits.shape != (1 << n,):
-            raise ValueError(f"truth table must have 2^{n} entries")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", read_only(bits.copy()))
+from .core import SBox
 
 
 def _mobius(vec: np.ndarray) -> np.ndarray:
@@ -52,11 +36,9 @@ def _mobius(vec: np.ndarray) -> np.ndarray:
     return out.reshape(vec.shape)
 
 
-def component_truth_table(s: SBox, mask: int) -> TruthTable:
-    """Truth table of x -> parity(mask & S(x))."""
-    mask = check_int(mask, f"mask must be an integer in [0, {s.size})", 0, s.size - 1)
-    vals = (s.table & mask).astype(np.uint64)
-    return TruthTable(s.n, (np.bitwise_count(vals) & 1).astype(np.uint8))
+def _coordinates(s: SBox) -> np.ndarray:
+    """Row j: the truth table of the coordinate function S_j, bit j of S(x)."""
+    return ((s.table >> np.arange(s.n)[:, np.newaxis]) & 1).astype(bool)
 
 
 def algebraic_degree(s: SBox) -> int:
@@ -65,7 +47,7 @@ def algebraic_degree(s: SBox) -> int:
     The zero function has degree 0.  The ANF is linear, so deg(b.S) <= max_j
     deg(S_j), and the coordinates S_j are components: the same maximum.
     """
-    coeffs = _mobius((s.table >> np.arange(s.n)[:, np.newaxis]) & 1)  # row j: coordinate j's ANF
+    coeffs = _mobius(_coordinates(s))  # row j: coordinate j's ANF
     return int(np.bitwise_count(np.flatnonzero(coeffs.any(axis=0))).max(initial=0))
 
 
@@ -102,37 +84,28 @@ def _has_annihilator(on: np.ndarray, d: int) -> bool:
     return False
 
 
-def algebraic_immunity(t: TruthTable, max_degree: int) -> int | None:
-    """Smallest d <= max_degree with a nonzero degree-<=d annihilator of f
-    or of f xor 1; None when no such d exists.
-
-    g annihilates f when it vanishes on the support of f.  Having one is
-    monotone in d, so the tests start at max_degree and step down while one
-    of the two sides still has an annihilator.
+def _immunity(on: np.ndarray, cap: int) -> int | None:
+    """Smallest d <= cap at which the function that is set on `on`, or its
+    complement, has a nonzero degree-<=d annihilator; None when no such d
+    exists.  The tests step down from the cap while one side still has one.
     """
-    max_degree = check_int(max_degree, f"max_degree must be an integer in [0, {t.n}]", 0, t.n)
-    on = t.bits.astype(bool)
     best = None
-    for d in range(max_degree, -1, -1):
+    for d in range(cap, -1, -1):
         if not (_has_annihilator(on, d) or _has_annihilator(~on, d)):
             break
         best = d
     return best
 
 
-def sbox_algebraic_immunity(s: SBox, all_components: bool = False) -> int:
-    """Minimum immunity over the n coordinate functions (or, with
-    all_components, over every nonzero component).
+def sbox_algebraic_immunity(s: SBox) -> int:
+    """Minimum immunity over the n coordinate functions S_j.
 
     Every function's immunity is at most ceil(n/2), so that bounds the
-    minimum; each next function is tested only below the minimum so far.
+    minimum; each next coordinate is tested only below the minimum so far.
     """
     best = (s.n + 1) // 2
-    masks = range(1, s.size) if all_components else [1 << j for j in range(s.n)]
-    for mask in masks:
-        if best == 0:
-            break
-        ai = algebraic_immunity(component_truth_table(s, mask), best - 1)
+    for on in _coordinates(s):
+        ai = _immunity(on, best - 1)
         if ai is not None:
             best = ai
     return best

@@ -3,15 +3,17 @@
 analyze, avalanche and heatmap read an S-box file (sbox, --base); analyze
 and avalanche write a report (--format, --name, -o).  "-" is stdout for
 every text output; heatmap -o and --csv and avalanche --save-pairs, which
-write binary or paired files, refuse it, and no two outputs of one command
-may name the same file.  Exit codes: 0 success, 2 unreadable input or output
-path, 3 invalid configuration, 4 precondition violation.  Every randomized
-command takes an explicit --seed; there is no silent entropy default.
+write binary or paired files, refuse it, and no two files of one command,
+inputs or outputs, may name the same file.  Exit codes: 0 success, 2
+unreadable input or output path, 3 invalid configuration, 4 precondition
+violation.  Every randomized command takes an explicit --seed; there is no
+silent entropy default.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -78,14 +80,17 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _check_outputs(binary: dict, text: dict, dash_error: str = "") -> None:
+def _check_outputs(inputs: dict, binary: dict, text: dict, dash_error: str = "") -> None:
     """Refuse, before anything is written, "-" for a binary or paired output (it would create a file of that
-    name) and the command's two outputs, option -> path or None, resolving to the same file."""
+    name) and any two of the command's files, option -> path or None, resolving to the same file: an output
+    would replace an input or another output.  A text output "-" is stdout, not a file."""
     if "-" in binary.values():
         raise ValueError(dash_error)
-    (a, path_a), (b, path_b) = {**binary, **text}.items()
-    if not {path_a, path_b} & {None, "-"} and Path(path_a).resolve() == Path(path_b).resolve():
-        raise ValueError(f"{a} and {b} name the same file: {path_b}")
+    files = {**inputs, **binary, **{opt: path for opt, path in text.items() if path != "-"}}
+    named = [(opt, path) for opt, path in files.items() if path is not None]
+    for (a, path_a), (b, path_b) in itertools.combinations(named, 2):
+        if Path(path_a).resolve() == Path(path_b).resolve():
+            raise ValueError(f"{a} and {b} name the same file: {path_b}")
 
 
 def _write_report(args, header: str, report) -> None:
@@ -98,6 +103,7 @@ def _write_report(args, header: str, report) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _check_outputs({"sbox": args.sbox}, {}, {"-o": args.out})
     report = full_report(_read_sbox(args), with_degree=args.with_degree, with_ai=args.with_ai)
     _write_report(args, CSV_HEADER, report)
     return EXIT_OK
@@ -123,7 +129,7 @@ def _parse_cycles(text: str) -> CycleSpec | None:
 
 
 def cmd_search(args) -> int:
-    _check_outputs({}, {"-o": args.out, "--log-values": args.log_values})
+    _check_outputs({}, {}, {"-o": args.out, "--log-values": args.log_values})
     config = SearchConfig(
         n=args.n,
         metric=args.metric,
@@ -145,7 +151,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_avalanche(args) -> int:
-    _check_outputs({"--save-pairs": args.save_pairs}, {"-o": args.out}, "--save-pairs must name a file, not '-'")
+    _check_outputs({"sbox": args.sbox, "--pairs": args.pairs}, {"--save-pairs": args.save_pairs}, {"-o": args.out},
+                   "--save-pairs must name a file, not '-'")
     cfg = SpnConfig(sbox=_read_sbox(args), rounds=args.rounds)
     if args.pairs:
         if args.seed is not None:
@@ -166,7 +173,8 @@ def cmd_avalanche(args) -> int:
 def cmd_heatmap(args) -> int:
     out = args.out or f"{Path(args.sbox).stem}_{args.table}.ppm"
     csv_path = args.csv or str(Path(out).with_suffix(".csv"))
-    _check_outputs({"-o": out, "--csv": csv_path}, {}, "heatmap -o and --csv must name files, not '-'")
+    _check_outputs({"sbox": args.sbox}, {"-o": out, "--csv": csv_path}, {},
+                   "heatmap -o and --csv must name files, not '-'")
     values = heatmap_values(_read_sbox(args), args.table)
     spec = HeatmapSpec(kind=args.table, scale=args.scale)
     rgb, info = render_heatmap(values, spec)

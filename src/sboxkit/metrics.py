@@ -461,13 +461,6 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     nl_stats = _nl_stats(nls)
     hist = _flip_hist(s.table[np.newaxis], s.n)[0]
     bijective = is_bijective(s)
-    degree = ai = ai_scope = None
-    if with_degree or with_ai:
-        if with_degree:
-            degree = anf.algebraic_degree(s)
-        if with_ai:
-            ai = anf.sbox_algebraic_immunity(s)
-            ai_scope = "coordinates"
     return MetricReport(
         n=s.n,
         bijective=bijective,
@@ -482,7 +475,7 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         dsac=_sac_report(hist, s.n),
         dbic=_bic_report(hist, s.n),
         cycles=cycle_decomposition(s) if bijective else None,
-        degree=degree,
-        ai=ai,
-        ai_scope=ai_scope,
+        degree=anf.algebraic_degree(s) if with_degree else None,
+        ai=anf.sbox_algebraic_immunity(s) if with_ai else None,
+        ai_scope="coordinates" if with_ai else None,
     )

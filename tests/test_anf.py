@@ -11,42 +11,26 @@ from sboxkit import anf
 import reference
 
 
-def tt(n, bits):
-    return anf.TruthTable(n, np.array(bits, dtype=np.uint8))
+def immunity(bits, cap):
+    """The kernel sbox_algebraic_immunity runs on each coordinate, on one 0/1 truth table."""
+    return anf._immunity(np.asarray(bits, dtype=bool), cap)
+
+
+def component(s, b):
+    """Truth table of the component x -> parity(b & S(x))."""
+    return (np.bitwise_count(s.table & b) & 1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
-# containers
-
-
-def test_truth_table_validation():
-    with pytest.raises(ValueError, match="entries"):
-        tt(3, [0] * 7)
-    with pytest.raises(ValueError, match="0 or 1"):
-        tt(2, [0, 1, 2, 0])
-    for n in (2.0, True, None):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            tt(n, [0, 1])
-    assert type(tt(np.int64(2), [0, 1, 1, 0]).n) is int
-
-
-@pytest.mark.parametrize("value", [2, 256, -1])
-def test_truth_table_rejects_non_bits_before_the_cast(value):
-    # a uint8 cast first would read 256 as 0 and -1 as 255
-    with pytest.raises(ValueError, match="0 or 1"):
-        anf.TruthTable(2, np.array([value, 0, 0, 1]))
-    with pytest.raises(ValueError, match="0 or 1"):
-        anf.TruthTable(2, [0, 1, 1, value])
-    stored = anf.TruthTable(2, np.array([1, 0, 0, 1])).bits
-    assert stored.dtype == np.uint8 and stored.tolist() == [1, 0, 0, 1] and not stored.flags.writeable
+# coordinates: the truth tables algebraic_degree and sbox_algebraic_immunity read
 
 
 def test_component_truth_table(aes):
-    t = anf.component_truth_table(aes, 1)
-    assert list(t.bits[:4]) == [v & 1 for v in (0x63, 0x7C, 0x77, 0x7B)]
-    for mask in (256, True, 1.0):
-        with pytest.raises(ValueError, match="mask"):
-            anf.component_truth_table(aes, mask)
+    coords = anf._coordinates(aes)
+    assert coords.dtype == bool and coords.shape == (8, 256)
+    assert list(coords[0, :4]) == [bool(v & 1) for v in (0x63, 0x7C, 0x77, 0x7B)]
+    for j in range(8):
+        assert np.array_equal(coords[j], component(aes, 1 << j))
 
 
 # ---------------------------------------------------------------------------
@@ -144,44 +128,34 @@ def test_degree_matches_brute_anf_of_every_component(n):
 
 
 def test_immunity_trivial_functions():
-    zero = tt(4, [0] * 16)
-    assert anf.algebraic_immunity(zero, 4) == 0  # g = 1 annihilates f = 0
-    x0 = anf.component_truth_table(sk.SBox(4, np.arange(16)), 1)
-    assert anf.algebraic_immunity(x0, 4) == 1
+    assert immunity([0] * 16, 4) == 0  # g = 1 annihilates f = 0
+    assert immunity(component(sk.SBox(4, np.arange(16)), 1), 4) == 1
 
 
 def test_immunity_sentinel_when_cap_too_low():
-    bent_ish = anf.component_truth_table(sk.SBox(4, np.array(sk.KEY_SBOX)), 1)
-    assert anf.algebraic_immunity(bent_ish, 0) is None
-
-
-def test_immunity_rejects_bad_cap():
-    for cap in (3, True, 1.0):
-        with pytest.raises(ValueError, match="max_degree"):
-            anf.algebraic_immunity(tt(2, [0, 1, 1, 0]), cap)
+    bent_ish = component(sk.SBox(4, np.array(sk.KEY_SBOX)), 1)
+    assert immunity(bent_ish, 0) is None
 
 
 def test_immunity_symmetric_in_complement():
     rng = np.random.default_rng(31)
     for _ in range(8):
         bits = rng.integers(0, 2, size=32).astype(np.uint8)
-        t = tt(5, bits)
-        tc = tt(5, bits ^ 1)
-        assert anf.algebraic_immunity(t, 5) == anf.algebraic_immunity(tc, 5)
+        assert immunity(bits, 5) == immunity(bits ^ 1, 5)
 
 
 def test_immunity_matches_dense_rank_oracle():
     rng = np.random.default_rng(32)
     for _ in range(12):
         bits = rng.integers(0, 2, size=16).astype(np.uint8)
-        assert anf.algebraic_immunity(tt(4, bits), 4) == reference.immunity_brute(bits, 4, 4)
+        assert immunity(bits, 4) == reference.immunity_brute(bits, 4, 4)
 
 
 def test_immunity_upper_bound_half_n():
     rng = np.random.default_rng(33)
     for _ in range(6):
         bits = rng.integers(0, 2, size=64).astype(np.uint8)
-        ai = anf.algebraic_immunity(tt(6, bits), 3)
+        ai = immunity(bits, 3)
         assert ai is not None and ai <= 3
 
 
@@ -193,21 +167,16 @@ def test_sbox_immunity_values(aes, identity8):
 
 def test_aes_every_coordinate_reaches_four(aes):
     for j in range(8):
-        t = anf.component_truth_table(aes, 1 << j)
-        assert anf.algebraic_immunity(t, 4) == 4
+        assert immunity(component(aes, 1 << j), 4) == 4
 
 
-def test_sbox_immunity_all_components_flag():
+def test_sbox_immunity_is_the_coordinate_minimum():
     rng = np.random.default_rng(34)
     s = sk.SBox(4, rng.permutation(16))
-    coord = sk.sbox_algebraic_immunity(s)
-    full = sk.sbox_algebraic_immunity(s, all_components=True)
-    assert full <= coord
-    brute = min(
-        reference.immunity_brute(anf.component_truth_table(s, b).bits, 4, 2)
-        for b in range(1, 16)
-    )
-    assert full == brute
+    brute = {b: reference.immunity_brute(component(s, b), 4, 2) for b in range(1, 16)}
+    for b, ai in brute.items():
+        assert immunity(component(s, b), 2) == ai, b
+    assert sk.sbox_algebraic_immunity(s) == min(brute[1 << j] for j in range(4)) >= min(brute.values())
 
 
 @st.composite
@@ -231,7 +200,7 @@ def test_immunity_matches_dense_oracle_every_width_and_cap(n):
     @settings(max_examples=15, deadline=None, derandomize=True)  # the oracle's cost depends on the draw
     def check(bits):
         for cap in range(n + 1):
-            assert anf.algebraic_immunity(tt(n, bits), cap) == reference.immunity_brute(bits, n, cap), cap
+            assert immunity(bits, cap) == reference.immunity_brute(bits, n, cap), cap
 
     check()
 
@@ -239,23 +208,23 @@ def test_immunity_matches_dense_oracle_every_width_and_cap(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_majority_has_immunity_half_n(n):
     # Dalai-Maitra-Sarkar (2006): the majority function reaches ceil(n/2)
-    majority = (np.bitwise_count(np.arange(1 << n)) > n // 2).astype(np.uint8)
-    assert anf.algebraic_immunity(tt(n, majority), n) == (n + 1) // 2
+    majority = np.bitwise_count(np.arange(1 << n)) > n // 2
+    assert immunity(majority, n) == (n + 1) // 2
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_sbox_immunity_all_components_matches_brute_minimum(n):
+    # every nonzero component of each map, through the kernel, against the dense oracle
     size = 1 << n
+    cap = (n + 1) // 2
     rng = np.random.default_rng(40 + n)
     maps = [rng.permutation(size), rng.integers(0, size, size=size),
             sk.build_monomial_sbox(sk.default_context(n), "raw", e=size - 2).table]
     for table in maps:
         s = sk.SBox(n, table)
-        brute = min(
-            reference.immunity_brute(anf.component_truth_table(s, b).bits, n, (n + 1) // 2)
-            for b in range(1, size)
-        )
-        assert sk.sbox_algebraic_immunity(s, all_components=True) == brute
+        for b in range(1, size):
+            bits = component(s, b)
+            assert immunity(bits, cap) == reference.immunity_brute(bits, n, cap), b
 
 
 @pytest.mark.parametrize("n", range(8, 12))
@@ -265,11 +234,11 @@ def test_immunity_matches_rank_per_degree_oracle(n):
     weight = np.bitwise_count(np.arange(size))
     inverse = sk.build_monomial_sbox(sk.default_context(n), "raw", e=size - 2)
     tables = [rng.integers(0, 2, size=size), (weight > n // 2), (weight == 1), (weight <= 1),
-              anf.component_truth_table(inverse, 1).bits, anf.component_truth_table(inverse, size - 1).bits]
+              component(inverse, 1), component(inverse, size - 1)]
     for bits in tables:
         bits = np.asarray(bits, dtype=np.uint8)
         for cap in range(n + 1):
-            assert anf.algebraic_immunity(tt(n, bits), cap) == reference.immunity_rank_per_degree(bits, n, cap), cap
+            assert immunity(bits, cap) == reference.immunity_rank_per_degree(bits, n, cap), cap
 
 
 def _immunity_maps(n):
@@ -286,26 +255,21 @@ def _immunity_maps(n):
     }
 
 
-def _incremental_minimum(s, masks):
-    """Minimum of the incremental-elimination oracle over the components `masks`."""
-    cap = (s.n + 1) // 2
-    return min(reference.immunity_incremental(anf.component_truth_table(s, b).bits, s.n, cap) for b in masks)
-
-
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 12))
 def test_sbox_immunity_matches_incremental_oracle(n):
-    maps = _immunity_maps(n)
-    coordinates = [1 << j for j in range(n)]
-    for kind, s in maps.items():
-        assert sk.sbox_algebraic_immunity(s) == _incremental_minimum(s, coordinates), kind
-    if n == 10:
-        return  # the oracle takes 7-12 s over the 1023 components of one n=10 map
-    for kind, s in maps.items():
-        assert sk.sbox_algebraic_immunity(s, all_components=True) == _incremental_minimum(s, range(1, 1 << n)), kind
+    cap = (n + 1) // 2
+    for kind, s in _immunity_maps(n).items():
+        coordinates = [reference.immunity_incremental(component(s, 1 << j), n, cap) for j in range(n)]
+        assert sk.sbox_algebraic_immunity(s) == min(coordinates), kind
+        if n >= 10:
+            continue  # the oracle takes 7-12 s over the 1023 components of one n=10 map
+        for b in range(1, 1 << n):
+            bits = component(s, b)
+            assert immunity(bits, cap) == reference.immunity_incremental(bits, n, cap), (kind, b)
 
 
 def test_immunity_matches_incremental_oracle_inverse12_coordinates():
     s = sk.build_monomial_sbox(sk.default_context(12), "raw", e=(1 << 12) - 2)
     for j in range(12):
-        bits = anf.component_truth_table(s, 1 << j).bits
-        assert anf.algebraic_immunity(tt(12, bits), 6) == reference.immunity_incremental(bits, 12, 6), j
+        bits = component(s, 1 << j)
+        assert immunity(bits, 6) == reference.immunity_incremental(bits, 12, 6), j

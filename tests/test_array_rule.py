@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sboxkit as sk
-from sboxkit import anf, core, heatmap, spn
+from sboxkit import core, heatmap, spn
 
 BIG = 2**64 - 1
 AES = sk.SBox(8, np.array(sk.AES_SBOX))
@@ -44,8 +44,6 @@ class Entry:
 
 ENTRIES = {
     "SBox": Entry(lambda x, _: sk.SBox(2, x), [3, 0, 1, 2], "table entries must be integers in [0, 4)", 0, 3),
-    "TruthTable": Entry(lambda x, _: anf.TruthTable(2, x).bits.tobytes(), [0, 1, 1, 0],
-                        "truth table entries must be 0 or 1", 0, 1),
     "apply_pbox8": Entry(lambda x, _: spn.apply_pbox8(bytes(range(8)), x), list(sk.PBOX8),
                          "pbox8 must be integers in [0, 8)", 0, 7),
     "apply_pbox64": Entry(lambda x, _: spn.apply_pbox64(bytes(range(1, 9)), x), list(sk.DILLON_PERMUTATION),

@@ -418,13 +418,22 @@ def test_binary_outputs_refuse_stdout(command, aes_file, tmp_path, monkeypatch, 
     ["avalanche", "--rounds", "1", "--trials", "5", "--seed", "1", "--save-pairs", "./F", "-o", "F"],
     ["search", "--metric", "nl", "--tries", "5", "--seed", "1", "--n", "4", "-o", "F", "--log-values", "F"],
     ["search", "--metric", "nl", "--tries", "5", "--seed", "1", "--n", "4", "-o", "F", "--log-values", "./F"],
+    # an output that names an input would replace it
+    ["analyze", "-o", "aes.txt"],
+    ["analyze", "-o", "./aes.txt"],
+    ["heatmap", "-o", "aes.txt"],
+    ["heatmap", "--csv", "aes.txt"],
+    ["avalanche", "--rounds", "1", "--trials", "5", "--seed", "1", "-o", "aes.txt"],
+    ["avalanche", "--rounds", "1", "--pairs", "P", "-o", "P"],
 ])
 def test_outputs_of_one_command_must_be_different_files(command, aes_file, tmp_path, monkeypatch, capsys):
     # the second write would silently replace the first, so nothing is written
     monkeypatch.chdir(tmp_path)
+    spn.save_pairs(tmp_path / "P", spn.generate_pairs(5, 1))
+    inputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert main(command if command[0] == "search" else [command[0], aes_file, *command[1:]]) == 3
     assert "name the same file" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["aes.txt"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
 
 # ---------------------------------------------------------------------------
