@@ -54,6 +54,7 @@ EXIT_CONFIG = 3
 EXIT_PRECONDITION = 4
 
 DEFAULT_TRIALS = 10000
+_LOG_ROWS = 1 << 16  # --log-values rows formatted per write
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -73,11 +74,13 @@ def _read_sbox(args) -> SBox:
     return parse_sbox(text, base=args.base)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
+    """Write the strings of `chunks`, in order, through one handle: the file at path, or stdout for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(chunks)
 
 
 def _check_outputs(inputs: dict, binary: dict, text: dict, dash_error: str = "") -> None:
@@ -97,9 +100,9 @@ def _write_report(args, header: str, report) -> None:
     """One MetricReport or AvalancheReport as JSON or as a CSV row under header."""
     name = args.name or Path(args.sbox).stem
     if args.format == "csv":
-        _write_text(args.out, header + "\n" + report.csv_row(name) + "\n")
+        _write_text(args.out, [header + "\n" + report.csv_row(name) + "\n"])
     else:
-        _write_text(args.out, json.dumps({"name": name, **report.to_dict()}, indent=2) + "\n")
+        _write_text(args.out, [json.dumps({"name": name, **report.to_dict()}, indent=2) + "\n"])
 
 
 def cmd_analyze(args) -> int:
@@ -115,7 +118,7 @@ def cmd_gen(args) -> int:
     else:
         ctx = default_context(args.n)
     sbox = build_monomial_sbox(ctx, args.family, i=args.i, e=args.e)
-    _write_text(args.out, format_sbox(sbox))
+    _write_text(args.out, [format_sbox(sbox)])
     return EXIT_OK
 
 
@@ -143,10 +146,11 @@ def cmd_search(args) -> int:
     doc = result.to_dict()
     print(f"best {config.metric} = {doc['best_value']}  mean = {doc['mean_value']}")
     if args.out:
-        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.out, [json.dumps(doc, indent=2) + "\n"])
     if args.log_values:
-        rows = "".join(f"{i},{v}\n" for i, v in enumerate(value_log))
-        _write_text(args.log_values, "index,raw_value\n" + rows)
+        blocks = ("".join(f"{i},{v}\n" for i, v in enumerate(value_log[lo : lo + _LOG_ROWS], lo))
+                  for lo in range(0, len(value_log), _LOG_ROWS))
+        _write_text(args.log_values, itertools.chain(["index,raw_value\n"], blocks))
     return EXIT_OK
 
 

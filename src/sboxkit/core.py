@@ -281,9 +281,15 @@ def trace(ctx: GFContext, x: int) -> int:
 
 
 FAMILIES = ("gold", "kasami", "welch", "niho", "dobbertin", "inverse", "raw")
+_PARAMETERS = {"gold": "i", "kasami": "i", "raw": "e"}  # the one parameter a family takes, if any
 
 
 def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
+    if family not in FAMILIES:
+        raise MonomialConditionError(f"unknown family {family!r}; choose from {FAMILIES}")
+    for name, value in (("i", i), ("e", e)):
+        if value is not None and _PARAMETERS.get(family) != name:
+            raise MonomialConditionError(f"{family} takes no parameter {name}")
     n = ctx.n
     if family in ("gold", "kasami"):
         i = check_int(i, f"{family} requires parameter i, an integer i >= 1", 1, error=MonomialConditionError)
@@ -311,9 +317,7 @@ def _monomial_exponent(ctx: GFContext, family: str, i, e) -> int:
             raise MonomialConditionError(f"dobbertin requires n = 5i, got n={n}")
         k = n // 5
         return (1 << (4 * k)) + (1 << (3 * k)) + (1 << (2 * k)) + (1 << k) - 1
-    if family == "raw":
-        return check_int(e, "raw requires parameter e, an integer exponent e >= 1", 1, error=MonomialConditionError)
-    raise MonomialConditionError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return check_int(e, "raw requires parameter e, an integer exponent e >= 1", 1, error=MonomialConditionError)
 
 
 def build_monomial_sbox(ctx: GFContext, family: str, i: int | None = None, e: int | None = None) -> SBox:
@@ -327,7 +331,8 @@ def build_monomial_sbox(ctx: GFContext, family: str, i: int | None = None, e: in
     inverse:   e = 2^(2t) - 1,       n = 2t + 1
     raw:       e given directly, e >= 1
 
-    Condition violations raise MonomialConditionError naming the condition.
+    Condition violations raise MonomialConditionError naming the condition,
+    as does a parameter the family does not take, at every n.
     S(0) = 0 always (e >= 1 in every family).
     """
     exp = _monomial_exponent(ctx, family, i, e)

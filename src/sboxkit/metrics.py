@@ -281,7 +281,6 @@ def raw_metric_value(table: np.ndarray, n: int, metric: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DDT:
-    n: int
     counts: np.ndarray
 
     def __post_init__(self):
@@ -290,7 +289,6 @@ class DDT:
 
 @dataclass(frozen=True, eq=False)
 class LAT:
-    n: int
     sums: np.ndarray
 
     def __post_init__(self):
@@ -317,22 +315,20 @@ class BicReport:
 
 @dataclass(frozen=True)
 class NonlinearityStats:
-    nl: int
-    component_min: int
+    nl: int  # the minimum over components
     component_max: int
     component_avg: Fraction
 
 
 @dataclass(frozen=True)
 class MetricReport:
+    """`bijective`, `ai_scope` and the JSON's `walsh_max` and `nl_component_min` are derived, not stored."""
+
     n: int
-    bijective: bool
     du: int
     du_count: int
     max_bias: int
-    walsh_max: int  # raw |LAT| extreme over a != 0, b != 0
     nl: int
-    nl_component_min: int
     nl_component_max: int
     nl_component_avg: Fraction
     dsac: SacReport
@@ -340,7 +336,14 @@ class MetricReport:
     cycles: CycleStructure | None
     degree: int | None = None
     ai: int | None = None
-    ai_scope: str | None = None
+
+    @property
+    def bijective(self) -> bool:
+        return self.cycles is not None  # full_report decomposes exactly the permutations
+
+    @property
+    def ai_scope(self) -> str | None:
+        return None if self.ai is None else "coordinates"
 
     def to_dict(self) -> dict:
         """Key-ordered plain dict; rationals as exact decimal strings."""
@@ -350,9 +353,9 @@ class MetricReport:
             "du": self.du,
             "du_count": self.du_count,
             "max_bias": self.max_bias,
-            "walsh_max": self.walsh_max,
+            "walsh_max": 2 * self.max_bias,
             "nl": self.nl,
-            "nl_component_min": self.nl_component_min,
+            "nl_component_min": self.nl,
             "nl_component_max": self.nl_component_max,
             "nl_component_avg": exact_decimal(self.nl_component_avg),
             "dsac_max_raw": self.dsac.max_raw,
@@ -393,7 +396,7 @@ def compute_ddt(s: SBox) -> DDT:
     np.multiply(first, 2, out=counts[: len(first)])
     for start, block in blocks:
         np.multiply(block, 2, out=counts[start : start + len(block)])
-    return DDT(s.n, counts)
+    return DDT(counts)
 
 
 def differential_uniformity(d: DDT) -> int:
@@ -410,17 +413,17 @@ def compute_lat(s: SBox) -> LAT:
     sums = np.empty((s.size, s.size), dtype=np.int64)
     for start, block in _walsh_blocks(s.table, s.n):
         sums[:, start : start + block.shape[1]] = block
-    return LAT(s.n, sums)
+    return LAT(sums)
 
 
 def max_bias(l: LAT) -> int:
     """Half the extreme |Walsh sum| outside row/column zero."""
-    return _walsh_stats([(0, l.sums.copy())], l.n)[0]
+    return _walsh_stats([(0, l.sums.copy())], len(l.sums).bit_length() - 1)[0]
 
 
 def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
     nl = int(comps.min())  # the minimum over components is the S-box's NL
-    return NonlinearityStats(nl, nl, int(comps.max()), Fraction(int(comps.sum()), comps.size))
+    return NonlinearityStats(nl, int(comps.max()), Fraction(int(comps.sum()), comps.size))
 
 
 def nonlinearity(s: SBox) -> NonlinearityStats:
@@ -460,22 +463,17 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     bias, nls = _walsh_stats(_walsh_blocks(s.table, s.n), s.n)
     nl_stats = _nl_stats(nls)
     hist = _flip_hist(s.table[np.newaxis], s.n)[0]
-    bijective = is_bijective(s)
     return MetricReport(
         n=s.n,
-        bijective=bijective,
         du=du,
         du_count=du_count,
         max_bias=bias,
-        walsh_max=2 * bias,
         nl=nl_stats.nl,
-        nl_component_min=nl_stats.component_min,
         nl_component_max=nl_stats.component_max,
         nl_component_avg=nl_stats.component_avg,
         dsac=_sac_report(hist, s.n),
         dbic=_bic_report(hist, s.n),
-        cycles=cycle_decomposition(s) if bijective else None,
+        cycles=cycle_decomposition(s) if is_bijective(s) else None,
         degree=anf.algebraic_degree(s) if with_degree else None,
         ai=anf.sbox_algebraic_immunity(s) if with_ai else None,
-        ai_scope="coordinates" if with_ai else None,
     )

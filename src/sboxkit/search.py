@@ -97,8 +97,8 @@ class SearchResult:
     best_sbox: SBox
     best_value: int | Fraction
     mean_value: Fraction
-    generator_name: str
     elapsed: float
+    generator_name = GENERATOR_NAME  # a class constant, not a field
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -223,6 +223,5 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
         best_sbox=SBox(config.n, best_table),
         best_value=metric.value(best_raw, config.n),
         mean_value=metric.value(Fraction(sum(outcome[0] for outcome in outcomes), config.tries), config.n),
-        generator_name=GENERATOR_NAME,
         elapsed=time.perf_counter() - t0,
     )

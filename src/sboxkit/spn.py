@@ -99,9 +99,12 @@ class AvalancheReport:
     trials: int
     rounds: int
     mean_flips: Fraction
-    distance_from_32: Fraction
     mean_abs_deviation: Fraction  # mean |flips - 32|, exposed alongside
     per_input_bit_means: tuple
+
+    @property
+    def distance_from_32(self) -> Fraction:
+        return abs(self.mean_flips - 32)
 
     def to_dict(self) -> dict:
         return {
@@ -411,12 +414,10 @@ def avalanche_experiment(cfg: SpnConfig, pairs: np.ndarray) -> AvalancheReport:
     bit_sums = sum(b for _, b in per_range)
 
     events = trials * 64
-    mean = Fraction(sum(d * int(c) for d, c in enumerate(hist)), events)
     return AvalancheReport(
         trials=trials,
         rounds=cfg.rounds,
-        mean_flips=mean,
-        distance_from_32=abs(mean - 32),
+        mean_flips=Fraction(sum(d * int(c) for d, c in enumerate(hist)), events),
         mean_abs_deviation=Fraction(sum(abs(d - 32) * int(c) for d, c in enumerate(hist)), events),
         per_input_bit_means=tuple(Fraction(int(c), trials) for c in bit_sums),
     )

@@ -298,12 +298,10 @@ def lane_lookup_shifts(st, tabs):
 def _avalanche_report(cfg, trials, dist):
     """AvalancheReport from a (trials, 64) array of flip counts."""
     events = trials * 64
-    mean = Fraction(int(dist.sum()), events)
     return spn.AvalancheReport(
         trials=trials,
         rounds=cfg.rounds,
-        mean_flips=mean,
-        distance_from_32=abs(mean - 32),
+        mean_flips=Fraction(int(dist.sum()), events),
         mean_abs_deviation=Fraction(int(np.abs(dist - 32).sum()), events),
         per_input_bit_means=tuple(Fraction(int(c), trials) for c in dist.sum(axis=0)),
     )

@@ -1,6 +1,9 @@
 """The public API: the names `import sboxkit` exports, and the ones it no longer has."""
 
+import dataclasses
 import inspect
+
+import numpy as np
 
 import sboxkit as sk
 from sboxkit import anf, core, data, heatmap
@@ -27,6 +30,17 @@ REMOVED = {
     heatmap: ("read_matrix_csv", "read_ppm"),
 }
 
+# each record stores every value once; what another field or a constant fixes is derived where it is read
+RECORD_FIELDS = {
+    sk.MetricReport: ("n", "du", "du_count", "max_bias", "nl", "nl_component_max", "nl_component_avg", "dsac",
+                      "dbic", "cycles", "degree", "ai"),
+    sk.NonlinearityStats: ("nl", "component_max", "component_avg"),
+    sk.AvalancheReport: ("trials", "rounds", "mean_flips", "mean_abs_deviation", "per_input_bit_means"),
+    sk.SearchResult: ("config", "best_sbox", "best_value", "mean_value", "elapsed"),
+    sk.DDT: ("counts",),
+    sk.LAT: ("sums",),
+}
+
 
 def test_public_names_are_pinned():
     names = {n for n in dir(sk) if not n.startswith("_") and not inspect.ismodule(getattr(sk, n))}
@@ -38,6 +52,24 @@ def test_removed_names_stay_removed():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert not hasattr(sk, name), name
+
+
+def test_record_fields_are_pinned():
+    for cls, names in RECORD_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names, cls.__name__
+
+
+def test_restated_record_attributes_stay_removed():
+    s = sk.SBox(3, np.arange(8))
+    records = [
+        (sk.full_report(s), ("walsh_max", "nl_component_min")),
+        (sk.nonlinearity(s), ("component_min",)),
+        (sk.compute_ddt(s), ("n",)),
+        (sk.compute_lat(s), ("n",)),
+    ]
+    for record, names in records:
+        for name in names:
+            assert not hasattr(record, name), f"{type(record).__name__}.{name}"
 
 
 def test_format_sbox_takes_only_the_sbox():

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import sboxkit as sk
-from sboxkit import spn
+from sboxkit import cli, spn
 from sboxkit.cli import build_parser, main
 from sboxkit.core import FAMILIES
 from sboxkit.heatmap import KINDS
 from sboxkit.metrics import METRICS, full_report
-from sboxkit.search import SearchConfig, builtin_cycle_specs
+from sboxkit.search import SearchConfig, builtin_cycle_specs, run_search
 
 import reference
 
@@ -144,6 +144,15 @@ def test_gen_missing_parameter_exits_3(capsys):
     assert "requires parameter i" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_gen_refuses_a_parameter_the_family_does_not_take(n, tmp_path, capsys):
+    # refused before any condition on n is checked, so the message is the same at every n
+    out = tmp_path / "s.txt"
+    assert main(["gen", "gold", "--n", str(n), "--i", "1", "--e", "7", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "error: gold takes no parameter e\n"
+    assert not out.exists()
+
+
 def test_gen_irreducible_override(tmp_path, capsys):
     # x^4 + x^3 + 1 instead of the default x^4 + x + 1
     assert main(["gen", "raw", "--n", "4", "--e", "2", "--irreducible", "0x19"]) == 0
@@ -229,6 +238,17 @@ def test_search_value_log(tmp_path, capsys):
     assert len(lines) == 6
     best = max(int(l.split(",")[1]) for l in lines[1:])
     assert f"best nl = {best}" in capsys.readouterr().out
+
+
+def test_search_value_log_in_several_blocks(tmp_path):
+    # a log longer than one block of rows is the same text as the whole log joined at once
+    log = tmp_path / "values.csv"
+    tries = 2 * cli._LOG_ROWS + 3
+    assert main(["search", "--metric", "dsac", "--tries", str(tries), "--seed", "8", "--n", "3",
+                 "--log-values", str(log)]) == 0
+    values = []
+    run_search(SearchConfig(n=3, metric="dsac", tries=tries, seed=8), value_log=values)
+    assert log.read_text() == "index,raw_value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values))
 
 
 def test_search_dash_writes_to_stdout(tmp_path, monkeypatch, capsys):

@@ -74,6 +74,10 @@ def test_sbox_equality_and_hash(aes):
     assert aes != "not an sbox"
 
 
+def test_sbox_repr_shows_the_first_six_entries(aes):
+    assert repr(aes) == "SBox(n=8, table=[99, 124, 119, 123, 242, 107, ...])"
+
+
 # ---------------------------------------------------------------------------
 # parsing and formatting
 
@@ -352,6 +356,9 @@ def test_every_family_matches_the_per_element_builder(n):
         ("gold", {"i": 1.0}, "i >= 1"),
         ("raw", {"e": True}, "e >= 1"),
         ("raw", {"e": 3.0}, "e >= 1"),
+        ("gold", {"i": 1, "e": 7}, "gold takes no parameter e"),
+        ("raw", {"e": 3, "i": 5}, "raw takes no parameter i"),
+        ("welch", {"i": 2}, "welch takes no parameter i"),
     ],
 )
 def test_family_condition_errors(family, kwargs, fragment):

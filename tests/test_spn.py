@@ -462,6 +462,22 @@ def test_error_in_a_later_range_stops_every_range(aes, monkeypatch):
     assert threading.active_count() == threads_before
 
 
+def test_a_thread_that_cannot_start_stops_the_call(aes, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    ran = []
+    threads_before = threading.active_count()
+    monkeypatch.setattr(spn, "cpu_count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(spn, "_encrypt", lambda *args: ran.append(1))
+    pts = np.zeros(2 * spn._BLOCK_WORDS, dtype=np.uint64)  # two blocks: one range per thread
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        spn.encrypt_blocks(pts, pts[:1], spn.SpnConfig(sbox=aes, rounds=1))
+    assert ran == []  # the calling thread's range never ran
+    assert threading.active_count() == threads_before
+
+
 def test_key_tables_built_once_per_key_sbox(aes, monkeypatch):
     # the key and inverse-permutation tables are built once, at import; a bulk
     # call builds only the tables of its S-box
