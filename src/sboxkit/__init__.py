@@ -16,7 +16,6 @@ from .core import (
     inverse_sbox,
     is_bijective,
     parse_sbox,
-    trace,
 )
 from .data import AES_SBOX, DILLON_PERMUTATION, IRREDUCIBLE, KEY_SBOX, PBOX8
 from .metrics import (
@@ -49,8 +48,6 @@ from .search import (
 from .spn import (
     AvalancheReport,
     SpnConfig,
-    apply_pbox8,
-    apply_pbox64,
     avalanche_experiment,
     decrypt_block,
     decrypt_blocks,

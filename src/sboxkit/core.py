@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,13 +182,18 @@ class CycleStructure:
     opposite_fixed_points: int
 
 
+_TOKENS = {10: re.compile("[0-9]+"), 16: re.compile("(0[xX])?[0-9a-fA-F]+")}  # ASCII digits only
+
+
 def parse_sbox(text: str, base: int = 10) -> SBox:
     """Parse whitespace/comma separated integer tokens into an SBox.
 
-    Accepts base 10 or 16 (hex tokens may carry a 0x prefix).  The token
-    count must be a power of two 2^n, MIN_N <= n <= MAX_N; bijectivity is not required.
+    A base-10 token is ASCII digits; a base-16 token is hex digits with an optional 0x or 0X
+    prefix; no sign, underscore or other digit is read.  The token count must be a power of
+    two 2^n, MIN_N <= n <= MAX_N; bijectivity is not required.
     """
-    if check_int(base, "base must be 10 or 16", 10, 16, SboxParseError) not in (10, 16):
+    token = _TOKENS.get(check_int(base, "base must be 10 or 16", 10, 16, SboxParseError))
+    if token is None:
         raise SboxParseError(f"base must be 10 or 16, got {base}")
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -197,13 +203,9 @@ def parse_sbox(text: str, base: int = 10) -> SBox:
     n = width_of(count, "token count", SboxParseError)
     values = []
     for lineno, tok in tokens:
-        body = tok[2:] if base == 16 and tok.lower().startswith("0x") else tok
-        try:
-            v = int(body, base)
-        except ValueError:
-            raise SboxParseError(
-                f"line {lineno}: token {tok!r} is not a base-{base} integer"
-            ) from None
+        if not token.fullmatch(tok):
+            raise SboxParseError(f"line {lineno}: token {tok!r} is not a base-{base} integer")
+        v = int(tok, base)
         if not 0 <= v < count:
             raise SboxParseError(
                 f"line {lineno}: value {v} outside [0, {count})"
@@ -230,25 +232,9 @@ def inverse_sbox(s: SBox) -> SBox:
     return SBox(s.n, inv)
 
 
-def gf_mul(ctx: GFContext, a: int, b: int) -> int:
-    """Carry-less product of a and b reduced by ctx.irreducible."""
-    size = ctx.size
-    rule = f"field elements must be integers in [0, {size})"
-    a, b = check_int(a, rule, 0, size - 1), check_int(b, rule, 0, size - 1)
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & size:
-            a ^= ctx.irreducible
-    return r
-
-
-def _gf_mul_array(ctx: GFContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """gf_mul over whole arrays: n shift/XOR/reduce steps, one per bit of b."""
-    r = np.zeros_like(a)
+def _gf_mul_array(ctx: GFContext, a: np.ndarray | int, b: np.ndarray | int) -> np.ndarray | int:
+    """a * b in ctx, elementwise on int64 arrays or on plain ints: n shift/XOR/reduce steps, one per bit of b."""
+    r = a & 0
     for j in range(ctx.n):
         r ^= a * ((b >> j) & 1)
         a = a << 1
@@ -256,28 +242,29 @@ def _gf_mul_array(ctx: GFContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return r
 
 
-def gf_pow(ctx: GFContext, x: int, e: int) -> int:
-    """Square-and-multiply. x^0 = 1 for every x by convention, 0^e = 0 for e > 0."""
-    e = check_int(e, "exponent must be a non-negative integer", 0)
-    x = check_int(x, f"field elements must be integers in [0, {ctx.size})", 0, ctx.size - 1)
-    result = 1
-    base = x
+def _gf_pow_array(ctx: GFContext, x: np.ndarray | int, e: int) -> np.ndarray | int:
+    """x^e in ctx by square-and-multiply, on what `_gf_mul_array` takes: one product per bit of e and per set bit."""
+    r = x ** 0
     while e:
         if e & 1:
-            result = gf_mul(ctx, result, base)
-        base = gf_mul(ctx, base, base)
+            r = _gf_mul_array(ctx, r, x)
+        x = _gf_mul_array(ctx, x, x)
         e >>= 1
-    return result
+    return r
 
 
-def trace(ctx: GFContext, x: int) -> int:
-    """Tr(x) = x + x^2 + x^4 + ... + x^(2^(n-1)), always 0 or 1."""
-    acc = 0
-    cur = x
-    for _ in range(ctx.n):
-        acc ^= cur
-        cur = gf_mul(ctx, cur, cur)
-    return acc
+def gf_mul(ctx: GFContext, a: int, b: int) -> int:
+    """a * b in ctx: `_gf_mul_array` on one element, a plain int."""
+    rule = f"field elements must be integers in [0, {ctx.size})"
+    a, b = check_int(a, rule, 0, ctx.size - 1), check_int(b, rule, 0, ctx.size - 1)
+    return _gf_mul_array(ctx, a, b)
+
+
+def gf_pow(ctx: GFContext, x: int, e: int) -> int:
+    """x^e in ctx, x^0 = 1 for every x and 0^e = 0 for e > 0: `_gf_pow_array` on one element, a plain int."""
+    e = check_int(e, "exponent must be a non-negative integer", 0)
+    x = check_int(x, f"field elements must be integers in [0, {ctx.size})", 0, ctx.size - 1)
+    return _gf_pow_array(ctx, x, e)
 
 
 FAMILIES = ("gold", "kasami", "welch", "niho", "dobbertin", "inverse", "raw")
@@ -336,14 +323,7 @@ def build_monomial_sbox(ctx: GFContext, family: str, i: int | None = None, e: in
     S(0) = 0 always (e >= 1 in every family).
     """
     exp = _monomial_exponent(ctx, family, i, e)
-    table = np.ones(ctx.size, dtype=np.int64)
-    base = np.arange(ctx.size, dtype=np.int64)
-    while exp:
-        if exp & 1:
-            table = _gf_mul_array(ctx, table, base)
-        base = _gf_mul_array(ctx, base, base)
-        exp >>= 1
-    return SBox(ctx.n, table)
+    return SBox(ctx.n, _gf_pow_array(ctx, np.arange(ctx.size, dtype=np.int64), exp))
 
 
 def cycle_decomposition(s: SBox) -> CycleStructure:

@@ -15,7 +15,7 @@ nibble S-box) is such a lane table, built by `_lane_tables` and applied by
 `_lane_lookup`; only the S-box varies, so the key and inverse-permutation
 tables are module constants.  `decrypt_block` is `decrypt_blocks` on one element.
 `encrypt_block` runs `_shuffle_bytes` and `_permute_bits` on the bundled
-constants; `apply_pbox8`/`apply_pbox64` check p first.  `_check_bytes`,
+constants only, so neither checks its permutation.  `_check_bytes`,
 `_check_words` and `_check_pairs` hold the 8-byte, uint64 and pair rules.
 
 The avalanche experiment has one input, a (trials, 2) array of (plaintext,
@@ -69,14 +69,6 @@ def _check_bytes(block: bytes, what: str) -> None:
 
 def _check_words(values, what: str) -> np.ndarray:
     return check_int_array(values, f"{what} must be non-negative integers below 2^64", 0, 2**64 - 1, np.uint64)
-
-
-def _check_perm(p, size, what) -> list:
-    """p as a list of ints, each in [0, size) and each once."""
-    p = check_int_array(p, f"{what} must be integers in [0, {size})", 0, size - 1).tolist()
-    if sorted(p) != list(range(size)):
-        raise ValueError(f"{what} must be a permutation of 0..{size - 1}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -153,24 +145,14 @@ def key_schedule(master: bytes, cfg: SpnConfig) -> tuple:
 
 
 def _shuffle_bytes(state: bytes, p) -> bytes:
-    """Output byte i is state byte p[i], for a checked 8-entry permutation p."""
+    """Output byte i is state byte p[i], for an 8-entry permutation p such as PBOX8."""
     return bytes(state[i] for i in p)
 
 
 def _permute_bits(state: bytes, p) -> bytes:
-    """Output bit d is state bit p[d], bit 0 the most significant, for a checked 64-entry permutation p."""
+    """Output bit d is state bit p[d], bit 0 the most significant, for a 64-entry permutation p."""
     bits = f"{int.from_bytes(state, 'big'):064b}"
     return int("".join(bits[i] for i in p), 2).to_bytes(BLOCK_BYTES, "big")
-
-
-def apply_pbox8(state: bytes, p) -> bytes:
-    _check_bytes(state, "state")
-    return _shuffle_bytes(state, _check_perm(p, 8, "pbox8"))
-
-
-def apply_pbox64(state: bytes, p) -> bytes:
-    _check_bytes(state, "state")
-    return _permute_bits(state, _check_perm(p, 64, "pbox64"))
 
 
 def encrypt_block(plaintext: bytes, master: bytes, cfg: SpnConfig) -> bytes:

@@ -21,8 +21,10 @@ support.  The library eliminates over the free values of an annihilator on
 the points of weight <= d instead, one degree at a time from the top.
 `ring_table_loop` is the earlier cycle-constrained generator, one `np.roll`
 per cycle, where the library links every ring with a single gather.
-`monomial_table` is the earlier power-map builder, one scalar `gf_pow` per
-field element, where the library multiplies whole arrays.  `ddt_bincount`
+`monomial_table` is the earlier power-map builder, one `gf_pow` per field
+element, and its own `gf_mul` and `gf_pow` are the earlier public scalars,
+loops over plain ints; the library runs one array kernel, on whole tables
+and, in its public `gf_mul`/`gf_pow`, on one element.  `ddt_bincount`
 counts every ordered pair with one bincount per block of rows, checked
 against the Counter loops of `ddt_brute`.  `read_ppm` reads
 back the binary PPM the library writes.  `savetxt_csv` and `render_masked`
@@ -37,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from sboxkit import heatmap, spn
-from sboxkit.core import gf_pow
 
 
 def oracle_maps(n):
@@ -328,6 +329,30 @@ def avalanche_scalar(cfg, pairs):
         dist.append([(spn.block_to_int(spn.encrypt_block(spn.int_to_block(pt ^ (1 << (63 - j))), key, cfg))
                       ^ base).bit_count() for j in range(64)])
     return _avalanche_report(cfg, len(dist), np.array(dist, dtype=np.int64))
+
+
+def gf_mul(ctx, a, b):
+    """Carry-less product of the ints a and b reduced by ctx.irreducible, one bit of b at a time."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & ctx.size:
+            a ^= ctx.irreducible
+    return r
+
+
+def gf_pow(ctx, x, e):
+    """x^e by square-and-multiply on ints: x^0 = 1 for every x, 0^e = 0 for e > 0."""
+    result = 1
+    while e:
+        if e & 1:
+            result = gf_mul(ctx, result, x)
+        x = gf_mul(ctx, x, x)
+        e >>= 1
+    return result
 
 
 def monomial_table(ctx, e):

@@ -44,10 +44,6 @@ class Entry:
 
 ENTRIES = {
     "SBox": Entry(lambda x, _: sk.SBox(2, x), [3, 0, 1, 2], "table entries must be integers in [0, 4)", 0, 3),
-    "apply_pbox8": Entry(lambda x, _: spn.apply_pbox8(bytes(range(8)), x), list(sk.PBOX8),
-                         "pbox8 must be integers in [0, 8)", 0, 7),
-    "apply_pbox64": Entry(lambda x, _: spn.apply_pbox64(bytes(range(1, 9)), x), list(sk.DILLON_PERMUTATION),
-                          "pbox64 must be integers in [0, 64)", 0, 63),
     "encrypt_blocks": Entry(lambda x, _: spn.encrypt_blocks(x, ONE, CFG).tolist(), [0, 5, 127], "blocks " + WORDS,
                             0, BIG),
     "encrypt_blocks-masters": Entry(lambda x, _: spn.encrypt_blocks(ONE, x, CFG).tolist(), [9], "masters " + WORDS,

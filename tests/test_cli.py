@@ -87,6 +87,13 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_analyze_refuses_a_token_outside_the_grammar(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1\n2 1_0\n")  # int() would read 1_0 as 10
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: token '1_0' is not a base-10 integer\n")
+
+
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.txt")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -158,7 +165,7 @@ def test_gen_irreducible_override(tmp_path, capsys):
     assert main(["gen", "raw", "--n", "4", "--e", "2", "--irreducible", "0x19"]) == 0
     text = capsys.readouterr().out
     ctx = sk.GFContext(4, 0x19)
-    assert sk.parse_sbox(text) == sk.SBox(4, [sk.gf_pow(ctx, x, 2) for x in range(16)])
+    assert sk.parse_sbox(text) == sk.SBox(4, reference.monomial_table(ctx, 2))
 
 
 def test_gen_reducible_modulus_exits_3(capsys):

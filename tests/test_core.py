@@ -1,9 +1,12 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import sboxkit as sk
+from sboxkit import core
 from sboxkit.core import MAX_N, MIN_N, _monomial_exponent
 from sboxkit.data import IRREDUCIBLE
 
@@ -63,7 +66,7 @@ def test_sbox_accepts_integer_inputs_of_any_kind():
     assert sk.parse_sbox("3 2 1 0") == sk.SBox(2, [3, 2, 1, 0])
     ctx = sk.default_context(8)
     gold = sk.build_monomial_sbox(ctx, "gold", i=1)  # x^3
-    assert gold == sk.SBox(8, [sk.gf_pow(ctx, x, 3) for x in range(256)])
+    assert gold == sk.SBox(8, reference.monomial_table(ctx, 3))
 
 
 def test_sbox_equality_and_hash(aes):
@@ -92,6 +95,8 @@ def test_parse_hex_with_and_without_prefix():
     s = sk.parse_sbox("0x0 a 0xF 3 1 2 4 5 6 7 8 9 b c d e", base=16)
     assert s[1] == 10
     assert s[2] == 15
+    assert list(sk.parse_sbox("0X3 00 0x01 2", base=16).table) == [3, 0, 1, 2]
+    assert list(sk.parse_sbox("03 000 1 2").table) == [3, 0, 1, 2]
 
 
 def test_parse_rejects_bad_base():
@@ -118,6 +123,17 @@ def test_parse_rejects_out_of_range_value():
 def test_parse_rejects_hex_token_in_decimal_mode():
     with pytest.raises(sk.SboxParseError):
         sk.parse_sbox("0x0 1 2 3", base=10)
+
+
+@pytest.mark.parametrize("base,token", [
+    (10, "1_0"), (10, "+3"), (10, "-0"), (10, "\u0663"), (10, "\uff13"),
+    (16, "0x0x3"), (16, "+0x3"), (16, "+3"), (16, "-0"), (16, "1_0"), (16, "0x_3"), (16, "\u0663"), (16, "0x"),
+])
+def test_parse_refuses_tokens_outside_the_grammar(base, token):
+    # int() alone reads most of these as a value in range, so the grammar is checked first
+    text = "0 " * 31 + "\n" + token
+    with pytest.raises(sk.SboxParseError, match=re.escape(f"line 2: token {token!r} is not a base-{base} integer")):
+        sk.parse_sbox(text, base=base)
 
 
 def test_format_parse_round_trip(aes):
@@ -250,17 +266,49 @@ def test_gf_pow_group_order():
         assert sk.gf_mul(ctx, x, sk.gf_pow(ctx, x, 14)) == 1
 
 
+def _trace(ctx, x):
+    """Tr(x) = x + x^2 + x^4 + ... + x^(2^(n-1)), squaring with the public gf_mul."""
+    acc = 0
+    for _ in range(ctx.n):
+        acc ^= x
+        x = sk.gf_mul(ctx, x, x)
+    return acc
+
+
 def test_trace_is_binary_and_balanced(gf8):
-    values = [sk.trace(gf8, x) for x in range(256)]
+    # Tr is a GF(2)-linear map onto {0, 1}, so half the field has trace 0
+    values = [_trace(gf8, x) for x in range(256)]
     assert set(values) <= {0, 1}
     assert values.count(0) == 128
 
 
 def test_trace_additive():
+    # squaring, and so the trace, is additive in characteristic 2
     ctx = sk.default_context(4)
     for x in range(16):
         for y in range(16):
-            assert sk.trace(ctx, x ^ y) == sk.trace(ctx, x) ^ sk.trace(ctx, y)
+            assert _trace(ctx, x ^ y) == _trace(ctx, x) ^ _trace(ctx, y)
+
+
+@pytest.mark.parametrize("n", range(MIN_N, MAX_N + 1))
+def test_field_scalars_match_the_int_oracle_and_the_field_laws(n):
+    # the public scalars run the kernels on one int; reference.gf_mul/gf_pow are independent int loops
+    ctx = sk.default_context(n)
+    rng = np.random.default_rng(700 + n)
+    mul = functools.partial(sk.gf_mul, ctx)
+    for a, b, c in rng.integers(0, ctx.size, size=(64, 3)).tolist():
+        ab = mul(a, b)
+        assert ab == reference.gf_mul(ctx, a, b) == mul(b, a)
+        assert mul(ab, c) == mul(a, mul(b, c))
+        assert mul(a, b ^ c) == ab ^ mul(a, c)
+    big = 2**64 + int(rng.integers(1 << 16))
+    for x in [0] + rng.integers(1, ctx.size, size=4).tolist():
+        e = int(rng.integers(2, 2 << n))
+        assert sk.gf_pow(ctx, x, e) == reference.gf_pow(ctx, x, e)
+        assert (sk.gf_pow(ctx, x, 0), sk.gf_pow(ctx, x, 1)) == (1, x)
+        assert sk.gf_pow(ctx, x, ctx.size - 1) == int(x != 0)
+        reduced = reference.gf_pow(ctx, x, big % (ctx.size - 1)) if x else 0  # x^(2^n - 1) = 1 for x != 0
+        assert sk.gf_pow(ctx, x, big) == reference.gf_pow(ctx, x, big) == reduced
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +318,7 @@ def test_trace_additive():
 def test_gold_matches_direct_power():
     ctx = sk.default_context(8)
     s = sk.build_monomial_sbox(ctx, "gold", i=1)
-    assert all(s[x] == sk.gf_pow(ctx, x, 3) for x in range(256))
+    assert np.array_equal(s.table, reference.monomial_table(ctx, 3))
     assert s[0] == 0
     assert not sk.is_bijective(s)  # gcd(3, 255) = 3
 
@@ -278,27 +326,27 @@ def test_gold_matches_direct_power():
 def test_kasami_matches_direct_power():
     ctx = sk.default_context(8)
     s = sk.build_monomial_sbox(ctx, "kasami", i=3)
-    assert all(s[x] == sk.gf_pow(ctx, x, 57) for x in range(256))
+    assert np.array_equal(s.table, reference.monomial_table(ctx, 57))
 
 
 def test_welch_and_niho_exponents_n7():
     ctx = sk.default_context(7)
     welch = sk.build_monomial_sbox(ctx, "welch")
     niho = sk.build_monomial_sbox(ctx, "niho")
-    assert all(welch[x] == sk.gf_pow(ctx, x, 11) for x in range(128))  # 2^3 + 3
-    assert all(niho[x] == sk.gf_pow(ctx, x, 39) for x in range(128))  # t = 3 odd
+    assert np.array_equal(welch.table, reference.monomial_table(ctx, 11))  # 2^3 + 3
+    assert np.array_equal(niho.table, reference.monomial_table(ctx, 39))  # t = 3 odd
 
 
 def test_niho_even_t_branch():
     ctx = sk.default_context(5)  # t = 2
     s = sk.build_monomial_sbox(ctx, "niho")
-    assert all(s[x] == sk.gf_pow(ctx, x, 5) for x in range(32))  # 2^2 + 2^1 - 1
+    assert np.array_equal(s.table, reference.monomial_table(ctx, 5))  # 2^2 + 2^1 - 1
 
 
 def test_dobbertin_n10():
     ctx = sk.default_context(10)
     s = sk.build_monomial_sbox(ctx, "dobbertin")
-    assert all(s[x] == sk.gf_pow(ctx, x, 339) for x in range(0, 1024, 37))
+    assert np.array_equal(s.table[::37], reference.monomial_table(ctx, 339)[::37])
 
 
 def test_inverse_family_squares_to_field_inverse():
@@ -337,6 +385,23 @@ def test_every_family_matches_the_per_element_builder(n):
         e = _monomial_exponent(ctx, family, kwargs.get("i"), kwargs.get("e"))
         table = sk.build_monomial_sbox(ctx, family, **kwargs).table
         assert np.array_equal(table, reference.monomial_table(ctx, e)), (family, kwargs)
+
+
+def test_power_map_oracle_shares_nothing_with_the_kernels(monkeypatch):
+    # the test above checks the kernels against this oracle, so it must not run them
+    ctx = sk.default_context(8)
+    inverse = sk.build_monomial_sbox(ctx, "raw", e=254).table
+
+    def kernel(*args):
+        raise AssertionError("the oracle reached the array kernels")
+    monkeypatch.setattr(core, "_gf_mul_array", kernel)
+    monkeypatch.setattr(core, "_gf_pow_array", kernel)
+    assert np.array_equal(reference.monomial_table(ctx, 254), inverse)
+    assert reference.gf_mul(ctx, 0x57, 0x83) == 0xC1
+    for call in (lambda: sk.build_monomial_sbox(ctx, "raw", e=254), lambda: sk.gf_pow(ctx, 3, 254),
+                 lambda: sk.gf_mul(ctx, 0x57, 0x83)):
+        with pytest.raises(AssertionError, match="array kernels"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -55,24 +55,10 @@ def test_config_rejects_negative_rounds(aes):
 
 
 def test_config_rejects_bad_permutations(aes):
-    # the permutations and key S-box are the bundled constants, not settable;
-    # the public layer helpers still check the permutation they are given
+    # the permutations and key S-box are the bundled constants, not settable
     for field, value in (("pbox8", PBOX8), ("pbox64", DILLON_PERMUTATION), ("key_sbox", tuple(range(16)))):
         with pytest.raises(TypeError, match=field):
             spn.SpnConfig(sbox=aes, rounds=1, **{field: value})
-    with pytest.raises(ValueError, match="pbox8"):
-        spn.apply_pbox8(bytes(8), (0,) * 8)
-    with pytest.raises(ValueError, match="pbox64"):
-        spn.apply_pbox64(bytes(8), tuple(range(63)) + (0,))
-
-
-def test_layer_helpers_refuse_non_integer_permutations():
-    # a float list sorts equal to range(size) and would fail later indexing bytes
-    for apply, size in ((spn.apply_pbox8, 8), (spn.apply_pbox64, 64)):
-        for p in ([float(i) for i in range(size)], np.arange(size, dtype=np.float64), [True] * size):
-            with pytest.raises(ValueError, match=r"pbox\d+ must be integers"):
-                apply(bytes(8), p)
-    assert spn.apply_pbox8(bytes(range(8)), np.array(PBOX8)) == spn.apply_pbox8(bytes(range(8)), PBOX8)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +107,7 @@ def test_pbox8_is_a_single_cycle():
 
 def test_apply_pbox8_moves_bytes():
     state = bytes(range(8))
-    out = spn.apply_pbox8(state, PBOX8)
+    out = spn._shuffle_bytes(state, PBOX8)
     assert out == bytes(PBOX8)  # out[i] = state[p[i]] and state[i] = i
 
 
@@ -133,7 +119,7 @@ def test_apply_pbox64_round_trip():
     rng = np.random.default_rng(51)
     for _ in range(10):
         state = bytes(int(v) for v in rng.integers(0, 256, size=8))
-        assert spn.apply_pbox64(spn.apply_pbox64(state, p), inv) == state
+        assert spn._permute_bits(spn._permute_bits(state, p), inv) == state
 
 
 def test_apply_pbox64_single_bit():
@@ -142,19 +128,9 @@ def test_apply_pbox64_single_bit():
     src = p[0]
     state = bytearray(8)
     state[src >> 3] |= 1 << (7 - (src & 7))
-    out = spn.apply_pbox64(bytes(state), p)
+    out = spn._permute_bits(bytes(state), p)
     assert out[0] & 0x80
     assert sum(v.bit_count() for v in out) == 1
-
-
-@pytest.mark.parametrize("length", [7, 9])
-def test_layer_helpers_refuse_a_state_not_8_bytes(length):
-    # unchecked, a 9-byte state is cut to its first 8 bytes and a 7-byte one raises IndexError
-    state = bytes(range(length))
-    with pytest.raises(ValueError, match="state must be 8 bytes"):
-        spn.apply_pbox8(state, PBOX8)
-    with pytest.raises(ValueError, match="state must be 8 bytes"):
-        spn.apply_pbox64(state, DILLON_PERMUTATION)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +146,8 @@ def test_one_round_trace_through_layers(cfg1, aes):
     # zero plaintext: the S-box layer gives eight copies of S(0), the byte
     # shuffle is then a no-op, and the key XOR only touches byte 0
     after_sub = bytes([aes[0]] * 8)
-    assert spn.apply_pbox8(after_sub, PBOX8) == after_sub
-    diffused = spn.apply_pbox64(after_sub, DILLON_PERMUTATION)
+    assert spn._shuffle_bytes(after_sub, PBOX8) == after_sub
+    diffused = spn._permute_bits(after_sub, DILLON_PERMUTATION)
     assert diffused.hex() == "4cc33a3e938985eb"
     key = spn.key_schedule(b"\x00" * 8, cfg1)[0]
     assert bytes(a ^ b for a, b in zip(diffused, key)).hex() == "4dc33a3e938985eb"
@@ -217,29 +193,29 @@ def test_scalar_oracle_shares_nothing_with_bulk(cfg1, monkeypatch):
     p = DILLON_PERMUTATION
     src = bytearray(8)
     src[p[0] >> 3] |= 1 << (7 - (p[0] & 7))
-    assert spn.apply_pbox64(bytes(src), p) == b"\x80" + b"\x00" * 7
+    assert spn._permute_bits(bytes(src), p) == b"\x80" + b"\x00" * 7
     inv = tuple(int(v) for v in np.argsort(p))
     for state in (bytes(range(8)), bytes.fromhex("4dc33a3e938985eb")):
-        assert spn.apply_pbox64(spn.apply_pbox64(state, p), inv) == state
+        assert spn._permute_bits(spn._permute_bits(state, p), inv) == state
     with pytest.raises(AssertionError, match="bulk path"):
         spn.encrypt_blocks(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64), cfg1)
 
 
 def test_reference_cipher_checks_the_fixed_permutations_zero_times(aes, monkeypatch):
-    # the round applies the checked module constants directly; only the public layer helpers check
+    # the round applies the bundled constants directly, so no round runs the array rule
     calls = []
-    check = spn._check_perm
+    check = spn.check_int_array
 
     def counted(*args):
-        calls.append(args[1:])
+        calls.append(args[1])
         return check(*args)
 
-    monkeypatch.setattr(spn, "_check_perm", counted)
-    spn.encrypt_block(bytes(range(8)), bytes(range(8, 16)), spn.SpnConfig(sbox=aes, rounds=12))
+    cfg = spn.SpnConfig(sbox=aes, rounds=12)
+    monkeypatch.setattr(spn, "check_int_array", counted)
+    spn.encrypt_block(bytes(range(8)), bytes(range(8, 16)), cfg)
     assert calls == []
-    spn.apply_pbox8(bytes(8), PBOX8)
-    spn.apply_pbox64(bytes(8), DILLON_PERMUTATION)
-    assert calls == [(8, "pbox8"), (64, "pbox64")]
+    spn._check_words([1], "blocks")  # the count sees the rule's one caller in spn
+    assert calls == ["blocks must be non-negative integers below 2^64"]
 
 
 @pytest.mark.parametrize("rounds", [1, 4, 12])
