@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,49 @@ def check_int_array(values, rule: str, lo: int, hi: int, dtype=np.int64) -> np.n
 
 def cpu_count() -> int:
     """The CPUs a run may use: os.cpu_count(), or 1 when that is unknown.
-    It bounds both the search's processes and the SPN's block threads."""
+    It bounds the search's processes and the block threads of the SPN and
+    of the whole-S-box metrics."""
     return os.cpu_count() or 1
+
+
+def run_ranges(total: int, ranges: int, work) -> list:
+    """[work(lo, hi, stop) for each of `ranges` even contiguous ranges [lo, hi) of
+    range(total)], in range order.
+
+    The calling thread runs the first range and each other range runs on a thread
+    of its own, so one range starts nothing.  `stop` is a threading.Event that is
+    set when a range raises or a thread cannot start, at which work may return
+    early.  The first exception in range order is raised once every started
+    thread is done.
+    """
+    bounds = [total * k // ranges for k in range(ranges + 1)]
+    stop = threading.Event()
+    results = [None] * ranges
+    failures = [None] * ranges
+
+    def run(k):
+        try:
+            results[k] = work(bounds[k], bounds[k + 1], stop)
+        except BaseException as exc:  # re-raised in the calling thread
+            failures[k] = exc
+            stop.set()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, ranges)]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    except BaseException:  # a thread that could not start
+        stop.set()
+        raise
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def read_only(a) -> np.ndarray:

@@ -13,10 +13,24 @@ bias and NLs together, block by block, and only `compute_lat` holds the whole
 table.  Flip histograms: per input bit i, the histogram over d of the x with
 bit i clear and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n
 of every table in a stack of any height from one `_flip_hist` bincount; SAC
-and BIC are each one float32 product of the histograms with cached 0/2 weights
+and BIC are each a float32 product of the histograms with cached 0/2 weights
 of the difference bits and of their pairwise products.  Every float32 sum is
 an integer of magnitude at most 2^n <= 4096 < 2^24 (a flip sum at most
 2^(n-1) <= 2048, doubled), so float32 holds it exactly in any summation order.
+
+Products and threads.  OpenBLAS runs a float32 product of at most 2^18
+multiply-adds (m n k) on the calling thread; a larger one wakes worker threads
+that spin on for about 0.1 s after it (one n = 12 BIC product, 12 x 4096 x 66,
+cost 135 ms of CPU during a 300 ms sleep on a 2-CPU host).  So `_flip_sums`
+contracts over d in chunks of at most 2^18, and the Walsh products are at most
+2^18 but for one n = 11 stage of 2^19, which woke no worker.  `full_report`,
+`compute_ddt`, `compute_lat` and `nonlinearity` split a kernel's blocks into
+at most `_RANGES` = 2 contiguous ranges, one per CPU and thread of
+`core.run_ranges`, and merge them exactly: the largest range DU with the
+counts of the ranges that reach it, the largest range bias, the NL columns in
+range order, or disjoint slices of one table.  XOR, take, bincount and matmul
+release the GIL.  Kernels of one block (all up to n = 8) start no thread, and
+the raw search kernels stay serial: a search runs on processes.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
@@ -41,10 +55,12 @@ from typing import Callable
 import numpy as np
 
 from . import anf
-from .core import CycleStructure, SBox, cycle_decomposition, is_bijective, read_only
+from .core import CycleStructure, SBox, cpu_count, cycle_decomposition, is_bijective, read_only, run_ranges
 from .util import exact_decimal
 
 _PAIR_BUDGET = 1 << 15  # pairs per DDT block: 2^16 bins, 512 KB
+_BLAS_SERIAL = 1 << 18  # multiply-adds of a float32 product that OpenBLAS runs on the calling thread
+_RANGES = 2  # threads per whole-S-box kernel call, the only count measured
 
 
 @functools.cache
@@ -54,30 +70,45 @@ def _hadamard(k: int) -> np.ndarray:
     return read_only(1 - 2 * (np.bitwise_count(np.bitwise_and.outer(v, v)) & 1).astype(np.float32))
 
 
-def _walsh_blocks(table: np.ndarray, n: int):
-    """Yield (start, block), block[a, j] = W(a, start + j) = sum over x of
-    (-1)^((start + j).S(x) xor a.x), 2^k output masks per block, exact in float32;
-    the caller may overwrite a block, a buffer the next one reuses.
+def _walsh_width(n: int) -> int:
+    """k, with 2^k output masks per Walsh block: min(n, 8, 18 - n) keeps a block at
+    2^18 values (1 MB), one block up to n = 8, 256 masks at n = 9, 10, 128 at
+    n = 11 and 64 at n = 12."""
+    return min(n, 8, 18 - n)
 
-    k = min(n, 8, 18 - n) keeps a block at 2^18 values (1 MB): one block up to
-    n = 8, 256 masks at n = 9, 10, 128 at n = 11 and 64 at n = 12.  With
-    b = c 2^k + j, (-1)^(b.S(x)) = H_k[S(x) mod 2^k, j] H_(n-k)[c, S(x) >> k],
-    and as H is symmetric the sign rows of block 0 are one row gather of H_k;
-    block c multiplies them by the column H_(n-k)[c, S(x) >> k].  With x = x_hi 2^lo + x_lo, H_n = H_hi (x)
-    H_lo is applied down x as stacks of products too small for BLAS to spread
-    over threads: H_lo over each x_hi, then H_hi over each x_lo.
+
+def _walsh_base(table: np.ndarray, n: int) -> np.ndarray:
+    """base[x, j] = (-1)^(j.S(x)) = H_k[S(x) mod 2^k, j], the sign rows of Walsh
+    block 0, float32: as H is symmetric, one row gather of H_k."""
+    k = _walsh_width(n)
+    return np.take(_hadamard(k), np.asarray(table, dtype=np.intp) & ((1 << k) - 1), axis=0)
+
+
+def _walsh_blocks(table: np.ndarray, n: int, blocks: range | None = None, base: np.ndarray | None = None):
+    """Yield (start, block), block[a, j] = W(a, start + j) = sum over x of
+    (-1)^((start + j).S(x) xor a.x), 2^k output masks per block, exact in float32,
+    for the block numbers c in `blocks`, every block by default; the caller may
+    overwrite a block, a buffer the next one reuses.
+
+    `base` is `_walsh_base(table, n)`, made here unless given, so ranges of blocks
+    run side by side share one; with one block (k = n) it is dead after its lo
+    stage and takes the output.  With b = c 2^k + j, (-1)^(b.S(x)) =
+    H_k[S(x) mod 2^k, j] H_(n-k)[c, S(x) >> k], so block c multiplies the sign
+    rows of block 0 by the column H_(n-k)[c, S(x) >> k].  With
+    x = x_hi 2^lo + x_lo, H_n = H_hi (x) H_lo is applied down x as stacks of
+    products: H_lo over each x_hi, then H_hi over each x_lo, each product at most
+    2^18 multiply-adds but for the 2^19 of H_hi at n = 11.
     """
     size = 1 << n
-    k = min(n, 8, 18 - n)
+    k = _walsh_width(n)
     lo = n // 2
     t = np.asarray(table, dtype=np.intp)
-    base = np.take(_hadamard(k), t & ((1 << k) - 1), axis=0)  # base[x, j] = (-1)^(j.S(x))
+    base = _walsh_base(t, n) if base is None else base
     h_lo, h_hi, h_c = _hadamard(lo), _hadamard(n - lo), _hadamard(n - k)
     half = np.empty((size >> lo, 1 << lo, 1 << k), dtype=np.float32)  # (x_hi, a_lo, j)
-    # with one block, base is dead after its lo stage and takes the output
     out = base.reshape(half.shape) if k == n else np.empty_like(half)
     block = out.reshape(size, 1 << k)
-    for c in range(1 << (n - k)):
+    for c in range(1 << (n - k)) if blocks is None else blocks:
         signs = base if c == 0 else np.multiply(base, h_c[c, t >> k][:, np.newaxis], out=block)
         np.matmul(h_lo, signs.reshape(half.shape), out=half)
         np.matmul(h_hi, half.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
@@ -113,36 +144,54 @@ def _pair_index(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(shifted), read_only(np.flatnonzero(np.less.outer(i, i)))
 
 
-def _ddt_blocks(table: np.ndarray, n: int):
-    """Yield (start, block), block[i, b] = DDT[start + i, b] / 2, one bincount of
-    at most 2^(n-1) w pair codes into w 2^n bins per block of w rows.
+def _ddt_width(n: int) -> int:
+    """w, the rows of a DDT block and the x of a chunk: min(2^n, _PAIR_BUDGET / 2^(n-1))."""
+    return min(1 << n, _PAIR_BUDGET >> (n - 1))
+
+
+def _ddt_chunks(table: np.ndarray, n: int) -> np.ndarray:
+    """chunks[c, i] = v(c w + i), v(x) = (x << n) | S(x) in the code dtype, one
+    chunk of w consecutive x per DDT block."""
+    w = _ddt_width(n)
+    shifted = _pair_index(n, w)[0]
+    return read_only((shifted | np.asarray(table).astype(shifted.dtype)).reshape(-1, w))
+
+
+def _ddt_blocks(table: np.ndarray, n: int, blocks: range | None = None, chunks: np.ndarray | None = None):
+    """Yield (start, block), block[i, b] = DDT[start + i, b] / 2, for the block
+    numbers s in `blocks`, every block by default: one bincount of at most
+    2^(n-1) w pair codes into w 2^n bins per block of w rows.
 
     With v(x) = (x << n) | S(x), v(x) xor v(y) is the (a, b) code of the pair
     {x, y}, a = x xor y.  Each pair is counted once, from x < y, so a block is
-    exactly half the DDT for any map, and row 0 reads 2^(n-1).  x runs in chunks
-    of w = min(2^n, _PAIR_BUDGET / 2^(n-1)) consecutive values, so a < w exactly
-    when x and y share a chunk: block 0 is the upper triangle of each chunk's
-    w x w XOR table.  Block s >= 1 is the full XOR of each chunk c, c < c xor s,
-    with chunk c xor s, less (s w) << n.  A block holds at most 2^16 bins
-    (512 KB): one block up to n = 8, 64 rows at n = 10 and 16 at n = 12.
+    exactly half the DDT for any map, and row 0 reads 2^(n-1).  x runs in
+    `chunks` of w = `_ddt_width(n)` consecutive values, made here unless given,
+    so ranges of blocks run side by side share one; a < w exactly when x and y
+    share a chunk: block 0 is the upper triangle of each chunk's w x w XOR
+    table.  Block s >= 1 is the full XOR of each chunk c, c < c xor s, with
+    chunk c xor s, less (s w) << n.  A block holds at most 2^16 bins (512 KB):
+    one block up to n = 8, 64 rows at n = 10 and 16 at n = 12.
     """
     size = 1 << n
-    w = min(size, _PAIR_BUDGET >> (n - 1))
-    shifted, tri = _pair_index(n, w)
-    chunks = (shifted | np.asarray(table).astype(shifted.dtype)).reshape(-1, w)
-    codes = np.empty((size // w, w, w), dtype=shifted.dtype)
-    np.bitwise_xor(chunks[:, :, np.newaxis], chunks[:, np.newaxis, :], out=codes)
-    block = np.bincount(np.take(codes.reshape(len(chunks), -1), tri, axis=1).ravel(), minlength=w << n)
-    block[0] = size >> 1
-    yield 0, block.reshape(w, size)
-    codes = codes[: len(codes) >> 1]
-    for s in range(1, size // w):
-        h = s.bit_length() - 1
-        split = chunks.reshape(-1, 2, 1 << h, w)  # bit h of the chunk number clear / set
-        low = split[:, 0] ^ ((s * w) << n)
-        high = split[:, 1][:, np.arange(1 << h) ^ (s ^ 1 << h)]  # chunk c xor s beside chunk c
-        np.bitwise_xor(low[..., np.newaxis], high[..., np.newaxis, :], out=codes.reshape(low.shape + (w,)))
-        yield s * w, np.bincount(codes.ravel(), minlength=w << n).reshape(w, size)
+    chunks = _ddt_chunks(table, n) if chunks is None else chunks
+    w = chunks.shape[1]
+    blocks = range(len(chunks)) if blocks is None else blocks
+    codes = np.empty((len(chunks) >> (blocks[0] > 0), w, w), dtype=chunks.dtype)  # half unless block 0 runs
+    for s in blocks:
+        if s == 0:
+            np.bitwise_xor(chunks[:, :, np.newaxis], chunks[:, np.newaxis, :], out=codes)
+            tri = _pair_index(n, w)[1]
+            block = np.bincount(np.take(codes.reshape(len(chunks), -1), tri, axis=1).ravel(), minlength=w << n)
+            block[0] = size >> 1
+            codes = codes[: len(chunks) >> 1]
+        else:
+            h = s.bit_length() - 1
+            split = chunks.reshape(-1, 2, 1 << h, w)  # bit h of the chunk number clear / set
+            low = split[:, 0] ^ ((s * w) << n)
+            high = split[:, 1][:, np.arange(1 << h) ^ (s ^ 1 << h)]  # chunk c xor s beside chunk c
+            np.bitwise_xor(low[..., np.newaxis], high[..., np.newaxis, :], out=codes.reshape(low.shape + (w,)))
+            block = np.bincount(codes.ravel(), minlength=w << n)
+        yield s * w, block.reshape(w, size)
 
 
 def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
@@ -157,6 +206,45 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
         if with_count and block_top == top:
             count += int(np.count_nonzero(rows == top))
     return 2 * top, count
+
+
+def _split(count: int, kernel, reduce) -> list:
+    """[reduce(kernel(blocks))] for each range `blocks` of the block numbers
+    range(count), in range order, on at most _RANGES threads and no more than
+    there are CPUs or blocks.  A kernel of one block runs in the caller without
+    `run_ranges`: its set-up and the CPU count made n = 7 and 8 reports 6% slower.
+    A range runs to its end even when another raises, so that no
+    reduction sees a cut range; at n = 12 a range takes tens of milliseconds."""
+    if count == 1:
+        return [reduce(kernel(range(1)))]
+    return run_ranges(count, min(_RANGES, cpu_count(), count), lambda lo, hi, _: reduce(kernel(range(lo, hi))))
+
+
+def _ddt_ranges(table: np.ndarray, n: int, reduce) -> list:
+    """`_split` of the DDT blocks, the ranges sharing one `_ddt_chunks`."""
+    chunks = _ddt_chunks(table, n)
+    return _split(len(chunks), lambda blocks: _ddt_blocks(table, n, blocks, chunks), reduce)
+
+
+def _walsh_ranges(table: np.ndarray, n: int, reduce) -> list:
+    """`_split` of the Walsh blocks, the ranges sharing one `_walsh_base`."""
+    base = _walsh_base(table, n)
+    return _split(1 << (n - _walsh_width(n)), lambda blocks: _walsh_blocks(table, n, blocks, base), reduce)
+
+
+def _du(table: np.ndarray, n: int) -> tuple[int, int]:
+    """DU and how many entries reach it: the largest range DU and the sum of the
+    counts of the ranges that reach it."""
+    parts = _ddt_ranges(table, n, _du_stats)
+    du = max(d for d, _ in parts)
+    return du, sum(c for d, c in parts if d == du)
+
+
+def _walsh(table: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """`_walsh_stats` of the whole table: the largest range bias, and the ranges'
+    NL columns in range order."""
+    parts = _walsh_ranges(table, n, lambda blocks: _walsh_stats(blocks, n))
+    return max(b for b, _ in parts), np.concatenate([nls for _, nls in parts])
 
 
 @functools.cache
@@ -206,23 +294,30 @@ def _flip_hist(tables: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=count * n << n).reshape(count, n, 1 << n)
 
 
+def _flip_sums(hist: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """hist @ weights as int64, for `_flip_hist` of one table or a stack and
+    weights of `_flip_index`: contracted over d in chunks, one stacked product of
+    at most _BLAS_SERIAL multiply-adds per chunk, summed in float32, exact as every
+    sum is an integer of at most 2^n."""
+    n, size = hist.shape[-2:]
+    width = min(size, 1 << (_BLAS_SERIAL // (n * weights.shape[1])).bit_length() - 1)
+    parts = hist.astype(np.float32).reshape(*hist.shape[:-1], size // width, width).swapaxes(-3, -2)
+    return (parts @ weights.reshape(size // width, width, -1)).sum(axis=-3).astype(np.int64)
+
+
 def _sac_deviations(hist: np.ndarray, n: int) -> np.ndarray:
     """Raw |flips of output bit a under input bit i - 2^(n-1)| from `_flip_hist`,
-    for one table or a stack: the flips are the doubled hist @ bits, exact in
-    float32 as each is <= 2^n, one small product per table, which BLAS runs on
-    one thread."""
-    flips = (hist.astype(np.float32) @ _flip_index(n)[1]).astype(np.int64)
-    return np.abs(flips - (1 << (n - 1)))
+    for one table or a stack: the flips are the doubled hist @ bits, each <= 2^n."""
+    return np.abs(_flip_sums(hist, _flip_index(n)[1]) - (1 << (n - 1)))
 
 
 def _bic_deviations(hist: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k,
     from `_flip_hist`, for one table or a stack: the joint counts
     #{x : bits j and k of the difference are both 1} are the doubled
-    hist @ pair products, exact in float32 likewise."""
+    hist @ pair products."""
     weights, pairs = _flip_index(n)[2:]
-    joint = (hist.astype(np.float32) @ weights).astype(np.int64)
-    return np.abs((1 << n) // 4 - joint), pairs
+    return np.abs((1 << n) // 4 - _flip_sums(hist, weights)), pairs
 
 
 @dataclass(frozen=True)
@@ -388,14 +483,18 @@ class MetricReport:
 def compute_ddt(s: SBox) -> DDT:
     """counts[a][b] = #{x : S(x) xor S(x xor a) = b}, twice the half counts.
 
-    Up to n = 8 the one block is the whole table, doubled in place; above, the
-    doubled blocks fill one new table."""
-    blocks = _ddt_blocks(s.table, s.n)
-    _, first = next(blocks)
-    counts = first if len(first) == s.size else np.empty((s.size, s.size), dtype=np.int64)
-    np.multiply(first, 2, out=counts[: len(first)])
-    for start, block in blocks:
-        np.multiply(block, 2, out=counts[start : start + len(block)])
+    Up to n = 8 the one block is the whole table, doubled in place; above, each
+    range's doubled blocks fill their rows of one new table."""
+    if _ddt_width(s.n) == s.size:
+        ((_, counts),) = _ddt_blocks(s.table, s.n)
+        return DDT(np.multiply(counts, 2, out=counts))
+    counts = np.empty((s.size, s.size), dtype=np.int64)
+
+    def fill(blocks):
+        for start, block in blocks:
+            np.multiply(block, 2, out=counts[start : start + len(block)])
+
+    _ddt_ranges(s.table, s.n, fill)
     return DDT(counts)
 
 
@@ -411,8 +510,12 @@ def du_max_count(d: DDT) -> int:
 def compute_lat(s: SBox) -> LAT:
     """sums[a][b] = sum over x of (-1)^(b.S(x) xor a.x)."""
     sums = np.empty((s.size, s.size), dtype=np.int64)
-    for start, block in _walsh_blocks(s.table, s.n):
-        sums[:, start : start + block.shape[1]] = block
+
+    def fill(blocks):
+        for start, block in blocks:
+            sums[:, start : start + block.shape[1]] = block
+
+    _walsh_ranges(s.table, s.n, fill)
     return LAT(sums)
 
 
@@ -429,7 +532,7 @@ def _nl_stats(comps: np.ndarray) -> NonlinearityStats:
 def nonlinearity(s: SBox) -> NonlinearityStats:
     """Minimum component nonlinearity, plus min/max/avg over all 2^n - 1
     nonzero output masks."""
-    return _nl_stats(_walsh_stats(_walsh_blocks(s.table, s.n), s.n)[1])
+    return _nl_stats(_walsh(s.table, s.n)[1])
 
 
 def _sac_report(hist: np.ndarray, n: int) -> SacReport:
@@ -459,8 +562,8 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
     """
-    du, du_count = _du_stats(_ddt_blocks(s.table, s.n))
-    bias, nls = _walsh_stats(_walsh_blocks(s.table, s.n), s.n)
+    du, du_count = _du(s.table, s.n)
+    bias, nls = _walsh(s.table, s.n)
     nl_stats = _nl_stats(nls)
     hist = _flip_hist(s.table[np.newaxis], s.n)[0]
     return MetricReport(

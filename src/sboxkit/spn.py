@@ -29,30 +29,30 @@ at a time by `_round_keys`.  Each avalanche block is reduced into an exact
 the 16 B per trial of the pairs plus a constant per thread.
 
 `_run_blocks` is the one block loop.  It splits the rows evenly into
-contiguous ranges, one per thread, each run in blocks of at most
-`_BLOCK_WORDS` words, the calling thread taking the first; numpy's lookups
-and XORs release the GIL, so the ranges run side by side.  The results do
-not depend on the split: encryption and decryption write disjoint slices
-of their output, and the avalanche experiment adds up each range's integer
-histogram and bit sums, whose total is the same in any order.  A block's
-working set is 1-2 MB, and a call holds at most `_CALL_WORDS` words of
-blocks at once: two blocks of state, so at most two threads whatever the
-CPU count, and at most one block when a block alone holds more.  That is
-decryption's case: it holds every round key of its block, so it runs its
-full blocks one at a time, with the memory of the serial loop.
+contiguous ranges, one per thread of `core.run_ranges`, each run in blocks
+of at most `_BLOCK_WORDS` words, the calling thread taking the first;
+numpy's lookups and XORs release the GIL, so the ranges run side by side.
+The results do not depend on the split: encryption and decryption write
+disjoint slices of their output, and the avalanche experiment adds up each
+range's integer histogram and bit sums, whose total is the same in any
+order.  A block's working set is 1-2 MB, and a call holds at most
+`_CALL_WORDS` words of blocks at once: two blocks of state, so at most two
+threads whatever the CPU count, and at most one block when a block alone
+holds more.  That is decryption's case: it holds every round key of its
+block, so it runs its full blocks one at a time, with the memory of the
+serial loop.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import (NotBijectiveError, SBox, check_int, check_int_array, check_seed, cpu_count, inverse_sbox,
-                   is_bijective, read_only)
+                   is_bijective, read_only, run_ranges)
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
 from .util import exact_decimal
 
@@ -234,53 +234,25 @@ def _run_blocks(rows: int, width: int, masters: np.ndarray, work, keys: int = 0)
     A row holds `width` state words, plus `keys` round keys when its keys
     are held all at once rather than made one per round; the rows run in
     blocks of _BLOCK_WORDS state words.  The rows are split evenly into
-    contiguous ranges, one per thread, on at most as many threads as there
-    are CPUs, blocks, and blocks whose words fit in _CALL_WORDS, but at
-    least one, so a call holds at most _CALL_WORDS words or one block.
-    work(blocks) runs once per range, in its own thread, over an iterator
-    of (slice, its masters) per block; one master serves all rows.  The
-    calling thread takes the first range, so with one range nothing else
-    starts.  If any range raises, the others stop at their next block, and
-    the first exception in range order is raised once every thread is done.
+    contiguous ranges by `run_ranges`, one per thread, on at most as many
+    threads as there are CPUs, blocks, and blocks whose words fit in
+    _CALL_WORDS, but at least one, so a call holds at most _CALL_WORDS words
+    or one block.  work(blocks) runs once per range over an iterator of
+    (slice, its masters) per block; one master serves all rows.  If any range
+    raises, the others stop at their next block.
     """
     step = _BLOCK_WORDS // width
     count = -(-rows // step)
     ranges = max(1, min(cpu_count(), count, _CALL_WORDS // (step * (width + keys))))
-    bounds = [rows * k // ranges for k in range(ranges + 1)]
-    stop = threading.Event()
-    results = [None] * ranges
-    failures = [None] * ranges
 
-    def blocks(lo, hi):
+    def blocks(lo, hi, stop):
         for start in range(lo, hi, step):
             if stop.is_set():
                 return
             sl = slice(start, min(start + step, hi))
             yield sl, masters if len(masters) == 1 else masters[sl]
 
-    def run(k):
-        try:
-            results[k] = work(blocks(bounds[k], bounds[k + 1]))
-        except BaseException as exc:  # re-raised in the calling thread
-            failures[k] = exc
-            stop.set()
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, ranges)]
-    try:
-        for t in threads:
-            t.start()
-        run(0)
-    except BaseException:  # a thread that could not start
-        stop.set()
-        raise
-    finally:
-        for t in threads:
-            if t.ident is not None:
-                t.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
-    return results
+    return run_ranges(rows, ranges, lambda lo, hi, stop: work(blocks(lo, hi, stop)))
 
 
 def _encrypt(states: np.ndarray, masters: np.ndarray, cfg: SpnConfig, tabs: np.ndarray) -> np.ndarray:

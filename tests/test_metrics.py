@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
@@ -520,9 +522,11 @@ def test_full_report_non_bijective_has_no_cycles():
     assert "cycle_lengths" not in rep.to_dict()
 
 
-def test_width_12_memory_bounds(traced_peak_mb):
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_width_12_memory_bounds(traced_peak_mb, monkeypatch, cpus):
     # the 128 MB int64 DDT and LAT are built only by compute_ddt and compute_lat;
-    # reductions take them in blocks
+    # reductions take them in blocks, on at most two threads whatever the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     table = np.random.default_rng(12).permutation(4096)
     s = sk.SBox(12, table)
     assert traced_peak_mb(lambda: sk.full_report(s, with_degree=True)) < 40
@@ -530,6 +534,90 @@ def test_width_12_memory_bounds(traced_peak_mb):
     assert traced_peak_mb(lambda: raw_metric_value(table, 12, "nl")) < 10
     assert traced_peak_mb(lambda: sk.compute_ddt(s)) < 170
     assert traced_peak_mb(lambda: sk.compute_lat(s)) < 150
+
+
+def _started_threads(monkeypatch) -> list:
+    """A list that gains one entry per thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_threaded_kernels_match_the_serial_reductions(n, monkeypatch):
+    # every range count gives the reductions of one serial pass over all blocks,
+    # and a thread starts only when a kernel has two blocks and the host two CPUs
+    size = 1 << n
+    maps = {**reference.oracle_maps(n), "inverse": sk.build_monomial_sbox(sk.default_context(n), "raw",
+                                                                            e=size - 2).table}
+    started = _started_threads(monkeypatch)
+    for kind, table in maps.items():
+        s = sk.SBox(n, table)
+        du, du_count = metrics._du_stats(metrics._ddt_blocks(table, n))
+        bias, nls = metrics._walsh_stats(metrics._walsh_blocks(table, n), n)
+        nl = metrics._nl_stats(nls)
+        hist = metrics._flip_hist(table[np.newaxis], n)[0]
+        sac = np.abs(hist @ metrics._flip_index(n)[1].astype(np.int64) - size // 2)
+        bic = np.abs(size // 4 - hist @ metrics._flip_index(n)[2].astype(np.int64))
+        expected = {"du": du, "du_count": du_count, "max_bias": bias, "nl": nl.nl,
+                    "nl_component_max": nl.component_max, "nl_component_avg": exact_decimal(nl.component_avg),
+                    "dsac_max_raw": int(sac.max()), "dbic_max_raw": int(bic.max())}
+        ddt = np.empty((size, size), dtype=np.int64)
+        for start, block in metrics._ddt_blocks(table, n):
+            ddt[start : start + len(block)] = 2 * block
+        lat = np.empty((size, size), dtype=np.int64)
+        for start, block in metrics._walsh_blocks(table, n):
+            lat[:, start : start + block.shape[1]] = block
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            started.clear()
+            report = sk.full_report(s)
+            two = cpus > 1 and n > 8  # up to n = 8 each kernel is one block
+            assert len(started) == 2 * two, (kind, cpus)  # the DDT's second range, then the Walsh's
+            assert report.to_dict().items() >= expected.items(), (kind, cpus)
+            assert np.array_equal(report.dsac.deviations, sac), (kind, cpus)
+            assert np.array_equal(report.dbic.deviations, bic), (kind, cpus)
+            assert sk.nonlinearity(s) == nl, (kind, cpus)
+            assert np.array_equal(sk.compute_ddt(s).counts, ddt), (kind, cpus)
+            assert np.array_equal(sk.compute_lat(s).sums, lat), (kind, cpus)
+            assert all(not t.is_alive() for t in started), (kind, cpus)
+        del ddt, lat
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_chunked_flip_products_equal_the_plain_product(n):
+    maps = [*reference.oracle_maps(n).values(), np.arange(1 << n)]
+    for height in sorted({1, metrics.block_height(n)}):
+        hist = metrics._flip_hist(np.stack([maps[k % 4] for k in range(height)]), n)
+        for weights in metrics._flip_index(n)[1:3]:
+            got = metrics._flip_sums(hist, weights)
+            assert got.dtype == np.int64, height
+            assert np.array_equal(got, hist @ weights.astype(np.int64)), height
+
+
+def test_an_error_in_a_later_range_reaches_the_caller(monkeypatch):
+    class Failure(Exception):
+        pass
+
+    walsh_blocks = metrics._walsh_blocks
+
+    def failing(table, n, blocks=None, base=None):
+        if blocks is not None and blocks.start > 0:
+            raise Failure("second range")
+        return walsh_blocks(table, n, blocks, base)
+
+    threads_before = threading.active_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(metrics, "_walsh_blocks", failing)
+    with pytest.raises(Failure, match="second range"):
+        sk.nonlinearity(sk.SBox(10, np.random.default_rng(10).permutation(1024)))
+    assert threading.active_count() == threads_before
 
 
 def test_to_json_includes_name(aes):
