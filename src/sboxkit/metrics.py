@@ -10,37 +10,42 @@ most 2^18 values (1 MB) at a time, the sign rows of each gathered from a cached
 Hadamard matrix and transformed by two stacks of small float32 products, by
 the Kronecker factorisation H_n = H_hi (x) H_lo; `_walsh_stats` reduces max
 bias and NLs together, block by block, and only `compute_lat` holds the whole
-table.  Flip histograms: per input bit i, the histogram over d of the x with
-bit i clear and S(x) xor S(x xor 2^i) = d, exactly half of DDT row 2^i, all n
-of every table in a stack of any height from one `_flip_hist` bincount; SAC
-and BIC are each a float32 product of the histograms with cached 0/2 weights
-of the difference bits and of their pairwise products.  Every float32 sum is
-an integer of magnitude at most 2^n <= 4096 < 2^24 (a flip sum at most
-2^(n-1) <= 2048, doubled), so float32 holds it exactly in any summation order.
+table.  Flip counts: per input bit i, over the x with bit i clear, how many
+differences d = S(x) xor S(x xor 2^i) have output bit a set (SAC) or output
+bits j and k both set (BIC), each at most 2^(n-1), for every table of a stack
+of any height in one `_flip_counts` step.  Up to n = 8 every count is at most
+128 and fits one byte of a uint64 word: each d maps through a cached table of
+words holding one byte field per output bit or bit pair, and the words of all
+x are summed, no field carrying into the next.  Above n = 8 `_flip_hist`
+makes the histograms over d, exactly half of DDT rows 2^i, in one bincount,
+and SAC and BIC are float32 products of them with cached 0/2 weights of the
+difference bits and of their pairwise products.  Every float32 sum is an
+integer of magnitude at most 2^n <= 4096 < 2^24 (a flip count doubled), so
+float32 holds it exactly in any summation order.
 
 Products and threads.  OpenBLAS runs a float32 product of at most 2^18
 multiply-adds (m n k) on the calling thread; a larger one wakes worker threads
 that spin on for about 0.1 s after it (one n = 12 BIC product, 12 x 4096 x 66,
-cost 135 ms of CPU during a 300 ms sleep on a 2-CPU host).  So `_flip_sums`
-contracts over d in chunks of at most 2^18, and the Walsh products are at most
-2^18 but for one n = 11 stage of 2^19, which woke no worker.  `full_report`,
-`compute_ddt`, `compute_lat` and `nonlinearity` split a kernel's blocks into
-at most `_RANGES` = 2 contiguous ranges, one per CPU and thread of
-`core.run_ranges`, and merge them exactly: the largest range DU with the
-counts of the ranges that reach it, the largest range bias, the NL columns in
-range order, or disjoint slices of one table.  XOR, take, bincount and matmul
-release the GIL.  Kernels of one block (all up to n = 8) start no thread, and
-the raw search kernels stay serial: a search runs on processes.
+cost 135 ms of CPU during a 300 ms sleep on a 2-CPU host).  So `_flip_sums`,
+used above n = 8 only, contracts over d in chunks of at most 2^18, and the
+Walsh products are at most 2^18 but for one n = 11 stage of 2^19, which woke no
+worker.  `full_report`, `compute_ddt`, `compute_lat` and `nonlinearity` split a
+kernel's blocks into at most `_RANGES` = 2 contiguous ranges, one per CPU and
+thread of `core.run_ranges`, and merge them exactly: the largest range DU with
+the counts of the ranges that reach it, the largest range bias, the NL columns
+in range order, or disjoint slices of one table.  XOR, take, bincount and
+matmul release the GIL.  Kernels of one block (all up to n = 8) start no
+thread, and the raw search kernels stay serial: a search runs on processes.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
 Fractions) and its `MetricReport` field and CSV column.  `CSV_HEADER`,
 `MetricReport.csv_row`, the SAC/BIC reports, `run_search` and the CLI read it.
 A raw kernel scores a (B, 2^n) stack of candidate tables at once, one int64
-value per row: the flip metrics in one histogram of the whole stack, the DDT
-and Walsh metrics one row at a time.  `run_search` hands them blocks of
-`block_height(n)` candidates, the most whose flip codes fit the DDT block's
-budget of 2^15 pairs (2^16 bins, 512 KB): 32 at n = 8, 1 at n = 12.
+value per row: the flip metrics in one `_flip_counts` step for the whole
+stack, the DDT and Walsh metrics one row at a time.  `run_search` hands them
+blocks of `block_height(n)` candidates, the most whose flip pairs fit the DDT
+block's budget of 2^15 pairs: 32 at n = 8, 1 at n = 12.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ from .util import exact_decimal
 _PAIR_BUDGET = 1 << 15  # pairs per DDT block: 2^16 bins, 512 KB
 _BLAS_SERIAL = 1 << 18  # multiply-adds of a float32 product that OpenBLAS runs on the calling thread
 _RANGES = 2  # threads per whole-S-box kernel call, the only count measured
+_FIELD_BYTES = 1 << 18  # bytes of words and their indices one `_field_counts` gather holds
+_SAC, _BIC = 0, 1  # the kinds of flip count, per output bit and per output-bit pair
 
 
 @functools.cache
@@ -249,13 +256,13 @@ def _walsh(table: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 
 @functools.cache
 def _flip_index(n: int) -> tuple:
-    """(ends, sac_weights, bic_weights, pairs) for `_flip_hist` and its readers
-    at width n: ends[0, i] the 2^(n-1) x with bit i clear and ends[1, i] those
-    x xor 2^i, shape (2, n, 2^(n-1)); per difference d,
+    """(ends, sac_weights, bic_weights, pairs) for `_flip_counts` at width n:
+    ends[0, i] the 2^(n-1) x with bit i clear and ends[1, i] those x xor 2^i,
+    shape (2, n, 2^(n-1)), which both flip steps gather; per difference d,
     sac_weights[d, a] = 2 * bit a of d and
     bic_weights[d, p] = 2 * (bits j and k of d) for the p-th output-bit pair
-    j < k, float32; and the pairs in row-major order (0, 1), (0, 2), ...,
-    (n - 2, n - 1)."""
+    j < k, float32, the weights of `_flip_sums` above n = 8; and the pairs in
+    row-major order (0, 1), (0, 2), ..., (n - 2, n - 1)."""
     i = np.arange(n)[:, np.newaxis]
     y = np.arange(1 << (n - 1))
     low = (y >> i << (i + 1)) | (y & ((1 << i) - 1))  # y with a 0 inserted at bit i
@@ -265,10 +272,72 @@ def _flip_index(n: int) -> tuple:
             tuple(zip(j.tolist(), k.tolist())))
 
 
+@functools.cache
+def _flip_fields(n: int) -> tuple:
+    """(ends, sac_words, bic_words) for `_field_counts` at width n <= 8: the
+    `_flip_index` ends with x leading, ends[e, x, i], shape (2, 2^(n-1), n); and
+    per difference d, little-endian uint64 words whose byte f is half the f-th
+    `_flip_index` weight of d, bit f of d (SAC) or bits j and k of d both set for
+    the f-th output-bit pair j < k (BIC), shapes (2^n, 1) and
+    (2^n, ceil(n(n-1)/16)), unused bytes 0."""
+    ends, *weights = _flip_index(n)[:3]
+    out = [np.ascontiguousarray(ends.transpose(0, 2, 1))]
+    for w in weights:
+        fields = np.zeros((1 << n, -(-w.shape[1] // 8) * 8), dtype=np.uint8)
+        fields[:, : w.shape[1]] = w / 2
+        out.append(fields.view("<u8"))
+    return tuple(map(read_only, out))
+
+
 def block_height(n: int) -> int:
     """Candidates per search block at width n: the most B with B n 2^(n-1) flip
-    pairs within `_PAIR_BUDGET`, so `_flip_hist` bins at most 2^16 codes (512 KB)."""
+    pairs within `_PAIR_BUDGET`, so `_flip_hist` bins at most 2^16 codes (512 KB)
+    above n = 8, and up to n = 8 `_field_counts` reads at most 2^15 differences."""
     return max(1, _PAIR_BUDGET // (n << (n - 1)))
+
+
+def _flip_counts(tables: np.ndarray, n: int, kinds=(_SAC, _BIC)) -> list[np.ndarray]:
+    """For each kind in `kinds`, the doubled flip counts of the rows S_b of a
+    (B, 2^n) stack, int64, shape (B, n, m): for _SAC and the m = n output bits a,
+    2 #{x with bit i clear : bit a of S_b(x) xor S_b(x xor 2^i) is 1}, and for
+    _BIC and the m = n(n-1)/2 output-bit pairs j < k, 2 #{... : bits j and k both 1}.
+
+    Up to n = 8 every count is at most 2^(n-1) <= 128, one byte field of a uint64
+    word, and `_field_counts` sums the words without bins.  Above, counts need
+    16-bit fields, which were no faster than `_flip_hist` and the chunked float32
+    product of `_flip_sums` on a search block: dsac 268 against 275 us at n = 10
+    and 259 against 238 at n = 12, dbic 464 against 413 and 572 against 381."""
+    if n <= 8:
+        return _field_counts(tables, n, kinds)
+    hist = _flip_hist(tables, n)
+    return [_flip_sums(hist, _flip_index(n)[1 + kind]) for kind in kinds]
+
+
+def _field_counts(tables: np.ndarray, n: int, kinds) -> list[np.ndarray]:
+    """`_flip_counts` at n <= 8: the differences d[x, i, b] of the pair ends,
+    gathered from uint8 tables, map through `_flip_fields` words, which are
+    summed over x into uint64 and read back a byte field each.
+
+    x leads, so each sum adds rows of all n B words of a difference row, 8 n B
+    bytes and more: with the input bits leading, a one-table BIC added rows of 4
+    words and took 35 against 19 us.  A gather takes a run of x whose words and
+    the intp copy of their indices that take makes hold at most _FIELD_BYTES (a
+    32-table block at n = 8 in two runs for SAC, six for BIC): with 256 KB of
+    each, glibc trimmed the heap and faulted 96 pages back in on every SAC block
+    of a fresh process.  Every d < 2^n, so the gather is clipped, not
+    bounds-checked."""
+    stack = np.asarray(tables).astype(np.uint8)
+    pairs = np.take(stack.T, _flip_fields(n)[0], axis=0)  # pairs[e, x, i, b] = S_b(ends[e, x, i])
+    diff = np.bitwise_xor(pairs[0], pairs[1], out=pairs[0])
+    out = []
+    for kind in kinds:
+        words = _flip_fields(n)[1 + kind]
+        step = max(1, _FIELD_BYTES // (diff[0].size * (8 + words[0].nbytes)))  # rows of x: words, intp indices
+        sums = sum(np.sum(np.take(words, diff[lo : lo + step], axis=0, mode="clip"), axis=0, dtype=np.uint64)
+                   for lo in range(0, len(diff), step))  # sums[i, b, word]
+        fields = sums.astype("<u8", copy=False).view(np.uint8)[..., : _flip_index(n)[1 + kind].shape[1]]
+        out.append(2 * fields.transpose(1, 0, 2).astype(np.int64))
+    return out
 
 
 def _flip_hist(tables: np.ndarray, n: int) -> np.ndarray:
@@ -276,15 +345,13 @@ def _flip_hist(tables: np.ndarray, n: int) -> np.ndarray:
     the rows S_b of a (B, 2^n) stack, exactly half of row 2^i of S_b's DDT, int64,
     shape (B, n, 2^n): one bincount of the codes ((b n + i) << n) | d.
 
-    The pair ends are gathered as uint16 (uint32 above n = 8) with the tables
-    along the last axis, and the row number b n + i is shifted whole: OR-ing
-    b n 2^n into (i << n) | d would collide unless n is a power of two.  The
-    codes are intp, which bincount reads without a copy, and the gathers are
-    freed before the bins are made.  A 32-table block at n = 8 then holds at
-    most 800 KB at once, and the allocator reuses its pages; gathering both
-    ends at once into int32 codes held 1 MB and faulted in about 240 fresh
-    pages on every block."""
-    stack = np.asarray(tables).astype(np.uint16 if n <= 8 else np.uint32)
+    The pair ends are gathered as uint32 with the tables along the last axis,
+    and the row number b n + i is shifted whole: OR-ing b n 2^n into (i << n) | d
+    would collide unless n is a power of two.  The codes are intp, which
+    bincount reads without a copy, and the gathers are freed before the bins are
+    made: gathering both ends at once into int32 codes faulted in about 240 fresh
+    pages on every 32-table block at n = 8."""
+    stack = np.asarray(tables).astype(np.uint32)
     count = len(stack)
     rows = np.arange(count * n).reshape(count, n).T[:, np.newaxis] << n  # rows[i, 0, b] = (b n + i) << n
     pairs = np.take(stack.T, _flip_index(n)[0], axis=0)  # pairs[e, i, x, b] = S_b(ends[e, i, x])
@@ -305,19 +372,16 @@ def _flip_sums(hist: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (parts @ weights.reshape(size // width, width, -1)).sum(axis=-3).astype(np.int64)
 
 
-def _sac_deviations(hist: np.ndarray, n: int) -> np.ndarray:
-    """Raw |flips of output bit a under input bit i - 2^(n-1)| from `_flip_hist`,
-    for one table or a stack: the flips are the doubled hist @ bits, each <= 2^n."""
-    return np.abs(_flip_sums(hist, _flip_index(n)[1]) - (1 << (n - 1)))
+def _sac_deviations(flips: np.ndarray, n: int) -> np.ndarray:
+    """Raw |flips of output bit a under input bit i - 2^(n-1)| from the _SAC
+    `_flip_counts`, each <= 2^n, for one table or a stack."""
+    return np.abs(flips - (1 << (n - 1)))
 
 
-def _bic_deviations(hist: np.ndarray, n: int):
+def _bic_deviations(joint: np.ndarray, n: int):
     """Raw |2^n/4 - joint flip count| for every input bit and output pair j<k,
-    from `_flip_hist`, for one table or a stack: the joint counts
-    #{x : bits j and k of the difference are both 1} are the doubled
-    hist @ pair products."""
-    weights, pairs = _flip_index(n)[2:]
-    return np.abs((1 << n) // 4 - _flip_sums(hist, weights)), pairs
+    from the _BIC `_flip_counts`, for one table or a stack, and the pairs."""
+    return np.abs((1 << n) // 4 - joint), _flip_index(n)[3]
 
 
 @dataclass(frozen=True)
@@ -350,9 +414,9 @@ def _per_row(kernel):
 METRICS = {
     "du": Metric(_per_row(lambda t, n: _du_stats(_ddt_blocks(t, n), with_count=False)[0]), "DU", "du"),
     "max_bias": Metric(_per_row(lambda t, n: _walsh_stats(_walsh_blocks(t, n), n)[0]), "MAX BIAS", "max_bias"),
-    "dsac": Metric(lambda t, n: _sac_deviations(_flip_hist(t, n), n).max(axis=(1, 2)), "DSAC", "dsac.max_raw",
-                   per_size=True),
-    "dbic": Metric(lambda t, n: _bic_deviations(_flip_hist(t, n), n)[0].max(axis=(1, 2)), "DBIC",
+    "dsac": Metric(lambda t, n: _sac_deviations(*_flip_counts(t, n, (_SAC,)), n).max(axis=(1, 2)), "DSAC",
+                   "dsac.max_raw", per_size=True),
+    "dbic": Metric(lambda t, n: _bic_deviations(*_flip_counts(t, n, (_BIC,)), n)[0].max(axis=(1, 2)), "DBIC",
                    "dbic.max_raw", per_size=True),
     "nl": Metric(_per_row(lambda t, n: _walsh_stats(_walsh_blocks(t, n), n)[1].min()), "NL", "nl", maximize=True),
 }
@@ -535,29 +599,31 @@ def nonlinearity(s: SBox) -> NonlinearityStats:
     return _nl_stats(_walsh(s.table, s.n)[1])
 
 
-def _sac_report(hist: np.ndarray, n: int) -> SacReport:
-    devs = _sac_deviations(hist, n)
+def _sac_report(flips: np.ndarray, n: int) -> SacReport:
+    devs = _sac_deviations(flips, n)
     mx = int(devs.max())
     scale = METRICS["dsac"].value
     return SacReport(devs, mx, scale(mx, n), scale(Fraction(int(devs.sum()), devs.size), n))
 
 
-def _bic_report(hist: np.ndarray, n: int) -> BicReport:
-    devs, pairs = _bic_deviations(hist, n)
+def _bic_report(joint: np.ndarray, n: int) -> BicReport:
+    devs, pairs = _bic_deviations(joint, n)
     mx = int(devs.max())
     return BicReport(devs, pairs, mx, METRICS["dbic"].value(mx, n))
 
 
 def dsac(s: SBox) -> SacReport:
-    return _sac_report(_flip_hist(s.table[np.newaxis], s.n)[0], s.n)
+    (flips,) = _flip_counts(s.table[np.newaxis], s.n, (_SAC,))
+    return _sac_report(flips[0], s.n)
 
 
 def dbic(s: SBox) -> BicReport:
-    return _bic_report(_flip_hist(s.table[np.newaxis], s.n)[0], s.n)
+    (joint,) = _flip_counts(s.table[np.newaxis], s.n, (_BIC,))
+    return _bic_report(joint[0], s.n)
 
 
 def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> MetricReport:
-    """Everything at once, one pass of each kernel: DDT, Walsh and flip histograms.
+    """Everything at once, one pass of each kernel: DDT, Walsh and flip counts.
 
     Degree and algebraic immunity are opt-in: they cost far more than the
     table metrics and are never wanted in bulk search loops.
@@ -565,7 +631,7 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
     du, du_count = _du(s.table, s.n)
     bias, nls = _walsh(s.table, s.n)
     nl_stats = _nl_stats(nls)
-    hist = _flip_hist(s.table[np.newaxis], s.n)[0]
+    flips, joint = _flip_counts(s.table[np.newaxis], s.n)
     return MetricReport(
         n=s.n,
         du=du,
@@ -574,8 +640,8 @@ def full_report(s: SBox, with_degree: bool = False, with_ai: bool = False) -> Me
         nl=nl_stats.nl,
         nl_component_max=nl_stats.component_max,
         nl_component_avg=nl_stats.component_avg,
-        dsac=_sac_report(hist, s.n),
-        dbic=_bic_report(hist, s.n),
+        dsac=_sac_report(flips[0], s.n),
+        dbic=_bic_report(joint[0], s.n),
         cycles=cycle_decomposition(s) if is_bijective(s) else None,
         degree=anf.algebraic_degree(s) if with_degree else None,
         ai=anf.sbox_algebraic_immunity(s) if with_ai else None,

@@ -10,9 +10,10 @@ streams.  Every candidate, in a search or from the public generators, comes
 from one draw step, `_draw`, which draws a stack of candidates at once: the
 same tables, in the same order, as one draw at a time.  A search draws and
 scores its candidates in blocks of `metrics.block_height(n)` (32 at n = 8),
-so the flip metrics cost one histogram per block; it keeps only an exact
-integer sum of the raw values and the first best table, so its memory does not
-grow with `tries` unless a value log is asked for.
+so the flip metrics cost one flip-count step per block: byte-field sums up to
+n = 8, one histogram above; it keeps only an exact integer sum of the raw values
+and the first best table, so its memory does not grow with `tries` unless a
+value log is asked for.
 """
 
 from __future__ import annotations

@@ -363,9 +363,9 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
     bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     for kind, table in reference.oracle_maps(n).items():
-        hist = metrics._flip_hist(table[np.newaxis], n)[0]
-        sac = metrics._sac_deviations(hist, n)
-        bic, got_pairs = metrics._bic_deviations(hist, n)
+        sac_counts, bic_counts = metrics._flip_counts(table[np.newaxis], n)  # byte fields up to n = 8
+        sac = metrics._sac_deviations(sac_counts[0], n)
+        bic, got_pairs = metrics._bic_deviations(bic_counts[0], n)
         assert sac.dtype == bic.dtype == np.int64, kind
         assert sac.shape == (n, n) and bic.shape == (n, len(pairs)) and got_pairs == pairs, kind
         for i, joint in zip(bits, reference.flip_counts_brute(table.tolist(), n, bits)):
@@ -389,40 +389,69 @@ def test_flip_hist_is_half_the_ddt_rows_of_one_bit_differences(n):
 def test_stacked_kernels_match_one_table_results(n):
     # rows cycle through the oracle maps and the identity, so a stack of any height
     # repeats four per-table results; unless n is a power of two, the flip codes of
-    # two rows would collide if the row number were OR-ed in rather than shifted whole
+    # two rows would collide if the row number were OR-ed in rather than shifted whole;
+    # up to n = 8 the byte fields of one row must not spill into the next
     maps = [*reference.oracle_maps(n).values(), np.arange(1 << n)]
-    hists = [metrics._flip_hist(t[np.newaxis], n)[0] for t in maps]  # checked against the DDT above
+    ones = [[c[0] for c in metrics._flip_counts(t[np.newaxis], n)] for t in maps]  # checked by the oracles
     reports = [sk.full_report(sk.SBox(n, t)) for t in maps]
     block = metrics.block_height(n)  # candidates per search block
     for height in sorted({1, 2, block, block + 1}):
         stack = np.stack([maps[k % 4] for k in range(height)])
-        hist = metrics._flip_hist(stack, n)
-        assert hist.dtype == np.int64 and hist.shape == (height, n, 1 << n), height
-        for k in range(height):
-            assert (hist[k] == hists[k % 4]).all(), (height, k)
+        counts = metrics._flip_counts(stack, n)
+        for kind, m in enumerate((n, n * (n - 1) // 2)):
+            assert counts[kind].dtype == np.int64 and counts[kind].shape == (height, n, m), (height, kind)
+            for k in range(height):
+                assert (counts[kind][k] == ones[k % 4][kind]).all(), (height, kind, k)
         for name, metric in METRICS.items():
             raws = metric.raw(stack, n)
             assert raws.dtype == np.int64 and raws.shape == (height,), (name, height)
             assert raws.tolist() == [attrgetter(metric.field)(reports[k % 4]) for k in range(height)], (name, height)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_byte_field_counts_match_the_oracle_and_the_histograms(n):
+    # up to n = 8 the byte fields stand in for the histogram product: each must
+    # equal both it and the brute-force counts, for stacks around the search block
+    size = 1 << n
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    maps = [*reference.oracle_maps(n).values(), np.arange(size)]  # permutation, random, constant, identity
+    brute = [reference.flip_counts_brute(t.tolist(), n, range(n)) for t in maps]
+    block = metrics.block_height(n)
+    for height in sorted({1, 2, block, block + 1}):
+        stack = np.stack([maps[k % 4] for k in range(height)])
+        hist = metrics._flip_hist(stack, n)
+        flips, joint = metrics._field_counts(stack, n, (metrics._SAC, metrics._BIC))
+        assert flips.dtype == joint.dtype == np.int64, height
+        assert np.array_equal(flips, metrics._flip_sums(hist, metrics._flip_index(n)[1])), height
+        assert np.array_equal(joint, metrics._flip_sums(hist, metrics._flip_index(n)[2])), height
+        for k in range(height):
+            for i, counts in enumerate(brute[k % 4]):
+                assert flips[k, i].tolist() == [counts[a][a] for a in range(n)], (height, k, i)
+                assert joint[k, i].tolist() == [counts[j][l] for j, l in pairs], (height, k, i)
+
+
 def test_flip_block_memory_bound(traced_peak_mb):
-    # a search block's temporaries stay near its 512 KB of bins: at 1 MB, the
-    # allocator faulted in fresh pages on every block
+    # a search block's temporaries stay well under 1 MB (its byte-field gathers
+    # hold at most 256 KB): at 1 MB, the allocator faulted in fresh pages on every block
     stack = search._draw(np.random.default_rng(8), 256, None, metrics.block_height(8))
     for name in ("dsac", "dbic"):
         assert traced_peak_mb(lambda: METRICS[name].raw(stack, 8)) < 0.85, name
 
 
 def test_flip_index_cache_stays_small():
-    # the indices and weights stay cached for the life of the process, read-only
+    # the indices, weights and byte-field words stay cached for the life of the process, read-only
     n = 12
     raw_metric_value(np.arange(1 << n), n, "dbic")
     misses = metrics._flip_index.cache_info().misses
     cached = metrics._flip_index(n)[:3]
     assert metrics._flip_index.cache_info().misses == misses  # built by the kernel and kept
     assert sum(a.nbytes for a in cached) <= 2 << 20
-    for a in cached:
+    raw_metric_value(np.arange(256), 8, "dbic")
+    misses = metrics._flip_fields.cache_info().misses
+    words = metrics._flip_fields(8)
+    assert metrics._flip_fields.cache_info().misses == misses
+    assert sum(a.nbytes for a in words) <= 32 << 10  # the ends, one SAC word and four BIC words per difference
+    for a in [*cached, *words]:
         assert not a.flags.writeable
 
 
@@ -439,7 +468,7 @@ def test_flip_index_cache_is_keyed_by_n():
             assert sac.deviations[i].tolist() == [abs(joint[a][a] - size // 2) for a in range(n)], (n, i)
             assert bic.deviations[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in bic.pairs], (n, i)
     for n in (3, 8, 12):
-        for index in metrics._flip_index(n)[:3]:
+        for index in [*metrics._flip_index(n)[:3], *(metrics._flip_fields(n) if n <= 8 else ())]:
             with pytest.raises(ValueError, match="read-only"):
                 index[(0,) * index.ndim] = 1
 
@@ -453,6 +482,7 @@ def test_cached_arrays_are_read_only(n):
     cached = [metrics._hadamard(k) for k in range(min(n, 8) + 1)]
     cached += [*metrics._pair_index(n, _chunk_width(n)), *metrics._flip_index(n)[:3], spn._BYTE_LANES,
                spn._BIT_SOURCES, spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_TABLES]
+    cached += metrics._flip_fields(n) if n <= 8 else ()  # the byte-field ends and words serve n <= 8 only
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
@@ -651,15 +681,31 @@ def test_report_json_and_csv_match_recorded_reports():
         assert rep.csv_row(name) == doc["csv"], name
 
 
-def test_full_report_makes_one_pass_of_each_kernel(aes, monkeypatch):
+def _count_calls(monkeypatch, kernels) -> Counter:
     calls = Counter()
-    for kernel in ("_flip_hist", "_ddt_blocks", "_walsh_blocks"):
+    for kernel in kernels:
         def counted(*args, _kernel=kernel, _inner=getattr(metrics, kernel), **kwargs):
             calls[_kernel] += 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(metrics, kernel, counted)
+    return calls
+
+
+def test_full_report_makes_one_pass_of_each_kernel(aes, monkeypatch):
+    # the flip step reads SAC and BIC from one gather; at n = 8 it makes no histogram
+    calls = _count_calls(monkeypatch, ("_flip_counts", "_flip_hist", "_ddt_blocks", "_walsh_blocks"))
     sk.full_report(aes, with_degree=True, with_ai=True)
-    assert calls == {"_flip_hist": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
+    assert calls == {"_flip_counts": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
+
+
+def test_full_report_makes_one_histogram_above_width_8(monkeypatch):
+    # above n = 8 the flip step makes one histogram for both criteria; one CPU keeps
+    # each of the DDT and Walsh kernels to one range, so one call
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    calls = _count_calls(monkeypatch, ("_flip_counts", "_field_counts", "_flip_hist", "_ddt_blocks",
+                                       "_walsh_blocks"))
+    sk.full_report(sk.SBox(10, np.random.default_rng(10).permutation(1024)))
+    assert calls == {"_flip_counts": 1, "_flip_hist": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
 
 
 # ---------------------------------------------------------------------------
