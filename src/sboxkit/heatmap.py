@@ -5,8 +5,9 @@ every external viewer understands it.  LAT values are rendered in half
 units of the Walsh sum so the familiar bias scale applies directly.
 
 The CSV has a line per row: `%d` entries joined by `,`, ended by a newline.
-It is built as uint8 text one block of rows of at most 2^16 entries at a
-time: 3 MB held at n=12 (53 MB of text), where `sboxkit heatmap` takes 1.2 s.
+It is built as uint8 text one block of rows of at most 2^14 entries at a
+time, whose temporaries stay inside a 2 MB L2 cache: about 0.7 MB held at
+n=12 (53 MB of text), where `sboxkit heatmap` takes 0.9-1.3 s.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .metrics import compute_ddt, compute_lat
 
 MARKER_COLOR = (0, 255, 0)
 
-_CSV_BLOCK = 1 << 16  # entries per row block of write_matrix_csv, at most 21 bytes each
+_CSV_BLOCK = 1 << 14  # entries per row block of write_matrix_csv, at most 21 bytes each
 
 # the integer matrix a heatmap of each kind renders
 KINDS = {
@@ -102,15 +103,18 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 def _csv_bytes(block: np.ndarray) -> np.ndarray:
     """An int64 row block's text: a [sign][digits][separator] uint8 field per entry, as wide as
-    the block's largest magnitude, less its 0 bytes (a plus sign, unused leading places)."""
-    rest = np.abs(block)
-    width = len(str(int(rest.max())))
+    the block's largest magnitude, less its 0 bytes (a plus sign, unused leading places).  Its
+    digits come from two buffers of the narrowest unsigned type that holds that magnitude."""
+    top = max(int(block.max()), -int(block.min()))
+    width = len(str(top))
+    rest = np.absolute(block, out=np.empty(block.shape, np.min_scalar_type(top)), casting="unsafe")
+    tens = np.empty_like(rest)
     field = np.zeros(block.shape + (width + 2,), dtype=np.uint8)
-    field[..., 0] = (block < 0) * ord("-")
+    field[..., 0] = (block < 0) * np.uint8(ord("-"))
     for place in range(width, 0, -1):  # the units place is kept, so that 0 reads "0"
-        tens = rest // 10
+        np.floor_divide(rest, 10, out=tens)
         field[..., place] = (rest - 10 * tens + ord("0")) * (rest > 0 if place < width else 1)
-        rest = tens
+        rest, tens = tens, rest
     field[..., -1] = ord(",")
     field[:, -1, -1] = ord("\n")
     return np.compress(field.ravel() != 0, field.ravel())

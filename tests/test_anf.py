@@ -199,8 +199,9 @@ def test_immunity_matches_dense_oracle_every_width_and_cap(n):
     @given(_truth_tables(n))
     @settings(max_examples=15, deadline=None, derandomize=True)  # the oracle's cost depends on the draw
     def check(bits):
+        a = reference.immunity_brute(bits, n, n)  # steps d up from 0: each cap's answer is a, if a <= cap
         for cap in range(n + 1):
-            assert immunity(bits, cap) == reference.immunity_brute(bits, n, cap), cap
+            assert immunity(bits, cap) == (a if a is not None and a <= cap else None), cap
 
     check()
 
@@ -239,6 +240,30 @@ def test_immunity_matches_rank_per_degree_oracle(n):
         bits = np.asarray(bits, dtype=np.uint8)
         for cap in range(n + 1):
             assert immunity(bits, cap) == reference.immunity_rank_per_degree(bits, n, cap), cap
+
+
+def test_annihilator_rows_are_cached_per_width_and_degree():
+    # the rows of A depend on (n, d) only: widths and caps interleaved, so that
+    # rows cached for one width would be read at another if the key were d alone
+    rng = np.random.default_rng(70)
+    functions = {}
+    for n in range(2, 11):
+        coordinates = [component(sk.SBox(n, table), 1 << j) for table in reference.oracle_maps(n).values()
+                       for j in range(n)]
+        functions[n] = [(bits, reference.immunity_rank_per_degree(bits, n, n))
+                        for bits in coordinates + [bits ^ 1 for bits in coordinates]]
+    pairs = [(n, cap) for n in functions for cap in range(n + 1)]
+    for i in rng.permutation(len(pairs)):
+        n, cap = pairs[i]
+        for bits, a in functions[n]:
+            assert immunity(bits, cap) == (a if a is not None and a <= cap else None), (n, cap)
+    entry = anf._annihilator_rows(8, 3)
+    rows, low, high = entry
+    assert anf._annihilator_rows(8, 3) is entry and isinstance(entry, tuple) and isinstance(rows, tuple)
+    assert len(rows) == np.count_nonzero(low) == 93 and np.array_equal(high, ~low)
+    for mask in (low, high):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = not mask[0]
 
 
 def _immunity_maps(n):

@@ -247,6 +247,25 @@ def test_matrix_csv_matches_savetxt_on_tables(tmp_path, n):
             assert new == _file_bytes(tmp_path / "old.csv", values, reference.savetxt_csv), (name, kind)
 
 
+_MIXED = _rng.integers(-1000, 1000, size=(9, 11))
+_MIXED[::2, ::3] = 0
+_MIXED[1, 1], _MIXED[3, 7], _MIXED[8, 10] = TOP, -TOP, TOP
+BLOCK_CASES = {
+    "mixed": _MIXED,
+    "row": _MIXED.reshape(1, -1),
+    "column": _MIXED.reshape(-1, 1),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 256, 1 << 14, 1 << 16])
+def test_matrix_csv_does_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
+    # each block picks its own digit type and field width from its largest magnitude
+    monkeypatch.setattr(heatmap, "_CSV_BLOCK", block)
+    for name, values in BLOCK_CASES.items():
+        new = _file_bytes(tmp_path / "new.csv", values, heatmap.write_matrix_csv)
+        assert new == _file_bytes(tmp_path / "old.csv", values, reference.savetxt_csv), name
+
+
 @pytest.mark.parametrize("n", range(9, 13))
 def test_matrix_csv_rows_match_savetxt_at_large_n(tmp_path, n, csv_rows_match_savetxt):
     # the permutation only: its DDT's first block is wider than the rest
@@ -276,8 +295,14 @@ def test_output_memory_is_bounded_at_n12(tmp_path, traced_peak_mb):
     values = heatmap.heatmap_values(sk.random_permutation(np.random.default_rng(12), 4096), "lat")
     # one 128 MB float64 fade, then uint8 planes; the masked render peaked at 512 MB
     assert traced_peak_mb(lambda: heatmap.render_heatmap(values, heatmap.HeatmapSpec(kind="lat"))) < 192
-    # one row block at a time: the whole text would be over 50 MB
-    assert traced_peak_mb(lambda: heatmap.write_matrix_csv(tmp_path / "lat.csv", values)) < 8
     rgb, _ = heatmap.render_heatmap(values, heatmap.HeatmapSpec(kind="lat"))
     # the pixels go to the file as they are, not through a 48 MB bytes copy
     assert traced_peak_mb(lambda: heatmap.write_ppm(tmp_path / "lat.ppm", rgb)) < 8
+
+
+@pytest.mark.parametrize("kind", heatmap.KINDS)
+def test_csv_memory_stays_within_l2_at_n12(tmp_path, traced_peak_mb, kind):
+    values = heatmap.heatmap_values(sk.random_permutation(np.random.default_rng(12), 4096), kind)
+    # the whole text would be over 50 MB; a 2^14-entry block's fields, digit
+    # buffers and compressed text stay under 1 MB (a 2^16-entry block took 2.4-3.1 MB)
+    assert traced_peak_mb(lambda: heatmap.write_matrix_csv(tmp_path / f"{kind}.csv", values)) < 1
