@@ -13,22 +13,17 @@ bias and NLs together, block by block, and only `compute_lat` holds the whole
 table.  Flip counts: per input bit i, over the x with bit i clear, how many
 differences d = S(x) xor S(x xor 2^i) have output bit a set (SAC) or output
 bits j and k both set (BIC), each at most 2^(n-1), for every table of a stack
-of any height in one `_flip_counts` step.  Up to n = 8 every count is at most
-128 and fits one byte of a uint64 word: each d maps through a cached table of
-words holding one byte field per output bit or bit pair, and the words of all
-x are summed, no field carrying into the next.  Above n = 8 `_flip_hist`
-makes the histograms over d, exactly half of DDT rows 2^i, in one bincount,
-and SAC and BIC are float32 products of them with cached 0/2 weights of the
-difference bits and of their pairwise products.  Every float32 sum is an
-integer of magnitude at most 2^n <= 4096 < 2^24 (a flip count doubled), so
-float32 holds it exactly in any summation order.
+of any height in one `_flip_counts` step at every width: each d maps through a
+cached table of uint64 words holding one byte field per output bit or bit pair,
+and the words are summed over runs of at most 255 x, the most ones a byte holds,
+no field carrying into the next; each run's fields are added into int64
+totals, and up to n = 8 all 2^(n-1) <= 128 x are one run.
 
 Products and threads.  OpenBLAS runs a float32 product of at most 2^18
 multiply-adds (m n k) on the calling thread; a larger one wakes worker threads
-that spin on for about 0.1 s after it (one n = 12 BIC product, 12 x 4096 x 66,
-cost 135 ms of CPU during a 300 ms sleep on a 2-CPU host).  So `_flip_sums`,
-used above n = 8 only, contracts over d in chunks of at most 2^18, and the
-Walsh products are at most 2^18 but for one n = 11 stage of 2^19, which woke no
+that spin on for about 0.1 s after it (one n = 12 product of 12 x 4096 x 66
+cost 135 ms of CPU during a 300 ms sleep on a 2-CPU host).  So the Walsh
+products are at most 2^18 but for one n = 11 stage of 2^19, which woke no
 worker.  `full_report`, `compute_ddt`, `compute_lat` and `nonlinearity` split a
 kernel's blocks into at most `_RANGES` = 2 contiguous ranges, one per CPU and
 thread of `core.run_ranges`, and merge them exactly: the largest range DU with
@@ -64,9 +59,9 @@ from .core import CycleStructure, SBox, cpu_count, cycle_decomposition, is_bijec
 from .util import exact_decimal
 
 _PAIR_BUDGET = 1 << 15  # pairs per DDT block: 2^16 bins, 512 KB
-_BLAS_SERIAL = 1 << 18  # multiply-adds of a float32 product that OpenBLAS runs on the calling thread
 _RANGES = 2  # threads per whole-S-box kernel call, the only count measured
-_FIELD_BYTES = 1 << 18  # bytes of words and their indices one `_field_counts` gather holds
+_FIELD_BYTES = 1 << 18  # bytes of words and their indices one `_flip_counts` gather holds
+_RUN = 255  # x per byte-field read-back of `_flip_counts`, the most ones a byte holds
 _SAC, _BIC = 0, 1  # the kinds of flip count, per output bit and per output-bit pair
 
 
@@ -256,43 +251,31 @@ def _walsh(table: np.ndarray, n: int) -> tuple[int, np.ndarray]:
 
 @functools.cache
 def _flip_index(n: int) -> tuple:
-    """(ends, sac_weights, bic_weights, pairs) for `_flip_counts` at width n:
-    ends[0, i] the 2^(n-1) x with bit i clear and ends[1, i] those x xor 2^i,
-    shape (2, n, 2^(n-1)), which both flip steps gather; per difference d,
-    sac_weights[d, a] = 2 * bit a of d and
-    bic_weights[d, p] = 2 * (bits j and k of d) for the p-th output-bit pair
-    j < k, float32, the weights of `_flip_sums` above n = 8; and the pairs in
-    row-major order (0, 1), (0, 2), ..., (n - 2, n - 1)."""
+    """(ends, sac_words, bic_words, pairs) for `_flip_counts` at width n: the
+    pair ends with x leading, ends[0, x, i] the x-th of the 2^(n-1) inputs with
+    bit i clear and ends[1, x, i] = ends[0, x, i] xor 2^i, shape (2, 2^(n-1), n);
+    per difference d, little-endian uint64 words whose byte f is bit f of d
+    (SAC) or 1 when bits j and k of d are both set for the f-th output-bit pair
+    j < k (BIC), shapes (2^n, ceil(n/8)) and (2^n, ceil(n(n-1)/16)), unused
+    bytes 0; and the pairs in row-major order (0, 1), (0, 2), ..., (n - 2, n - 1)."""
     i = np.arange(n)[:, np.newaxis]
     y = np.arange(1 << (n - 1))
     low = (y >> i << (i + 1)) | (y & ((1 << i) - 1))  # y with a 0 inserted at bit i
-    bits = 2 * (np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1).astype(np.float32)
+    bits = (np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1).astype(np.uint8)
     j, k = np.triu_indices(n, 1)
-    return (read_only(np.stack([low, low | 1 << i])), read_only(bits), read_only(bits[:, j] * bits[:, k] / 2),
-            tuple(zip(j.tolist(), k.tolist())))
-
-
-@functools.cache
-def _flip_fields(n: int) -> tuple:
-    """(ends, sac_words, bic_words) for `_field_counts` at width n <= 8: the
-    `_flip_index` ends with x leading, ends[e, x, i], shape (2, 2^(n-1), n); and
-    per difference d, little-endian uint64 words whose byte f is half the f-th
-    `_flip_index` weight of d, bit f of d (SAC) or bits j and k of d both set for
-    the f-th output-bit pair j < k (BIC), shapes (2^n, 1) and
-    (2^n, ceil(n(n-1)/16)), unused bytes 0."""
-    ends, *weights = _flip_index(n)[:3]
-    out = [np.ascontiguousarray(ends.transpose(0, 2, 1))]
-    for w in weights:
-        fields = np.zeros((1 << n, -(-w.shape[1] // 8) * 8), dtype=np.uint8)
-        fields[:, : w.shape[1]] = w / 2
-        out.append(fields.view("<u8"))
-    return tuple(map(read_only, out))
+    words = []
+    for flags in (bits, bits[:, j] & bits[:, k]):
+        fields = np.zeros((1 << n, -(-flags.shape[1] // 8) * 8), dtype=np.uint8)
+        fields[:, : flags.shape[1]] = flags
+        words.append(fields.view("<u8"))
+    ends = np.ascontiguousarray(np.stack([low, low | 1 << i]).transpose(0, 2, 1))
+    return (*map(read_only, (ends, *words)), tuple(zip(j.tolist(), k.tolist())))
 
 
 def block_height(n: int) -> int:
     """Candidates per search block at width n: the most B with B n 2^(n-1) flip
-    pairs within `_PAIR_BUDGET`, so `_flip_hist` bins at most 2^16 codes (512 KB)
-    above n = 8, and up to n = 8 `_field_counts` reads at most 2^15 differences."""
+    pairs within `_PAIR_BUDGET`, so one `_flip_counts` step reads at most 2^15
+    differences, as one DDT block bins at most 2^15 pair codes."""
     return max(1, _PAIR_BUDGET // (n << (n - 1)))
 
 
@@ -302,74 +285,36 @@ def _flip_counts(tables: np.ndarray, n: int, kinds=(_SAC, _BIC)) -> list[np.ndar
     2 #{x with bit i clear : bit a of S_b(x) xor S_b(x xor 2^i) is 1}, and for
     _BIC and the m = n(n-1)/2 output-bit pairs j < k, 2 #{... : bits j and k both 1}.
 
-    Up to n = 8 every count is at most 2^(n-1) <= 128, one byte field of a uint64
-    word, and `_field_counts` sums the words without bins.  Above, counts need
-    16-bit fields, which were no faster than `_flip_hist` and the chunked float32
-    product of `_flip_sums` on a search block: dsac 268 against 275 us at n = 10
-    and 259 against 238 at n = 12, dbic 464 against 413 and 572 against 381."""
-    if n <= 8:
-        return _field_counts(tables, n, kinds)
-    hist = _flip_hist(tables, n)
-    return [_flip_sums(hist, _flip_index(n)[1 + kind]) for kind in kinds]
-
-
-def _field_counts(tables: np.ndarray, n: int, kinds) -> list[np.ndarray]:
-    """`_flip_counts` at n <= 8: the differences d[x, i, b] of the pair ends,
-    gathered from uint8 tables, map through `_flip_fields` words, which are
-    summed over x into uint64 and read back a byte field each.
+    The differences d[x, i, b] of the pair ends, gathered from the stack in the
+    narrowest unsigned type that holds 2^n - 1, map through `_flip_index` words,
+    which are summed over x into uint64, no byte field carrying into the next:
+    a run of at most _RUN x, the most ones a byte holds, is read back a byte
+    field each and added into an int64 total.  Up to n = 8 all 2^(n-1) <= 128 x
+    are one run.
 
     x leads, so each sum adds rows of all n B words of a difference row, 8 n B
     bytes and more: with the input bits leading, a one-table BIC added rows of 4
     words and took 35 against 19 us.  A gather takes a run of x whose words and
     the intp copy of their indices that take makes hold at most _FIELD_BYTES (a
-    32-table block at n = 8 in two runs for SAC, six for BIC): with 256 KB of
+    32-table block at n = 8 in two gathers for SAC, six for BIC): with 256 KB of
     each, glibc trimmed the heap and faulted 96 pages back in on every SAC block
     of a fresh process.  Every d < 2^n, so the gather is clipped, not
     bounds-checked."""
-    stack = np.asarray(tables).astype(np.uint8)
-    pairs = np.take(stack.T, _flip_fields(n)[0], axis=0)  # pairs[e, x, i, b] = S_b(ends[e, x, i])
-    diff = np.bitwise_xor(pairs[0], pairs[1], out=pairs[0])
+    ends, *words, pairs = _flip_index(n)
+    stack = np.asarray(tables).astype(np.min_scalar_type((1 << n) - 1))
+    values = np.take(stack.T, ends, axis=0)  # values[e, x, i, b] = S_b(ends[e, x, i])
+    diff = np.bitwise_xor(values[0], values[1], out=values[0])
     out = []
     for kind in kinds:
-        words = _flip_fields(n)[1 + kind]
-        step = max(1, _FIELD_BYTES // (diff[0].size * (8 + words[0].nbytes)))  # rows of x: words, intp indices
-        sums = sum(np.sum(np.take(words, diff[lo : lo + step], axis=0, mode="clip"), axis=0, dtype=np.uint64)
-                   for lo in range(0, len(diff), step))  # sums[i, b, word]
-        fields = sums.astype("<u8", copy=False).view(np.uint8)[..., : _flip_index(n)[1 + kind].shape[1]]
-        out.append(2 * fields.transpose(1, 0, 2).astype(np.int64))
+        table = words[kind]
+        step = max(1, _FIELD_BYTES // (diff[0].size * (8 + table[0].nbytes)))  # rows of x: words, intp indices
+        fields = []  # fields[r][i, b, f], per run r
+        for run in (diff[lo : lo + _RUN] for lo in range(0, len(diff), _RUN)):
+            sums = sum(np.sum(np.take(table, run[lo : lo + step], axis=0, mode="clip"), axis=0, dtype=np.uint64)
+                       for lo in range(0, len(run), step))  # sums[i, b, word]
+            fields.append(sums.astype("<u8", copy=False).view(np.uint8)[..., : (n, len(pairs))[kind]])
+        out.append(2 * sum(fields[1:], fields[0].astype(np.int64)).transpose(1, 0, 2))
     return out
-
-
-def _flip_hist(tables: np.ndarray, n: int) -> np.ndarray:
-    """hist[b, i, d] = #{x with bit i clear : S_b(x) xor S_b(x xor 2^i) = d} for
-    the rows S_b of a (B, 2^n) stack, exactly half of row 2^i of S_b's DDT, int64,
-    shape (B, n, 2^n): one bincount of the codes ((b n + i) << n) | d.
-
-    The pair ends are gathered as uint32 with the tables along the last axis,
-    and the row number b n + i is shifted whole: OR-ing b n 2^n into (i << n) | d
-    would collide unless n is a power of two.  The codes are intp, which
-    bincount reads without a copy, and the gathers are freed before the bins are
-    made: gathering both ends at once into int32 codes faulted in about 240 fresh
-    pages on every 32-table block at n = 8."""
-    stack = np.asarray(tables).astype(np.uint32)
-    count = len(stack)
-    rows = np.arange(count * n).reshape(count, n).T[:, np.newaxis] << n  # rows[i, 0, b] = (b n + i) << n
-    pairs = np.take(stack.T, _flip_index(n)[0], axis=0)  # pairs[e, i, x, b] = S_b(ends[e, i, x])
-    diff = np.bitwise_xor(pairs[0], pairs[1], out=pairs[0])
-    codes = np.bitwise_or(diff, rows)
-    del pairs, diff
-    return np.bincount(codes.ravel(), minlength=count * n << n).reshape(count, n, 1 << n)
-
-
-def _flip_sums(hist: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """hist @ weights as int64, for `_flip_hist` of one table or a stack and
-    weights of `_flip_index`: contracted over d in chunks, one stacked product of
-    at most _BLAS_SERIAL multiply-adds per chunk, summed in float32, exact as every
-    sum is an integer of at most 2^n."""
-    n, size = hist.shape[-2:]
-    width = min(size, 1 << (_BLAS_SERIAL // (n * weights.shape[1])).bit_length() - 1)
-    parts = hist.astype(np.float32).reshape(*hist.shape[:-1], size // width, width).swapaxes(-3, -2)
-    return (parts @ weights.reshape(size // width, width, -1)).sum(axis=-3).astype(np.int64)
 
 
 def _sac_deviations(flips: np.ndarray, n: int) -> np.ndarray:

@@ -10,10 +10,9 @@ streams.  Every candidate, in a search or from the public generators, comes
 from one draw step, `_draw`, which draws a stack of candidates at once: the
 same tables, in the same order, as one draw at a time.  A search draws and
 scores its candidates in blocks of `metrics.block_height(n)` (32 at n = 8),
-so the flip metrics cost one flip-count step per block: byte-field sums up to
-n = 8, one histogram above; it keeps only an exact integer sum of the raw values
-and the first best table, so its memory does not grow with `tries` unless a
-value log is asked for.
+so the flip metrics cost one flip-count step of byte-field sums per block; it
+keeps only an exact integer sum of the raw values and the first best table,
+so its memory does not grow with `tries` unless a value log is asked for.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SBox, check_int, check_seed, check_width, cpu_count, read_only, width_of
+from .core import _TOKENS, SBox, check_int, check_seed, check_width, cpu_count, read_only, width_of
 from .metrics import METRICS, block_height, lookup_metric
 from .util import exact_decimal
 
@@ -50,8 +49,14 @@ class CycleSpec:
 
     @classmethod
     def parse(cls, text: str) -> "CycleSpec":
+        """Lengths from whitespace/comma separated tokens of ASCII digits, as `parse_sbox`
+        reads base 10: no sign, underscore or other digit."""
+        tokens = text.replace(",", " ").split()
         try:
-            return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
+            for tok in tokens:
+                if not _TOKENS[10].fullmatch(tok):
+                    raise ValueError(f"token {tok!r} is not a base-10 integer")
+            return cls(tuple(map(int, tokens)))
         except ValueError as exc:
             raise ValueError(f"bad cycle list {text!r}: {exc}") from None
 

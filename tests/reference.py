@@ -26,19 +26,45 @@ element, and its own `gf_mul` and `gf_pow` are the earlier public scalars,
 loops over plain ints; the library runs one array kernel, on whole tables
 and, in its public `gf_mul`/`gf_pow`, on one element.  `ddt_bincount`
 counts every ordered pair with one bincount per block of rows, checked
-against the Counter loops of `ddt_brute`.  `read_ppm` reads
+against the Counter loops of `ddt_brute`.  `ddt_bincount`, `walsh_butterfly`
+and `walsh_stats_brute` run once per (n, table) for the session and return
+read-only arrays, within a byte budget.  `read_ppm` reads
 back the binary PPM the library writes.  `savetxt_csv` and `render_masked`
 are the earlier heatmap output paths: `np.savetxt`, where the library writes
 row blocks of byte fields, and a palette painted through boolean masks,
 where the library takes each channel from one fade array with `np.maximum`.
 """
 
+import functools
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from sboxkit import heatmap, spn
+
+_MEMO_BYTES = 512 << 20  # past this, `_memoised` drops its least recently used results
+_memo = {}  # (oracle, n, table values) -> result, least recently used first
+
+
+def _memoised(oracle):
+    """oracle(table, n), run once per (n, table values) for the session and its
+    arrays made read-only: the n = 12 oracle tables take seconds, and several
+    tests check the same maps.  A result is kept while the results used since
+    it hold at most _MEMO_BYTES."""
+    @functools.wraps(oracle)
+    def cached(table, n):
+        key = (oracle.__name__, n, np.asarray(table, dtype=np.int64).tobytes())
+        if key not in _memo:
+            result = oracle(table, n)
+            if isinstance(result, np.ndarray):
+                result.flags.writeable = False
+            _memo[key] = result
+        _memo[key] = _memo.pop(key)  # now the most recently used
+        while sum(getattr(r, "nbytes", 0) for r in _memo.values()) > _MEMO_BYTES:
+            del _memo[next(iter(_memo))]
+        return _memo[key]
+    return cached
 
 
 def oracle_maps(n):
@@ -70,6 +96,7 @@ def lat_full(table, n):
     return [[lat_entry(table, n, a, b) for b in range(size)] for a in range(size)]
 
 
+@_memoised
 def walsh_butterfly(table, n):
     """Every LAT sum at once, sums[a][b], by in-place int32 Walsh-Hadamard
     butterflies over the sign vectors x -> (-1)^(b.S(x)), one row per output
@@ -90,12 +117,12 @@ def walsh_butterfly(table, n):
     return mat.T
 
 
+@_memoised
 def walsh_stats_brute(table, n):
-    """(max |W(a, b)| over a, b != 0, [max over every a of |W(a, b)| for b = 1..2^n - 1])
+    """(max |W(a, b)| over a, b != 0, (max over every a of |W(a, b)| for b = 1..2^n - 1))
     from the whole `walsh_butterfly` table."""
-    walsh = walsh_butterfly(table, n)
-    np.abs(walsh, out=walsh)
-    return int(walsh[1:, 1:].max()), walsh[:, 1:].max(axis=0).tolist()
+    walsh = np.abs(walsh_butterfly(table, n))
+    return int(walsh[1:, 1:].max()), tuple(walsh[:, 1:].max(axis=0).tolist())
 
 
 def ddt_row(table, n, a):
@@ -109,6 +136,7 @@ def ddt_brute(table, n):
     return [ddt_row(table, n, a) for a in range(1 << n)]
 
 
+@_memoised
 def ddt_bincount(table, n):
     """`ddt_brute` by bincounts: the int32 code (a << n) | S(x) xor S(x xor a)
     of every ordered pair (a, x), a block of 256 input differences at a time,

@@ -228,6 +228,13 @@ def test_search_bad_cycles_exits_3(capsys):
     assert "sum to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cycles", ["1_28,+128", "\uff11\uff12\uff18,128"])
+def test_search_non_ascii_decimal_cycles_exit_3(cycles, capsys):
+    # int() would read both lists as (128, 128)
+    assert main(["search", "--metric", "du", "--tries", "2", "--seed", "1", "--cycles", cycles]) == 3
+    assert "bad cycle list" in capsys.readouterr().err
+
+
 def test_search_unknown_metric_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--metric", "entropy", "--tries", "2", "--seed", "1"])

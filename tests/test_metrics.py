@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import threading
@@ -72,6 +73,18 @@ def test_bincount_ddt_oracle_matches_counter_oracle(n):
     # criterion 9 reads the bincount oracle over many maps; the Counter loops vouch for it
     for kind, table in reference.oracle_maps(n).items():
         assert reference.ddt_bincount(table, n).tolist() == reference.ddt_brute(table.tolist(), n), kind
+
+
+def test_memoised_oracles_return_one_read_only_result():
+    # tests share each oracle result for the session, so none may write to it
+    table = reference.oracle_maps(6)["permutation"]
+    for oracle in (reference.ddt_bincount, reference.walsh_butterfly):
+        first = oracle(table, 6)
+        assert oracle(table.tolist(), 6) is first  # keyed by the values, not the array
+        assert oracle(table, 5 + 1) is first and oracle(table[::-1], 6) is not first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1
+    assert reference.walsh_stats_brute(table, 6) == reference.walsh_stats_brute(table.copy(), 6)
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -363,7 +376,7 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
     bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = tuple((j, k) for j in range(n) for k in range(j + 1, n))
     for kind, table in reference.oracle_maps(n).items():
-        sac_counts, bic_counts = metrics._flip_counts(table[np.newaxis], n)  # byte fields up to n = 8
+        sac_counts, bic_counts = metrics._flip_counts(table[np.newaxis], n)
         sac = metrics._sac_deviations(sac_counts[0], n)
         bic, got_pairs = metrics._bic_deviations(bic_counts[0], n)
         assert sac.dtype == bic.dtype == np.int64, kind
@@ -373,24 +386,33 @@ def test_sac_bic_match_flip_count_oracle_every_width(n):
             assert bic[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in pairs], (kind, i)
 
 
+def _weighted_flips(rows, n):
+    """The doubled SAC and BIC flip counts from rows[i, d], the number of ordered
+    pairs (x, x xor 2^i) with difference d, which DDT row 2^i holds: the rows
+    weighted by output bit a of d, and by bits j and k of d both set."""
+    bits = np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1
+    j, k = np.triu_indices(n, 1)
+    return rows @ bits, rows @ (bits[:, j] & bits[:, k])
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_flip_hist_is_half_the_ddt_rows_of_one_bit_differences(n):
-    # the flip and DDT kernels count the same pairs {x, x xor 2^i} independently
+    # the flip and DDT kernels count the same pairs {x, x xor 2^i} independently:
+    # the flip counts are DDT rows 2^i, weighted by the output bits of each difference
     maps = {**reference.oracle_maps(n), "identity": np.arange(1 << n)}
     for kind, table in maps.items():
-        hist = metrics._flip_hist(table[np.newaxis], n)[0]
-        counts = sk.compute_ddt(sk.SBox(n, table)).counts
-        assert hist.dtype == np.int64 and hist.shape == (n, 1 << n), kind
-        for i in range(n):
-            assert hist[i].tolist() == (counts[1 << i] // 2).tolist(), (kind, i)
+        counts = metrics._flip_counts(table[np.newaxis], n)
+        rows = sk.compute_ddt(sk.SBox(n, table)).counts[1 << np.arange(n)]
+        for got, expected in zip(counts, _weighted_flips(rows, n)):
+            assert got.dtype == np.int64 and got.shape == (1, *expected.shape), kind
+            assert np.array_equal(got[0], expected), kind
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_stacked_kernels_match_one_table_results(n):
     # rows cycle through the oracle maps and the identity, so a stack of any height
-    # repeats four per-table results; unless n is a power of two, the flip codes of
-    # two rows would collide if the row number were OR-ed in rather than shifted whole;
-    # up to n = 8 the byte fields of one row must not spill into the next
+    # repeats four per-table results; the byte fields of one row must not spill into
+    # the next
     maps = [*reference.oracle_maps(n).values(), np.arange(1 << n)]
     ones = [[c[0] for c in metrics._flip_counts(t[np.newaxis], n)] for t in maps]  # checked by the oracles
     reports = [sk.full_report(sk.SBox(n, t)) for t in maps]
@@ -408,38 +430,46 @@ def test_stacked_kernels_match_one_table_results(n):
             assert raws.tolist() == [attrgetter(metric.field)(reports[k % 4]) for k in range(height)], (name, height)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_byte_field_counts_match_the_oracle_and_the_histograms(n):
-    # up to n = 8 the byte fields stand in for the histogram product: each must
-    # equal both it and the brute-force counts, for stacks around the search block
+    # the byte fields must equal the brute-force counts and the weighted histograms
+    # of the differences, for stacks around the search block; the saturating map
+    # puts every count at 2^(n-1), so above n = 8 a byte read back after more than
+    # 255 x, or never, wraps
     size = 1 << n
+    x = np.arange(size)
+    bits = list(range(n)) if n <= 10 else [0, n - 1]  # two input bits keep n = 11, 12 fast
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    maps = [*reference.oracle_maps(n).values(), np.arange(size)]  # permutation, random, constant, identity
-    brute = [reference.flip_counts_brute(t.tolist(), n, range(n)) for t in maps]
+    saturating = (size - 1) * (np.bitwise_count(x) & 1).astype(np.int64)
+    maps = [*reference.oracle_maps(n).values(), x, saturating]  # permutation, random, constant, identity, saturating
+    brute = [reference.flip_counts_brute(t.tolist(), n, bits) for t in maps]
+    hists = [_weighted_flips(np.stack([np.bincount(t ^ t[x ^ 1 << i], minlength=size) for i in range(n)]), n)
+             for t in maps]
+    assert all((counts == size).all() for counts in hists[4])  # every doubled count of the saturating map
     block = metrics.block_height(n)
-    for height in sorted({1, 2, block, block + 1}):
-        stack = np.stack([maps[k % 4] for k in range(height)])
-        hist = metrics._flip_hist(stack, n)
-        flips, joint = metrics._field_counts(stack, n, (metrics._SAC, metrics._BIC))
+    for height, first in itertools.product(sorted({1, 2, block, block + 1}), range(5)):
+        rows = [(first + k) % 5 for k in range(height)]  # each map leads a stack, above n = 10 too
+        flips, joint = metrics._flip_counts(np.stack([maps[m] for m in rows]), n)
         assert flips.dtype == joint.dtype == np.int64, height
-        assert np.array_equal(flips, metrics._flip_sums(hist, metrics._flip_index(n)[1])), height
-        assert np.array_equal(joint, metrics._flip_sums(hist, metrics._flip_index(n)[2])), height
-        for k in range(height):
-            for i, counts in enumerate(brute[k % 4]):
-                assert flips[k, i].tolist() == [counts[a][a] for a in range(n)], (height, k, i)
-                assert joint[k, i].tolist() == [counts[j][l] for j, l in pairs], (height, k, i)
+        for k, m in enumerate(rows):
+            assert np.array_equal(flips[k], hists[m][0]), (height, k, m)
+            assert np.array_equal(joint[k], hists[m][1]), (height, k, m)
+            for i, counts in zip(bits, brute[m]):
+                assert flips[k, i].tolist() == [counts[a][a] for a in range(n)], (height, k, m, i)
+                assert joint[k, i].tolist() == [counts[j][l] for j, l in pairs], (height, k, m, i)
 
 
-def test_flip_block_memory_bound(traced_peak_mb):
+@pytest.mark.parametrize("n", range(8, 13))
+def test_flip_block_memory_bound(traced_peak_mb, n):
     # a search block's temporaries stay well under 1 MB (its byte-field gathers
     # hold at most 256 KB): at 1 MB, the allocator faulted in fresh pages on every block
-    stack = search._draw(np.random.default_rng(8), 256, None, metrics.block_height(8))
+    stack = search._draw(np.random.default_rng(n), 1 << n, None, metrics.block_height(n))
     for name in ("dsac", "dbic"):
-        assert traced_peak_mb(lambda: METRICS[name].raw(stack, 8)) < 0.85, name
+        assert traced_peak_mb(lambda: METRICS[name].raw(stack, n)) < 0.85, name
 
 
 def test_flip_index_cache_stays_small():
-    # the indices, weights and byte-field words stay cached for the life of the process, read-only
+    # the pair ends and byte-field words stay cached for the life of the process, read-only
     n = 12
     raw_metric_value(np.arange(1 << n), n, "dbic")
     misses = metrics._flip_index.cache_info().misses
@@ -447,9 +477,9 @@ def test_flip_index_cache_stays_small():
     assert metrics._flip_index.cache_info().misses == misses  # built by the kernel and kept
     assert sum(a.nbytes for a in cached) <= 2 << 20
     raw_metric_value(np.arange(256), 8, "dbic")
-    misses = metrics._flip_fields.cache_info().misses
-    words = metrics._flip_fields(8)
-    assert metrics._flip_fields.cache_info().misses == misses
+    misses = metrics._flip_index.cache_info().misses
+    words = metrics._flip_index(8)[:3]
+    assert metrics._flip_index.cache_info().misses == misses
     assert sum(a.nbytes for a in words) <= 32 << 10  # the ends, one SAC word and four BIC words per difference
     for a in [*cached, *words]:
         assert not a.flags.writeable
@@ -468,7 +498,7 @@ def test_flip_index_cache_is_keyed_by_n():
             assert sac.deviations[i].tolist() == [abs(joint[a][a] - size // 2) for a in range(n)], (n, i)
             assert bic.deviations[i].tolist() == [abs(size // 4 - joint[j][k]) for j, k in bic.pairs], (n, i)
     for n in (3, 8, 12):
-        for index in [*metrics._flip_index(n)[:3], *(metrics._flip_fields(n) if n <= 8 else ())]:
+        for index in metrics._flip_index(n)[:3]:
             with pytest.raises(ValueError, match="read-only"):
                 index[(0,) * index.ndim] = 1
 
@@ -482,7 +512,6 @@ def test_cached_arrays_are_read_only(n):
     cached = [metrics._hadamard(k) for k in range(min(n, 8) + 1)]
     cached += [*metrics._pair_index(n, _chunk_width(n)), *metrics._flip_index(n)[:3], spn._BYTE_LANES,
                spn._BIT_SOURCES, spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_TABLES]
-    cached += metrics._flip_fields(n) if n <= 8 else ()  # the byte-field ends and words serve n <= 8 only
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
@@ -592,15 +621,14 @@ def test_threaded_kernels_match_the_serial_reductions(n, monkeypatch):
         du, du_count = metrics._du_stats(metrics._ddt_blocks(table, n))
         bias, nls = metrics._walsh_stats(metrics._walsh_blocks(table, n), n)
         nl = metrics._nl_stats(nls)
-        hist = metrics._flip_hist(table[np.newaxis], n)[0]
-        sac = np.abs(hist @ metrics._flip_index(n)[1].astype(np.int64) - size // 2)
-        bic = np.abs(size // 4 - hist @ metrics._flip_index(n)[2].astype(np.int64))
-        expected = {"du": du, "du_count": du_count, "max_bias": bias, "nl": nl.nl,
-                    "nl_component_max": nl.component_max, "nl_component_avg": exact_decimal(nl.component_avg),
-                    "dsac_max_raw": int(sac.max()), "dbic_max_raw": int(bic.max())}
         ddt = np.empty((size, size), dtype=np.int64)
         for start, block in metrics._ddt_blocks(table, n):
             ddt[start : start + len(block)] = 2 * block
+        flips, joint = _weighted_flips(ddt[1 << np.arange(n)], n)
+        sac, bic = np.abs(flips - size // 2), np.abs(size // 4 - joint)
+        expected = {"du": du, "du_count": du_count, "max_bias": bias, "nl": nl.nl,
+                    "nl_component_max": nl.component_max, "nl_component_avg": exact_decimal(nl.component_avg),
+                    "dsac_max_raw": int(sac.max()), "dbic_max_raw": int(bic.max())}
         lat = np.empty((size, size), dtype=np.int64)
         for start, block in metrics._walsh_blocks(table, n):
             lat[:, start : start + block.shape[1]] = block
@@ -618,17 +646,6 @@ def test_threaded_kernels_match_the_serial_reductions(n, monkeypatch):
             assert np.array_equal(sk.compute_lat(s).sums, lat), (kind, cpus)
             assert all(not t.is_alive() for t in started), (kind, cpus)
         del ddt, lat
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_chunked_flip_products_equal_the_plain_product(n):
-    maps = [*reference.oracle_maps(n).values(), np.arange(1 << n)]
-    for height in sorted({1, metrics.block_height(n)}):
-        hist = metrics._flip_hist(np.stack([maps[k % 4] for k in range(height)]), n)
-        for weights in metrics._flip_index(n)[1:3]:
-            got = metrics._flip_sums(hist, weights)
-            assert got.dtype == np.int64, height
-            assert np.array_equal(got, hist @ weights.astype(np.int64)), height
 
 
 def test_an_error_in_a_later_range_reaches_the_caller(monkeypatch):
@@ -692,20 +709,19 @@ def _count_calls(monkeypatch, kernels) -> Counter:
 
 
 def test_full_report_makes_one_pass_of_each_kernel(aes, monkeypatch):
-    # the flip step reads SAC and BIC from one gather; at n = 8 it makes no histogram
-    calls = _count_calls(monkeypatch, ("_flip_counts", "_flip_hist", "_ddt_blocks", "_walsh_blocks"))
+    # the flip step reads SAC and BIC from one gather
+    calls = _count_calls(monkeypatch, ("_flip_counts", "_ddt_blocks", "_walsh_blocks"))
     sk.full_report(aes, with_degree=True, with_ai=True)
     assert calls == {"_flip_counts": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
 
 
-def test_full_report_makes_one_histogram_above_width_8(monkeypatch):
-    # above n = 8 the flip step makes one histogram for both criteria; one CPU keeps
-    # each of the DDT and Walsh kernels to one range, so one call
+def test_full_report_makes_one_pass_of_each_kernel_above_width_8(monkeypatch):
+    # above n = 8 the flip step still reads both criteria from one gather; one CPU
+    # keeps each of the DDT and Walsh kernels to one range, so one call
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    calls = _count_calls(monkeypatch, ("_flip_counts", "_field_counts", "_flip_hist", "_ddt_blocks",
-                                       "_walsh_blocks"))
+    calls = _count_calls(monkeypatch, ("_flip_counts", "_ddt_blocks", "_walsh_blocks"))
     sk.full_report(sk.SBox(10, np.random.default_rng(10).permutation(1024)))
-    assert calls == {"_flip_counts": 1, "_flip_hist": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
+    assert calls == {"_flip_counts": 1, "_ddt_blocks": 1, "_walsh_blocks": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,10 @@ def test_cycle_generation_rejects_bad_total():
 
 def test_cycle_spec_parse():
     assert sk.CycleSpec.parse("4, 4,8").lengths == (4, 4, 8)
-    with pytest.raises(ValueError, match="bad cycle list"):
-        sk.CycleSpec.parse("4,x")
+    for text in ("4,x", "1_28,+128", "\uff11\uff12\uff18,128", "-0,256", "128,128.0", "0x80,128", "", "0,256"):
+        with pytest.raises(ValueError, match="bad cycle list"):  # ASCII decimal only, as parse_sbox reads it
+            sk.CycleSpec.parse(text)
+    assert sk.CycleSpec.parse("0128\t128").lengths == (128, 128)
     with pytest.raises(ValueError, match="positive"):
         sk.CycleSpec(())
     for lengths in ((3.9, 1.2), (4.0, 4), (True, 1), (np.bool_(True), 1), ("4",)):
