@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    _TOKENS,
     FAMILIES,
     NotBijectiveError,
     SBox,
@@ -62,6 +63,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _integer(text: str, base: int = 10) -> int:
+    """An integer option: an optional '-', then a base-10 token, as S-box files and --cycles read,
+    or for --irreducible a base-0 one; no '+', underscore, space or other digit."""
+    if not _TOKENS[base].fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of ASCII digits")
+    return int(text, base)
 
 
 def _read_sbox(args) -> SBox:
@@ -113,10 +122,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.irreducible is not None:
-        ctx = GFContext(args.n, int(args.irreducible, 0))
-    else:
-        ctx = default_context(args.n)
+    ctx = default_context(args.n) if args.irreducible is None else GFContext(args.n, args.irreducible)
     sbox = build_monomial_sbox(ctx, args.family, i=args.i, e=args.e)
     _write_text(args.out, [format_sbox(sbox)])
     return EXIT_OK
@@ -179,8 +185,8 @@ def cmd_heatmap(args) -> int:
     csv_path = args.csv or str(Path(out).with_suffix(".csv"))
     _check_outputs({"sbox": args.sbox}, {"-o": out, "--csv": csv_path}, {},
                    "heatmap -o and --csv must name files, not '-'")
+    spec = HeatmapSpec(kind=args.table, scale=args.scale)  # checked before the table is built
     values = heatmap_values(_read_sbox(args), args.table)
-    spec = HeatmapSpec(kind=args.table, scale=args.scale)
     rgb, info = render_heatmap(values, spec)
     write_ppm(out, rgb)
     write_matrix_csv(csv_path, values)
@@ -197,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sbox_in = argparse.ArgumentParser(add_help=False)
     sbox_in.add_argument("sbox")
-    sbox_in.add_argument("--base", type=int, choices=(10, 16), default=10)
+    sbox_in.add_argument("--base", type=_integer, choices=(10, 16), default=10)
     report_out = argparse.ArgumentParser(add_help=False)
     report_out.add_argument("--format", choices=("json", "csv"), default="json")
     report_out.add_argument("--name")
@@ -210,19 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a power-map S-box")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--irreducible", help="override modulus mask, e.g. 0x11b")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--i", type=_integer)
+    p.add_argument("--e", type=_integer)
+    p.add_argument("--irreducible", type=lambda text: _integer(text, 0), help="override modulus mask, e.g. 0x11b")
     p.add_argument("-o", "--out", default="-")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("search", help="random permutation search")
     p.add_argument("--metric", choices=tuple(METRICS), required=True)
-    p.add_argument("--tries", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--tries", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--workers", type=_integer, default=1)
+    p.add_argument("--n", type=_integer, default=8)
     p.add_argument("--cycles", default="none",
                    help=f"none, a built-in name ({', '.join(builtin_cycle_specs())}), or a comma list")
     p.add_argument("-o", "--out")
@@ -230,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("avalanche", parents=[sbox_in, report_out], help="SPN single-bit diffusion experiment")
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--trials", type=int,
+    p.add_argument("--rounds", type=_integer, required=True)
+    p.add_argument("--trials", type=_integer,
                    help=f"pairs to generate (default {DEFAULT_TRIALS}); with --pairs, the count the file must hold")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_integer)
     pairs = p.add_mutually_exclusive_group()
     pairs.add_argument("--pairs", help="reuse a stored (plaintext, key) pair file")
     pairs.add_argument("--save-pairs", help="store the generated pair set here")
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatmap", parents=[sbox_in], help="render a DDT/LAT pixmap plus CSV dump")
     p.add_argument("--table", choices=tuple(KINDS), default="lat")
-    p.add_argument("--scale", type=int)
+    p.add_argument("--scale", type=_integer)
     p.add_argument("-o", "--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_heatmap)

@@ -33,6 +33,7 @@ class MonomialConditionError(ValueError):
 
 MIN_N = 2
 MAX_N = 12  # DDT/LAT are O(2^(2n)); 12 caps the largest table at 16M entries
+_NEVER = threading.Event()  # the `stop` of a one-range `run_ranges` call, never set
 
 
 def check_int(value, rule: str, lo: int, hi: int | None = None, error: type[ValueError] = ValueError) -> int:
@@ -78,35 +79,44 @@ def check_int_array(values, rule: str, lo: int, hi: int, dtype=np.int64) -> np.n
 
 
 def cpu_count() -> int:
-    """The CPUs a run may use: os.cpu_count(), or 1 when that is unknown.
-    It bounds the search's processes and the block threads of the SPN and
-    of the whole-S-box metrics."""
+    """The CPUs a run may use: os.cpu_count(), or 1 when that is unknown; only
+    `even_ranges` reads it, for every split of the search, the SPN and the metrics."""
     return os.cpu_count() or 1
 
 
-def run_ranges(total: int, ranges: int, work) -> list:
-    """[work(lo, hi, stop) for each of `ranges` even contiguous ranges [lo, hi) of
-    range(total)], in range order.
+def even_ranges(total: int, most: int) -> list[range]:
+    """The even, contiguous ranges of range(total), in order, their sizes
+    differing by at most 1: as many as `most`, the CPUs and `total` allow, and
+    at least one.  When `most` or `total` alone allows one range, the CPU count
+    is not read."""
+    count = 1 if most <= 1 or total <= 1 else min(most, total, cpu_count())
+    return [range(total * k // count, total * (k + 1) // count) for k in range(count)]
 
-    The calling thread runs the first range and each other range runs on a thread
-    of its own, so one range starts nothing.  `stop` is a threading.Event that is
-    set when a range raises or a thread cannot start, at which work may return
-    early.  The first exception in range order is raised once every started
-    thread is done.
+
+def run_ranges(total: int, most: int, work) -> list:
+    """[work(lo, hi, stop) for each range [lo, hi) of `even_ranges(total, most)`], in range order.
+
+    One range runs at once in the calling thread and starts no thread or Event (their set-up
+    and the CPU count made n = 7 and 8 reports 6% slower).  Otherwise the calling thread runs
+    the first range and each other range a thread of its own; `stop` is a threading.Event set
+    when a range raises or a thread cannot start, at which work may return early.  The first
+    exception in range order is raised once every started thread is done.
     """
-    bounds = [total * k // ranges for k in range(ranges + 1)]
+    ranges = even_ranges(total, most)
+    if len(ranges) == 1:
+        return [work(0, total, _NEVER)]
     stop = threading.Event()
-    results = [None] * ranges
-    failures = [None] * ranges
+    results = [None] * len(ranges)
+    failures = [None] * len(ranges)
 
     def run(k):
         try:
-            results[k] = work(bounds[k], bounds[k + 1], stop)
+            results[k] = work(ranges[k].start, ranges[k].stop, stop)
         except BaseException as exc:  # re-raised in the calling thread
             failures[k] = exc
             stop.set()
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, ranges)]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(ranges))]
     try:
         for t in threads:
             t.start()
@@ -224,7 +234,9 @@ class CycleStructure:
     opposite_fixed_points: int
 
 
-_TOKENS = {10: re.compile("[0-9]+"), 16: re.compile("(0[xX])?[0-9a-fA-F]+")}  # ASCII digits only
+# the ASCII tokens int(text, base) reads; 0: decimal or 0x, 0b and 0o digits, as the CLI's --irreducible
+_TOKENS = {10: re.compile("[0-9]+"), 16: re.compile("(0[xX])?[0-9a-fA-F]+"),
+           0: re.compile("0[xX][0-9a-fA-F]+|0[bB][01]+|0[oO][0-7]+|0+|[1-9][0-9]*")}
 
 
 def parse_sbox(text: str, base: int = 10) -> SBox:

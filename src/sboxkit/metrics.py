@@ -25,12 +25,13 @@ that spin on for about 0.1 s after it (one n = 12 product of 12 x 4096 x 66
 cost 135 ms of CPU during a 300 ms sleep on a 2-CPU host).  So the Walsh
 products are at most 2^18 but for one n = 11 stage of 2^19, which woke no
 worker.  `full_report`, `compute_ddt`, `compute_lat` and `nonlinearity` split a
-kernel's blocks into at most `_RANGES` = 2 contiguous ranges, one per CPU and
-thread of `core.run_ranges`, and merge them exactly: the largest range DU with
-the counts of the ranges that reach it, the largest range bias, the NL columns
-in range order, or disjoint slices of one table.  XOR, take, bincount and
-matmul release the GIL.  Kernels of one block (all up to n = 8) start no
-thread, and the raw search kernels stay serial: a search runs on processes.
+kernel's block numbers by `core.run_ranges` with a cap of `_RANGES` = 2, and
+merge the ranges exactly: the largest range DU with the counts of the ranges
+that reach it, the largest range bias, the NL columns in range order, or
+disjoint slices of one table.  Each range makes its own DDT chunks and Walsh
+sign rows.  XOR, take, bincount and matmul release the GIL.  Kernels of one
+block (all up to n = 8) run in the caller, and the raw search kernels stay
+serial: a search runs on processes.
 
 `METRICS` defines each of the five search metrics once: its raw integer kernel,
 its direction, its scaling (DSAC and DBIC count units of 1/2^n, scaled to exact
@@ -55,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import anf
-from .core import CycleStructure, SBox, cpu_count, cycle_decomposition, is_bijective, read_only, run_ranges
+from .core import CycleStructure, SBox, cycle_decomposition, is_bijective, read_only, run_ranges
 from .util import exact_decimal
 
 _PAIR_BUDGET = 1 << 15  # pairs per DDT block: 2^16 bins, 512 KB
@@ -79,22 +80,15 @@ def _walsh_width(n: int) -> int:
     return min(n, 8, 18 - n)
 
 
-def _walsh_base(table: np.ndarray, n: int) -> np.ndarray:
-    """base[x, j] = (-1)^(j.S(x)) = H_k[S(x) mod 2^k, j], the sign rows of Walsh
-    block 0, float32: as H is symmetric, one row gather of H_k."""
-    k = _walsh_width(n)
-    return np.take(_hadamard(k), np.asarray(table, dtype=np.intp) & ((1 << k) - 1), axis=0)
-
-
-def _walsh_blocks(table: np.ndarray, n: int, blocks: range | None = None, base: np.ndarray | None = None):
+def _walsh_blocks(table: np.ndarray, n: int, blocks: range | None = None):
     """Yield (start, block), block[a, j] = W(a, start + j) = sum over x of
     (-1)^((start + j).S(x) xor a.x), 2^k output masks per block, exact in float32,
     for the block numbers c in `blocks`, every block by default; the caller may
     overwrite a block, a buffer the next one reuses.
 
-    `base` is `_walsh_base(table, n)`, made here unless given, so ranges of blocks
-    run side by side share one; with one block (k = n) it is dead after its lo
-    stage and takes the output.  With b = c 2^k + j, (-1)^(b.S(x)) =
+    base[x, j] = (-1)^(j.S(x)) = H_k[S(x) mod 2^k, j], the sign rows of block 0,
+    are one row gather of H_k, as H is symmetric; with one block (k = n) they are
+    dead after its lo stage and take the output.  With b = c 2^k + j, (-1)^(b.S(x)) =
     H_k[S(x) mod 2^k, j] H_(n-k)[c, S(x) >> k], so block c multiplies the sign
     rows of block 0 by the column H_(n-k)[c, S(x) >> k].  With
     x = x_hi 2^lo + x_lo, H_n = H_hi (x) H_lo is applied down x as stacks of
@@ -105,7 +99,7 @@ def _walsh_blocks(table: np.ndarray, n: int, blocks: range | None = None, base: 
     k = _walsh_width(n)
     lo = n // 2
     t = np.asarray(table, dtype=np.intp)
-    base = _walsh_base(t, n) if base is None else base
+    base = np.take(_hadamard(k), t & ((1 << k) - 1), axis=0)
     h_lo, h_hi, h_c = _hadamard(lo), _hadamard(n - lo), _hadamard(n - k)
     half = np.empty((size >> lo, 1 << lo, 1 << k), dtype=np.float32)  # (x_hi, a_lo, j)
     out = base.reshape(half.shape) if k == n else np.empty_like(half)
@@ -151,15 +145,7 @@ def _ddt_width(n: int) -> int:
     return min(1 << n, _PAIR_BUDGET >> (n - 1))
 
 
-def _ddt_chunks(table: np.ndarray, n: int) -> np.ndarray:
-    """chunks[c, i] = v(c w + i), v(x) = (x << n) | S(x) in the code dtype, one
-    chunk of w consecutive x per DDT block."""
-    w = _ddt_width(n)
-    shifted = _pair_index(n, w)[0]
-    return read_only((shifted | np.asarray(table).astype(shifted.dtype)).reshape(-1, w))
-
-
-def _ddt_blocks(table: np.ndarray, n: int, blocks: range | None = None, chunks: np.ndarray | None = None):
+def _ddt_blocks(table: np.ndarray, n: int, blocks: range | None = None):
     """Yield (start, block), block[i, b] = DDT[start + i, b] / 2, for the block
     numbers s in `blocks`, every block by default: one bincount of at most
     2^(n-1) w pair codes into w 2^n bins per block of w rows.
@@ -167,22 +153,22 @@ def _ddt_blocks(table: np.ndarray, n: int, blocks: range | None = None, chunks: 
     With v(x) = (x << n) | S(x), v(x) xor v(y) is the (a, b) code of the pair
     {x, y}, a = x xor y.  Each pair is counted once, from x < y, so a block is
     exactly half the DDT for any map, and row 0 reads 2^(n-1).  x runs in
-    `chunks` of w = `_ddt_width(n)` consecutive values, made here unless given,
-    so ranges of blocks run side by side share one; a < w exactly when x and y
-    share a chunk: block 0 is the upper triangle of each chunk's w x w XOR
-    table.  Block s >= 1 is the full XOR of each chunk c, c < c xor s, with
-    chunk c xor s, less (s w) << n.  A block holds at most 2^16 bins (512 KB):
-    one block up to n = 8, 64 rows at n = 10 and 16 at n = 12.
+    chunks of w = `_ddt_width(n)` consecutive values, chunks[c, i] = v(c w + i)
+    in the code dtype; a < w exactly when x and y share a chunk: block 0 is the
+    upper triangle of each chunk's w x w XOR table.  Block s >= 1 is the full
+    XOR of each chunk c, c < c xor s, with chunk c xor s, less (s w) << n.  A
+    block holds at most 2^16 bins (512 KB): one block up to n = 8, 64 rows at
+    n = 10 and 16 at n = 12.
     """
     size = 1 << n
-    chunks = _ddt_chunks(table, n) if chunks is None else chunks
-    w = chunks.shape[1]
+    w = _ddt_width(n)
+    shifted, tri = _pair_index(n, w)
+    chunks = (shifted | np.asarray(table).astype(shifted.dtype)).reshape(-1, w)
     blocks = range(len(chunks)) if blocks is None else blocks
     codes = np.empty((len(chunks) >> (blocks[0] > 0), w, w), dtype=chunks.dtype)  # half unless block 0 runs
     for s in blocks:
         if s == 0:
             np.bitwise_xor(chunks[:, :, np.newaxis], chunks[:, np.newaxis, :], out=codes)
-            tri = _pair_index(n, w)[1]
             block = np.bincount(np.take(codes.reshape(len(chunks), -1), tri, axis=1).ravel(), minlength=w << n)
             block[0] = size >> 1
             codes = codes[: len(chunks) >> 1]
@@ -210,28 +196,17 @@ def _du_stats(blocks, with_count: bool = True) -> tuple[int, int]:
     return 2 * top, count
 
 
-def _split(count: int, kernel, reduce) -> list:
-    """[reduce(kernel(blocks))] for each range `blocks` of the block numbers
-    range(count), in range order, on at most _RANGES threads and no more than
-    there are CPUs or blocks.  A kernel of one block runs in the caller without
-    `run_ranges`: its set-up and the CPU count made n = 7 and 8 reports 6% slower.
-    A range runs to its end even when another raises, so that no
-    reduction sees a cut range; at n = 12 a range takes tens of milliseconds."""
-    if count == 1:
-        return [reduce(kernel(range(1)))]
-    return run_ranges(count, min(_RANGES, cpu_count(), count), lambda lo, hi, _: reduce(kernel(range(lo, hi))))
-
-
 def _ddt_ranges(table: np.ndarray, n: int, reduce) -> list:
-    """`_split` of the DDT blocks, the ranges sharing one `_ddt_chunks`."""
-    chunks = _ddt_chunks(table, n)
-    return _split(len(chunks), lambda blocks: _ddt_blocks(table, n, blocks, chunks), reduce)
+    """[reduce(DDT blocks)] for each `run_ranges` range of block numbers; a range runs to its
+    end even when another raises, so no reduction sees a cut one (at n = 12 it takes ~10 ms)."""
+    count = (1 << n) // _ddt_width(n)
+    return run_ranges(count, _RANGES, lambda lo, hi, _: reduce(_ddt_blocks(table, n, range(lo, hi))))
 
 
 def _walsh_ranges(table: np.ndarray, n: int, reduce) -> list:
-    """`_split` of the Walsh blocks, the ranges sharing one `_walsh_base`."""
-    base = _walsh_base(table, n)
-    return _split(1 << (n - _walsh_width(n)), lambda blocks: _walsh_blocks(table, n, blocks, base), reduce)
+    """`_ddt_ranges` for the Walsh blocks."""
+    count = 1 << (n - _walsh_width(n))
+    return run_ranges(count, _RANGES, lambda lo, hi, _: reduce(_walsh_blocks(table, n, range(lo, hi))))
 
 
 def _du(table: np.ndarray, n: int) -> tuple[int, int]:

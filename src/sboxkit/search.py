@@ -4,15 +4,16 @@ Candidate streams come from numpy's PCG64 (period 2^128); the master seed
 is split into one child stream per worker, but never more streams than
 candidates: stream w is SeedSequence(seed, spawn_key=(w,)), the w-th child
 SeedSequence.spawn would give, so a run is reproducible for a fixed
-(seed, workers) pair without any coordination between workers.  Each
-process of a pool no larger than the CPU count runs one contiguous range of
-streams.  Every candidate, in a search or from the public generators, comes
-from one draw step, `_draw`, which draws a stack of candidates at once: the
-same tables, in the same order, as one draw at a time.  A search draws and
-scores its candidates in blocks of `metrics.block_height(n)` (32 at n = 8),
-so the flip metrics cost one flip-count step of byte-field sums per block; it
-keeps only an exact integer sum of the raw values and the first best table,
-so its memory does not grow with `tries` unless a value log is asked for.
+(seed, workers) pair without any coordination between workers.
+`core.even_ranges` splits the streams over the processes of a pool; one
+range runs in the caller.  Every candidate, in a search or from the public
+generators, comes from one draw step, `_draw`, which draws a stack of
+candidates at once: the same tables, in the same order, as one draw at a
+time.  A search draws and scores its candidates in blocks of
+`metrics.block_height(n)` (32 at n = 8), so the flip metrics cost one
+flip-count step of byte-field sums per block; it keeps only an exact
+integer sum of the raw values and the first best table, so its memory does
+not grow with `tries` unless a value log is asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _TOKENS, SBox, check_int, check_seed, check_width, cpu_count, read_only, width_of
+from .core import _TOKENS, SBox, check_int, check_seed, check_width, even_ranges, read_only, width_of
 from .metrics import METRICS, block_height, lookup_metric
 from .util import exact_decimal
 
@@ -205,17 +206,14 @@ def run_search(config: SearchConfig, value_log: list | None = None) -> SearchRes
     t0 = time.perf_counter()
     # streams past `tries` would get no candidates; each keeps its index as spawn key
     streams = min(config.workers, config.tries)
-    processes = min(streams, cpu_count())
-
     # one job per process over a contiguous, nonempty range of streams, so job order is stream order
-    bounds = [streams * k // processes for k in range(processes + 1)]
-    jobs = [(range(lo, hi), streams, config, value_log is not None) for lo, hi in zip(bounds, bounds[1:])]
-    if processes == 1:
-        outcomes = [_run_streams(*job) for job in jobs]
+    jobs = [(ws, streams, config, value_log is not None) for ws in even_ranges(streams, streams)]
+    if len(jobs) == 1:
+        outcomes = [_run_streams(*jobs[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor  # deferred: only pooled runs pay for its import
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [pool.submit(_run_streams, *job) for job in jobs]
             outcomes = [f.result() for f in futures]
 

@@ -425,6 +425,15 @@ def test_heatmap_scale_below_one_exits_3(tmp_path, capsys, scale):
     assert not (tmp_path / "x.ppm").exists()
 
 
+def test_heatmap_checks_the_scale_before_it_builds_the_table(aes_file, tmp_path, monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "heatmap_values", build)
+    assert main(["heatmap", aes_file, "--scale", "0", "-o", str(tmp_path / "x.ppm")]) == 3
+    assert "scale must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_heatmap_bad_input_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n")
@@ -518,6 +527,43 @@ def test_missing_subcommand_exits_3():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 3
+
+
+# every integer option, in a command that exits 0 with V set to the good value
+_INTEGER_OPTIONS = {
+    "--base": ("analyze SBOX --base V", "10"),
+    "gen --n": ("gen gold --n V --i 1", "8"),
+    "--i": ("gen gold --n 8 --i V", "1"),
+    "--e": ("gen raw --n 8 --e V", "254"),
+    "--irreducible": ("gen raw --n 8 --e 254 --irreducible V", "0x11b"),
+    "--tries": ("search --metric du --tries V --seed 1 --n 4", "20"),
+    "search --seed": ("search --metric du --tries 20 --seed V --n 4", "1"),
+    "--workers": ("search --metric du --tries 20 --seed 1 --n 4 --workers V", "1"),
+    "search --n": ("search --metric du --tries 20 --seed 1 --n V", "4"),
+    "--rounds": ("avalanche SBOX --rounds V --trials 10 --seed 1", "2"),
+    "--trials": ("avalanche SBOX --rounds 2 --trials V --seed 1", "10"),
+    "avalanche --seed": ("avalanche SBOX --rounds 2 --trials 10 --seed V", "1"),
+    "--scale": ("heatmap SBOX --scale V -o OUT", "32"),
+}
+_BAD_INTEGERS = ("1_0", "+3", "\uff11\uff10", "\uff120", " 2")  # underscore, sign, fullwidth, space
+_BAD_MODULI = ("0x1_1b", "\uff12\uff18\uff13", "+0x11b", " 0x11b")
+
+
+@pytest.mark.parametrize("option, value", [
+    (option, value) for option in _INTEGER_OPTIONS
+    for value in (_INTEGER_OPTIONS[option][1], *(_BAD_MODULI if option == "--irreducible" else _BAD_INTEGERS))])
+def test_integer_options_read_ascii_digits_only(option, value, aes_file, tmp_path, capsys):
+    # S-box files and --cycles read only ASCII digits; so does every integer option
+    template, good = _INTEGER_OPTIONS[option]
+    words = {"SBOX": aes_file, "OUT": str(tmp_path / "x.ppm"), "V": value}
+    argv = [words.get(word, word) for word in template.split()]
+    if value == good:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert f"argument {option.split()[-1]}: {value!r} is not" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -1,14 +1,17 @@
 import functools
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
 import sboxkit as sk
-from sboxkit import core
+from sboxkit import core, spn
 from sboxkit.core import MAX_N, MIN_N, _monomial_exponent
 from sboxkit.data import IRREDUCIBLE
+from sboxkit.search import SearchConfig, run_search
 
 import reference
 
@@ -508,3 +511,43 @@ def test_cycles_ordering_and_walk():
 def test_cycles_require_bijection():
     with pytest.raises(sk.NotBijectiveError):
         sk.cycle_decomposition(sk.SBox(4, np.zeros(16, dtype=np.int64)))
+
+
+# ---------------------------------------------------------------------------
+# the split rule
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 8])
+@pytest.mark.parametrize("total", [0, 1, 2, 5, 5000])
+@pytest.mark.parametrize("most", [1, 2, 3, 10**6])
+def test_even_ranges_are_as_many_as_most_cpus_and_total_allow(monkeypatch, cpus, total, most):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    ranges = core.even_ranges(total, most)
+    assert len(ranges) == max(1, min(most, cpus or 1, total))
+    assert [i for r in ranges for i in r] == list(range(total))  # contiguous, in order, covering range(total)
+    assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
+
+
+def _no_cpu_count():
+    raise AssertionError("a one-range call read the CPU count")
+
+
+def test_one_range_runs_in_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", _no_cpu_count)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a one-range call started a thread"))
+    caller = threading.get_ident()
+    for total, most in ((5, 1), (1, 8), (0, 8)):
+        (result,) = core.run_ranges(total, most, lambda lo, hi, stop: (lo, hi, stop.is_set(), threading.get_ident()))
+        assert result == (0, total, False, caller)
+
+
+def test_one_range_calls_read_no_cpu_count(aes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", _no_cpu_count)
+    for n in range(2, 9):  # each kernel is one block
+        sk.full_report(sk.SBox(n, np.arange(1 << n)))
+    cfg = spn.SpnConfig(sbox=aes, rounds=12)
+    words = np.arange(2 * spn._BLOCK_WORDS + 1, dtype=np.uint64)
+    cts = spn.encrypt_blocks(words[:1], words[:1], cfg)  # one block
+    spn.decrypt_blocks(words, words, cfg)  # every round key of a block fills the budget
+    assert spn.decrypt_blocks(cts, words[:1], cfg)[0] == 0
+    run_search(SearchConfig(n=4, metric="du", tries=3, seed=1, workers=1))

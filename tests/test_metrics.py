@@ -654,10 +654,10 @@ def test_an_error_in_a_later_range_reaches_the_caller(monkeypatch):
 
     walsh_blocks = metrics._walsh_blocks
 
-    def failing(table, n, blocks=None, base=None):
+    def failing(table, n, blocks=None):
         if blocks is not None and blocks.start > 0:
             raise Failure("second range")
-        return walsh_blocks(table, n, blocks, base)
+        return walsh_blocks(table, n, blocks)
 
     threads_before = threading.active_count()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

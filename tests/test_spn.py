@@ -444,7 +444,7 @@ def test_a_thread_that_cannot_start_stops_the_call(aes, monkeypatch):
 
     ran = []
     threads_before = threading.active_count()
-    monkeypatch.setattr(spn, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     monkeypatch.setattr(spn, "_encrypt", lambda *args: ran.append(1))
     pts = np.zeros(2 * spn._BLOCK_WORDS, dtype=np.uint64)  # two blocks: one range per thread
