@@ -70,7 +70,10 @@ def _integer(text: str, base: int = 10) -> int:
     or for --irreducible a base-0 one; no '+', underscore, space or other digit."""
     if not _TOKENS[base].fullmatch(text.removeprefix("-")):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer of ASCII digits")
-    return int(text, base)
+    try:
+        return int(text, base)
+    except ValueError:  # the interpreter's limit on decimal digits; too long a text to echo
+        raise argparse.ArgumentTypeError(f"the integer has more than {sys.get_int_max_str_digits():,} digits") from None
 
 
 def _read_sbox(args) -> SBox:

@@ -8,12 +8,14 @@ i takes input position p[i].
 Two implementations share the test surface: a straight scalar encryption
 on 8-byte `bytes` (the independent reference, whose `key_schedule(master,
 cfg)` returns the cfg.rounds round keys as a plain tuple), and a vectorized
-cipher on uint64 arrays that folds S-box plus both permutations of one byte
-lane into a single 8x256 table of 64-bit masks, so a round is eight gathers
-and a XOR.  Every bulk step (round, inverse permutation, inverse S-box, key
-nibble S-box) is such a lane table, built by `_lane_tables` and applied by
-`_lane_lookup`; only the S-box varies, so the key and inverse-permutation
-tables are module constants.  `decrypt_block` is `decrypt_blocks` on one element.
+cipher on uint64 arrays.  `_lane_tables` folds S-box plus both permutations
+of a byte into a 256-entry table of 64-bit masks, and `_pair_tables` XORs the
+tables of the two bytes of each uint16 of the state into one 2^16-entry
+table: a round is four gathers and three XORs.  The key nibble S-box and the
+inverse S-box move no bit, so each is a `_byte_map` of 2^16 uint16 entries
+that maps both bytes of a uint16 at once.  Only the S-box varies, so the key
+map and the inverse permutation's byte tables (16 KB) are module constants.
+`decrypt_block` is `decrypt_blocks` on one element.
 `encrypt_block` runs `_shuffle_bytes` and `_permute_bits` on the bundled
 constants only, so neither checks its permutation.  `_check_bytes`,
 `_check_words` and `_check_pairs` hold the 8-byte, uint64 and pair rules.
@@ -32,10 +34,10 @@ the 16 B per trial of the pairs plus a constant per thread.
 the ranges run side by side in blocks of `_BLOCK_WORDS` words, as numpy's
 lookups and XORs release the GIL.  No result depends on the split: the
 ciphers write disjoint slices of their output, and the avalanche experiment
-adds up each range's integer histogram and bit sums.  A block's working set
-is 1-2 MB, and a call holds at most `_CALL_WORDS` words, two blocks of state:
-at most two threads whatever the CPU count, and one range when a block alone
-holds more, as in decryption, which holds every round key of its block.
+adds up each range's integer histogram and bit sums.  The range threads share
+the call's 2 MB of round tables, and a call holds at most `_CALL_WORDS` words,
+two blocks of state: at most two threads whatever the CPU count, and one range
+when a block alone holds more, as in decryption, which holds every round key of its block.
 """
 
 from __future__ import annotations
@@ -170,9 +172,6 @@ def decrypt_block(ciphertext: bytes, master: bytes, cfg: SpnConfig) -> bytes:
 # vectorized path
 
 
-_BYTE_LANES = read_only(np.arange(64).reshape(8, 8))  # bit r of lane i stays at block bit 8i + r
-
-
 def _lane_tables(values, positions) -> np.ndarray:
     """tabs[i][v] = values[v] as block bits: its bit r (MSB first) at block
     bit positions[i][r].  values has 256 bytes, positions shape (8, 8)."""
@@ -181,20 +180,44 @@ def _lane_tables(values, positions) -> np.ndarray:
     return (bits << shifts[:, :, np.newaxis]).sum(axis=1)  # distinct bits per lane: the sum is their OR
 
 
-# memory column of block byte i (byte 0 the most significant) in a uint64's bytes
+# memory column of block byte i (byte 0 the most significant) in a uint64's bytes; its own inverse
 _BYTE_COLUMNS = tuple(range(7, -1, -1)) if np.little_endian else tuple(range(8))
 
 
+def _pair_tables(tabs: np.ndarray) -> np.ndarray:
+    """(4, 2^16) tables from the (8, 256) lane tables: column c at a uint16 v is
+    tabs[i][v >> 8] ^ tabs[i + 1][v & 0xFF] for the block bytes i, i + 1 at memory offsets 2c, 2c + 1."""
+    pairs = np.empty((4, 256, 256), dtype=np.uint64)
+    for c in range(4):
+        i = min(_BYTE_COLUMNS[2 * c:2 * c + 2])  # a uint16's high byte is the more significant block byte
+        np.bitwise_xor.outer(tabs[i], tabs[i + 1], out=pairs[c])
+    return pairs.reshape(4, 1 << 16)
+
+
 def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
-    """XOR over lanes i of tabs[i][byte i of st], byte 0 the most significant."""
-    st = np.ascontiguousarray(st)  # a uint8 view needs whole contiguous words
-    b = st.view(np.uint8).reshape(st.shape + (8,))
-    # a byte never leaves a 256-entry table, so no index wraps; mode="raise" would buffer out
-    acc = np.take(tabs[0], b[..., _BYTE_COLUMNS[0]], mode="wrap")
+    """XOR over memory columns c of tabs[c][column c of st]: 8 byte or 4 uint16 columns, one per table."""
+    st = np.ascontiguousarray(st)  # a narrow view needs whole contiguous words
+    b = st.view(f"u{8 // len(tabs)}").reshape(st.shape + (len(tabs),))
+    # a column never leaves its table, so no index wraps; mode="raise" would buffer out
+    acc = np.take(tabs[0], b[..., 0], mode="wrap")
     tmp = np.empty_like(acc)
-    for i in range(1, 8):
-        acc ^= np.take(tabs[i], b[..., _BYTE_COLUMNS[i]], out=tmp, mode="wrap")
+    for c in range(1, len(tabs)):
+        acc ^= np.take(tabs[c], b[..., c], out=tmp, mode="wrap")
     return acc
+
+
+def _byte_map(values) -> np.ndarray:
+    """The 2^16 uint16 entries that map both bytes of a uint16 through the 256 values at once."""
+    v = np.asarray(values, dtype=np.uint16)
+    return (v[:, np.newaxis] << 8 | v).ravel()
+
+
+def _map_bytes(words: np.ndarray, byte_map: np.ndarray) -> np.ndarray:
+    """1-D contiguous uint64 words, each byte mapped in place through a `_byte_map` (take reads it as intp first)."""
+    flat = words.view(np.uint16)
+    for lo in range(0, flat.size, _BLOCK_WORDS):  # a quarter block at a time: 256 KB of intp indices
+        np.take(byte_map, flat[lo:lo + _BLOCK_WORDS], out=flat[lo:lo + _BLOCK_WORDS], mode="wrap")
+    return words
 
 
 # Both permutations chained: output bit d <- byte-shuffled bit DILLON_PERMUTATION[d],
@@ -202,22 +225,21 @@ def _lane_lookup(st: np.ndarray, tabs: np.ndarray) -> np.ndarray:
 # shares these tables, so they are read-only.
 _BIT_SOURCES = read_only(np.array([PBOX8[p >> 3] * 8 + (p & 7) for p in DILLON_PERMUTATION]).reshape(8, 8))
 _ROUND_DEST = read_only(inverse_sbox(SBox(6, _BIT_SOURCES.ravel())).table.reshape(8, 8))  # 64 positions: 6 bits
-_INV_PERM_TABLES = read_only(_lane_tables(np.arange(256), _BIT_SOURCES))
+_INV_PERM_TABLES = read_only(_lane_tables(np.arange(256), _BIT_SOURCES)[list(_BYTE_COLUMNS)])  # by memory column
 # the key S-box on whole bytes: byte (hi, lo) -> KEY_SBOX[hi] << 4 | KEY_SBOX[lo]
-_KEY_TABLES = read_only(_lane_tables([KEY_SBOX[v >> 4] << 4 | KEY_SBOX[v & 0xF] for v in range(256)],
-                                     _BYTE_LANES))
+_KEY_BYTE_MAP = read_only(_byte_map([KEY_SBOX[v >> 4] << 4 | KEY_SBOX[v & 0xF] for v in range(256)]))
 
 
 def _build_round_tables(cfg: SpnConfig) -> np.ndarray:
-    """tabs[i][v] = the full permuted 64-bit contribution of S(v) at byte i."""
-    return _lane_tables(cfg.sbox.table, _ROUND_DEST)
+    """tabs[c][v] = the full permuted 64-bit contribution of S applied to uint16 column c = v."""
+    return _pair_tables(_lane_tables(cfg.sbox.table, _ROUND_DEST))
 
 
 def _round_keys(masters: np.ndarray, cfg: SpnConfig):
     """Yield k_1 .. k_rounds for a batch of uint64 masters, one (len(masters),) array each."""
     prev = masters
     for r in range(1, cfg.rounds + 1):
-        acc = _lane_lookup((prev << np.uint64(8)) | (prev >> np.uint64(56)), _KEY_TABLES)
+        acc = _map_bytes((prev << np.uint64(8)) | (prev >> np.uint64(56)), _KEY_BYTE_MAP)
         acc ^= np.uint64(r & 0xFF) << np.uint64(56)
         prev = acc ^ ((prev << np.uint64(24)) | (prev >> np.uint64(40)))
         yield prev
@@ -279,15 +301,15 @@ def encrypt_blocks(plaintexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) 
 
 def decrypt_blocks(ciphertexts: np.ndarray, masters: np.ndarray, cfg: SpnConfig) -> np.ndarray:
     cts, masters = _check_blocks(ciphertexts, masters)
-    inv_tabs = _lane_tables(inverse_sbox(cfg.sbox).table, _BYTE_LANES)
+    inv_map = _byte_map(inverse_sbox(cfg.sbox).table)
     out = np.empty_like(cts)
 
     def work(blocks):
         for sl, mk in blocks:
             st = cts[sl]
             for k in reversed(list(_round_keys(mk, cfg))):
-                st = _lane_lookup(st ^ k, _INV_PERM_TABLES)  # rebinding frees each state before the next lookup
-                st = _lane_lookup(st, inv_tabs)
+                # rebinding frees each state before the next lookup; the lookup's new state maps in place
+                st = _map_bytes(_lane_lookup(st ^ k, _INV_PERM_TABLES), inv_map)
             out[sl] = st
 
     _run_blocks(len(cts), 1, masters, work, keys=cfg.rounds)  # a row holds all its round keys at once

@@ -566,6 +566,20 @@ def test_integer_options_read_ascii_digits_only(option, value, aes_file, tmp_pat
     assert f"argument {option.split()[-1]}: {value!r} is not" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--tries", "search --seed", "--irreducible"])
+def test_integer_options_refuse_more_digits_than_int_reads(option, aes_file, capsys):
+    # ASCII digits past the interpreter's 4,300-digit limit: a configuration error that names the limit
+    template, _ = _INTEGER_OPTIONS[option]
+    value = "1" * 5000
+    argv = [{"SBOX": aes_file, "V": value}.get(word, word) for word in template.split()]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert f"argument {option.split()[-1]}: the integer has more than 4,300 digits" in err
+    assert value not in err
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only a search that runs more than one process imports concurrent.futures.process
     code = "import sys, sboxkit.cli; print('concurrent.futures.process' in sys.modules)"

@@ -510,8 +510,8 @@ def test_cached_arrays_are_read_only(n):
     for name in METRICS:
         raw_metric_value(table, n, name)
     cached = [metrics._hadamard(k) for k in range(min(n, 8) + 1)]
-    cached += [*metrics._pair_index(n, _chunk_width(n)), *metrics._flip_index(n)[:3], spn._BYTE_LANES,
-               spn._BIT_SOURCES, spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_TABLES]
+    cached += [*metrics._pair_index(n, _chunk_width(n)), *metrics._flip_index(n)[:3], spn._BIT_SOURCES,
+               spn._ROUND_DEST, spn._INV_PERM_TABLES, spn._KEY_BYTE_MAP]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1

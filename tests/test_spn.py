@@ -12,7 +12,7 @@ import pytest
 
 import sboxkit as sk
 from sboxkit import spn
-from sboxkit.data import DILLON_PERMUTATION, PBOX8
+from sboxkit.data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
 
 import reference
 
@@ -186,8 +186,8 @@ def test_scalar_oracle_shares_nothing_with_bulk(cfg1, monkeypatch):
     # tests and perfbench check the bulk cipher against this path, so it must not run it
     def bulk(*args):
         raise AssertionError("the scalar cipher reached the bulk path")
-    monkeypatch.setattr(spn, "_lane_lookup", bulk)
-    monkeypatch.setattr(spn, "_lane_tables", bulk)
+    for helper in ("_lane_lookup", "_lane_tables", "_pair_tables", "_byte_map", "_map_bytes"):
+        monkeypatch.setattr(spn, helper, bulk)
     assert spn.key_schedule(b"\x00" * 8, cfg1)[0] == bytes([0x01] + [0] * 7)
     assert spn.encrypt_block(b"\x00" * 8, b"\x00" * 8, cfg1).hex() == "4dc33a3e938985eb"
     p = DILLON_PERMUTATION
@@ -259,11 +259,50 @@ def test_bulk_matches_scalar_with_custom_permutations_and_key_sbox():
 
 
 def test_lane_lookup_matches_shift_and_mask_oracle():
-    tabs = spn._build_round_tables(_random_config(63, 1))
+    tabs = spn._lane_tables(_random_config(63, 1).sbox.table, spn._ROUND_DEST)
+    pair_tabs = spn._pair_tables(tabs)
     pairs = spn.generate_pairs(300, 63)
     wide = np.random.default_rng(63).integers(0, 2 ** 64, size=(65, 300), dtype=np.uint64)
     for st in (pairs[:, 0], pairs[:, 1].copy(), wide.T, wide.T.copy(), wide.T[::3, 1:], wide[:, :0]):
-        assert (spn._lane_lookup(st, tabs) == reference.lane_lookup_shifts(st, tabs)).all()
+        assert (spn._lane_lookup(st, pair_tabs) == reference.lane_lookup_shifts(st, tabs)).all()
+
+
+# block byte at each memory offset of a uint64, read from memory: byte i of this word holds i
+_LANE_AT_OFFSET = np.array([0x0001020304050607], dtype=np.uint64).view(np.uint8)
+
+
+@pytest.mark.parametrize("box", ["aes", "random"])
+def test_pair_tables_match_the_byte_tables_at_every_uint16(aes, box):
+    # each uint16 value's two memory bytes, read from memory rather than derived from the byte order
+    mem = np.arange(2 ** 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+    cfg = spn.SpnConfig(sbox=aes, rounds=1) if box == "aes" else _random_config(71, 1)
+    tabs = spn._lane_tables(cfg.sbox.table, spn._ROUND_DEST)
+    pair_tabs = spn._build_round_tables(cfg)
+    assert pair_tabs.shape == (4, 2 ** 16) and pair_tabs.dtype == np.uint64
+    for c in range(4):
+        expected = tabs[_LANE_AT_OFFSET[2 * c]][mem[:, 0]] ^ tabs[_LANE_AT_OFFSET[2 * c + 1]][mem[:, 1]]
+        assert (pair_tabs[c] == expected).all(), c
+
+
+def _byte_map_oracle(byte):
+    """A uint16 map from a per-byte function, one byte at a time in Python."""
+    return [int.from_bytes(bytes(byte(b) for b in v.to_bytes(2, "big")), "big") for v in range(2 ** 16)]
+
+
+def test_key_byte_map_is_the_key_sbox_on_both_bytes():
+    ks = KEY_SBOX
+    expected = _byte_map_oracle(lambda b: ks[b >> 4] << 4 | ks[b & 0xF])
+    assert spn._KEY_BYTE_MAP.dtype == np.uint16
+    assert spn._KEY_BYTE_MAP.tolist() == expected
+
+
+def test_inverse_sbox_byte_map_is_the_inverse_sbox_on_both_bytes(aes):
+    for box in (aes, _random_config(72, 1).sbox):
+        table = box.table.tolist()
+        inverse = {y: x for x, y in enumerate(table)}
+        byte_map = spn._byte_map(sk.inverse_sbox(box).table)
+        assert byte_map.dtype == np.uint16
+        assert byte_map.tolist() == _byte_map_oracle(inverse.__getitem__)
 
 
 def test_bulk_with_strided_columns_matches_scalar(cfg4):
@@ -455,19 +494,29 @@ def test_a_thread_that_cannot_start_stops_the_call(aes, monkeypatch):
 
 
 def test_key_tables_built_once_per_key_sbox(aes, monkeypatch):
-    # the key and inverse-permutation tables are built once, at import; a bulk
-    # call builds only the tables of its S-box
-    built = []
-    lane_tables = spn._lane_tables
-    monkeypatch.setattr(spn, "_lane_tables", lambda *args: built.append(1) or lane_tables(*args))
+    # the key byte map and inverse-permutation tables are built once, at import; a bulk
+    # call builds only the tables of its S-box, once per call and never per block or thread
+    built = {"_lane_tables": 0, "_pair_tables": 0, "_byte_map": 0}
+
+    def counted(name, build):
+        def fn(*args):
+            built[name] += 1
+            return build(*args)
+        return fn
+
+    for name in built:
+        monkeypatch.setattr(spn, name, counted(name, getattr(spn, name)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = spn.SpnConfig(sbox=aes, rounds=2)
-    pairs = spn.generate_pairs(3 * (spn._BLOCK_WORDS // 65) + 1, 5)  # four blocks
+    pairs = spn.generate_pairs(3 * (spn._BLOCK_WORDS // 65) + 1, 5)  # four blocks over two ranges
+    list(spn._round_keys(pairs[:, 1], cfg))
+    assert list(built.values()) == [0, 0, 0]  # the key schedule builds no table
     report = spn.avalanche_experiment(cfg, pairs)
-    assert len(built) == 1  # the round tables, not a key table per block or per call
+    assert list(built.values()) == [1, 1, 0]  # one round-table set, not one per block or per thread
     assert report == reference.avalanche_unblocked(cfg, pairs)
-    assert len(built) == 2  # encrypt_blocks builds its round tables and nothing else
+    assert list(built.values()) == [2, 2, 0]  # encrypt_blocks builds its round tables and nothing else
     spn.decrypt_blocks(pairs[:, 0], pairs[:, 1], cfg)
-    assert len(built) == 3  # the inverse S-box; the inverse permutation is a constant
+    assert list(built.values()) == [2, 2, 1]  # the inverse S-box map; the inverse permutation is a constant
 
 
 def test_every_input_bit_changes_the_ciphertext(cfg4):
