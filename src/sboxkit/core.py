@@ -4,6 +4,8 @@ Field elements are ints whose bit i holds the coefficient of x^i, so field
 addition is plain XOR and no translation layer is needed anywhere.  Integer
 arguments pass through `check_int`, and array arguments through `check_int_array`:
 every entry an integer in the caller's [lo, hi], checked before any cast.
+Every exact value leaves as `exact_decimal` text: a decimal when its lowest-terms
+denominator is 2^a * 5^b, else "p/q"; a CSV line quotes its name as `csv.writer` would.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,6 +151,28 @@ def width_of(count, what: str, error: type[ValueError] = ValueError) -> int:
     if count != 1 << n:
         raise error(f"{rule}, got {count!r}")
     return n
+
+
+def exact_decimal(value) -> str:
+    """An int, Fraction or float as exact text.  In lowest terms p/q, q = 2^a * 5^b divides 10^k for
+    k = q.bit_length() > a, b, so one division leaves no remainder and gives k decimal places, trailing
+    zeros dropped; any other q leaves one, and the text is "p/q"."""
+    fr = Fraction(value)
+    p, q, k = fr.numerator, fr.denominator, fr.denominator.bit_length()
+    digits, rem = divmod(abs(p) * 10**k, q)
+    if rem:
+        return f"{p}/{q}"
+    text = str(digits).rjust(k + 1, "0")
+    whole, tail = text[:-k], text[-k:].rstrip("0")
+    return "-" * (p < 0) + (f"{whole}.{tail}" if tail else whole)
+
+
+def csv_row(name: str, values) -> str:
+    """name, then each value's `exact_decimal` text, comma-joined; a name holding a comma, quote or line
+    break is quoted, inner quotes doubled, as `csv.writer` does with QUOTE_MINIMAL."""
+    if any(c in name for c in ',"\r\n'):
+        name = '"' + name.replace('"', '""') + '"'
+    return ",".join([name, *map(exact_decimal, values)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,8 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import anf
-from .core import CycleStructure, SBox, cycle_decomposition, is_bijective, read_only, run_ranges
-from .util import exact_decimal
+from .core import CycleStructure, SBox, csv_row, cycle_decomposition, exact_decimal, is_bijective, read_only, run_ranges
 
 _PAIR_BUDGET = 1 << 15  # pairs per DDT block: 2^16 bins, 512 KB
 _RANGES = 2  # threads per whole-S-box kernel call, the only count measured
@@ -461,7 +460,7 @@ class MetricReport:
     def csv_row(self, name: str) -> str:
         """One row under `CSV_HEADER`: each metric's value read from its field."""
         values = (m.value(attrgetter(m.field)(self), self.n) for m in METRICS.values())
-        return ",".join([name, *map(exact_decimal, values)])
+        return csv_row(name, values)
 
 
 def compute_ddt(s: SBox) -> DDT:

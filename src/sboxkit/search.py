@@ -25,9 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _TOKENS, SBox, check_int, check_seed, check_width, even_ranges, read_only, width_of
+from .core import _TOKENS, SBox, check_int, check_seed, check_width, even_ranges, exact_decimal, read_only, width_of
 from .metrics import METRICS, block_height, lookup_metric
-from .util import exact_decimal
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -117,7 +116,7 @@ class SearchResult:
             "seed": cfg.seed,
             "workers": cfg.workers,
             "cycle_spec": list(cfg.cycle_spec.lengths) if cfg.cycle_spec else None,
-            "best_value": exact_decimal(Fraction(self.best_value)),
+            "best_value": exact_decimal(self.best_value),
             "mean_value": exact_decimal(self.mean_value),
             "best_sbox": [int(v) for v in self.best_sbox.table],
             "elapsed": self.elapsed,

@@ -48,10 +48,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (NotBijectiveError, SBox, check_int, check_int_array, check_seed, inverse_sbox, is_bijective,
-                   read_only, run_ranges)
+from .core import (NotBijectiveError, SBox, check_int, check_int_array, check_seed, csv_row, exact_decimal,
+                   inverse_sbox, is_bijective, read_only, run_ranges)
 from .data import DILLON_PERMUTATION, KEY_SBOX, PBOX8
-from .util import exact_decimal
 
 BLOCK_BYTES = 8
 _BLOCK_WORDS = 1 << 15  # uint64 state words per bulk block: 256 KB, inside L2
@@ -106,7 +105,7 @@ class AvalancheReport:
         }
 
     def csv_row(self, name: str) -> str:
-        return f"{name},{self.rounds},{exact_decimal(self.distance_from_32)}"
+        return csv_row(name, (self.rounds, self.distance_from_32))
 
 
 def block_to_int(block: bytes) -> int:

@@ -33,8 +33,13 @@ back the binary PPM the library writes.  `savetxt_csv` and `render_masked`
 are the earlier heatmap output paths: `np.savetxt`, where the library writes
 row blocks of byte fields, and a palette painted through boolean masks,
 where the library takes each channel from one fade array with `np.maximum`.
+`decimal_text` writes a rational through the `decimal` module, where the
+library reads its digits off one integer division.  `gl2_matrix` and
+`affine_map` draw and apply the invertible GF(2) matrices of the
+affine-equivalence checks, with `gf2_rank_dense` as the rank test.
 """
 
+import decimal
 import functools
 from collections import Counter
 from fractions import Fraction
@@ -436,3 +441,34 @@ def render_masked(values, spec):
         "markers": markers,
     }
     return rgb, info
+
+
+def decimal_text(value):
+    """A rational as its exact decimal, trailing zeros dropped, or "p/q" in
+    lowest terms when it has none: one `decimal` division with Inexact trapped,
+    at a precision that holds every digit of a terminating quotient."""
+    fr = Fraction(value)
+    p, q = fr.numerator, fr.denominator
+    ctx = decimal.Context(prec=len(str(abs(p))) + q.bit_length() + 2, traps=[decimal.Inexact])
+    try:
+        quotient = ctx.divide(decimal.Decimal(p), decimal.Decimal(q))
+    except decimal.Inexact:
+        return f"{p}/{q}"
+    return format(quotient.normalize(ctx), "f")
+
+
+def gl2_matrix(rng, n):
+    """An invertible n x n matrix over GF(2) as its n columns (ints), drawn
+    from rng until `gf2_rank_dense` finds full rank."""
+    while True:
+        columns = [int(v) for v in rng.integers(0, 1 << n, size=n)]
+        if gf2_rank_dense([[c >> i & 1 for i in range(n)] for c in columns]) == n:
+            return columns
+
+
+def affine_map(columns, x, c):
+    """M.x xor c for every entry of the int array x, M given by its columns."""
+    out = np.full_like(x, c)
+    for j, col in enumerate(columns):
+        out ^= (x >> j & 1) * col
+    return out

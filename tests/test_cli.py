@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -56,6 +57,26 @@ def test_analyze_with_anf_extras(aes_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["degree"] == 7
     assert doc["ai"] == 4
+
+
+@pytest.mark.parametrize("name", ["a,b", 'x"y', "line\nbreak", "cr\rlf\n", "plain"])
+@pytest.mark.parametrize("command", [["analyze"], ["avalanche", "--rounds", "1", "--trials", "20", "--seed", "3"]])
+def test_csv_names_round_trip_through_csv_reader(tmp_path, aes_file, command, name):
+    """A name holding a comma, a quote or a line break is quoted, so csv.reader
+    reads it back whole, in a row with as many fields as the header."""
+    out = tmp_path / "report.csv"
+    assert main([command[0], aes_file, *command[1:], "--format", "csv", "--name", name, "-o", str(out)]) == 0
+    with open(out, newline="") as f:
+        header, row = csv.reader(f)
+    assert row[0] == name
+    assert len(row) == len(header) > 2
+
+
+def test_csv_name_from_the_file_name_is_quoted(tmp_path, aes, capsys):
+    path = tmp_path / "a,b.txt"
+    path.write_text(sk.format_sbox(aes))
+    assert main(["analyze", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == '"a,b",4,16,0.0625,0.0703125,112'
 
 
 def test_analyze_hex_input(tmp_path, aes, capsys):

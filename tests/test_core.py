@@ -1,15 +1,20 @@
+import csv
 import functools
+import io
 import math
 import os
 import re
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sboxkit as sk
 from sboxkit import core, spn
-from sboxkit.core import MAX_N, MIN_N, _monomial_exponent
+from sboxkit.core import MAX_N, MIN_N, _monomial_exponent, csv_row, exact_decimal
 from sboxkit.data import IRREDUCIBLE
 from sboxkit.search import SearchConfig, run_search
 
@@ -551,3 +556,31 @@ def test_one_range_calls_read_no_cpu_count(aes, monkeypatch):
     spn.decrypt_blocks(words, words, cfg)  # every round key of a block fills the budget
     assert spn.decrypt_blocks(cts, words[:1], cfg)[0] == 0
     run_search(SearchConfig(n=4, metric="du", tries=3, seed=1, workers=1))
+
+
+# ---------------------------------------------------------------------------
+# exact text
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(-10**30, 10**30), a=st.integers(0, 200), b=st.integers(0, 200),
+       c=st.sampled_from((1, 3, 7, 10007)))
+@example(p=0, a=0, b=0, c=1)
+@example(p=-7, a=0, b=0, c=1)
+@example(p=-3, a=200, b=0, c=1)
+@example(p=10**30, a=0, b=200, c=7)
+def test_exact_decimal_matches_the_decimal_module(p, a, b, c):
+    """p / (2^a 5^b c) and the int p read as `decimal` writes them, or as "p/q" where no decimal ends."""
+    value = Fraction(p, 2**a * 5**b * c)
+    assert exact_decimal(value) == reference.decimal_text(value)
+    assert exact_decimal(p) == reference.decimal_text(p) == str(p)
+
+
+@pytest.mark.parametrize("name,quoted", [("plain", "plain"), ("a,b", '"a,b"'), ('x"y', '"x""y"'),
+                                         ("x\ny", '"x\ny"'), ("x\ry", '"x\ry"'), ("", "")])
+def test_csv_row_quotes_the_name_as_csv_writer_does(name, quoted):
+    row = csv_row(name, (4, Fraction(9, 128), Fraction(1, 3)))
+    assert row == f"{quoted},4,0.0703125,1/3"
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerow([name, "4", "0.0703125", "1/3"])  # the default line end, "\r\n", is quoted
+    assert row + "\r\n" == buffer.getvalue()

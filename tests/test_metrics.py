@@ -17,7 +17,7 @@ from sboxkit.data import KEY_SBOX
 from sboxkit import metrics, search, spn
 from sboxkit.metrics import CSV_HEADER, METRICS, raw_metric_value
 from sboxkit.search import SearchConfig, run_search
-from sboxkit.util import exact_decimal
+from sboxkit.core import exact_decimal
 
 import reference
 
